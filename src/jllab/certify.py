@@ -256,13 +256,19 @@ def witness_search(A: LinearMap, V: PointSet) -> tuple[np.ndarray, float]:
         raise ValueError("cannot search an empty point set")
     if A.n != V.dim:
         raise ValueError(f"map has {A.n} columns but the set has dimension {V.dim}")
-    cert = spectral_certificate(A)
+    j, dev = _max_deviation(A, V, spectral_certificate(A))
+    return V.points[j].copy(), dev
+
+
+def _max_deviation(A: LinearMap, V: PointSet, cert: SpectralCertificate) -> tuple[int, float]:
+    # index and value of the largest |‖Av‖² - trace| / frob over V, from
+    # A's certificate; ties break toward the lowest index
     frob = math.sqrt(cert.frob_sq)
     if frob == 0.0:
         raise ValueError("zero map: witness deviation is undefined")
     dev = np.abs(_rowsq(A.apply(V.points)) - cert.trace) / frob
     j = int(np.argmax(dev))
-    return V.points[j].copy(), float(dev[j])
+    return j, float(dev[j])
 
 
 def audit_embedding(A: LinearMap, X: PointSet, eps: float) -> AuditReport:
@@ -291,7 +297,7 @@ def audit_embedding(A: LinearMap, X: PointSet, eps: float) -> AuditReport:
     trace = float(np.einsum("ij,ij->", E, E))
     trace_window_ok = (1.0 - eps) * n <= trace <= (1.0 + eps) * n
     cert = spectral_certificate(A)
-    _, wdev = witness_search(A, X)
+    _, wdev = _max_deviation(A, X, cert)
     rank_ok = cert.rank_lb <= A.m
     notes: list[str] = []
     if not precondition_ok:

@@ -37,9 +37,9 @@ from .certify import (
 )
 from .concentration import (
     CalibrationError,
-    chaos_tail_estimate,
-    joint_event_rate,
-    norm_tail_estimate,
+    _chaos_tail_grid,
+    _joint_event_grid,
+    _norm_tail_grid,
     norm_tail_oracle,
 )
 from .embeddings import (
@@ -54,6 +54,8 @@ from .embeddings import (
 )
 from .net import covering_radius_for, log_cardinality, net_params, quantize
 from .pointset import (
+    MAX_TOTAL_COORDS,
+    SizeError,
     gaussian_vectors,
     hard_instance,
     read_pointset,
@@ -295,25 +297,33 @@ def cmd_tails(args: argparse.Namespace) -> int:
     }
     header = ["op", "n", "m", "t_or_delta", "c", "threshold", "trials", "hits", "p_hat", "stderr", "oracle"]
     rows: list[list] = []
-    A = gaussian_map(m, args.n, seed.child(0)) if (t_grid or delta_grid) else None
-    for t in t_grid:
-        est = norm_tail_estimate(args.n, t, args.c, args.trials, seed.child(1))
-        rows.append(
-            ["norm", args.n, None, t, args.c, est.threshold, est.trials, est.hits, est.p_hat,
-             est.stderr, norm_tail_oracle(args.n, t, args.c)]
-        )
-    for t in t_grid:
-        est = chaos_tail_estimate(A, t, args.c, args.trials, seed.child(2))
-        rows.append(
-            ["chaos", args.n, m, t, args.c, est.threshold, est.trials, est.hits, est.p_hat,
-             est.stderr, None]
-        )
-    for d in delta_grid:
-        est = joint_event_rate(A, d, args.c1, args.c2, args.trials, seed.child(3))
-        rows.append(
-            ["joint", args.n, m, d, args.c1, est.threshold, est.trials, est.hits, est.p_hat,
-             est.stderr, None]
-        )
+    if t_grid or delta_grid:
+        # the map is m x n and its spectral certificate forms the n x n Gram matrix
+        if max(m, args.n) * args.n > MAX_TOTAL_COORDS:
+            raise SizeError(
+                f"tails at n={args.n}, m={m} needs a {m}x{args.n} map and a "
+                f"{args.n}x{args.n} Gram matrix, over the {MAX_TOTAL_COORDS} coordinate limit"
+            )
+        A = gaussian_map(m, args.n, seed.child(0))
+        cert = spectral_certificate(A)
+        norm = _norm_tail_grid(args.n, t_grid, args.c, args.trials, seed.child(1))
+        for t, est in zip(t_grid, norm):
+            rows.append(
+                ["norm", args.n, None, t, args.c, est.threshold, est.trials, est.hits, est.p_hat,
+                 est.stderr, norm_tail_oracle(args.n, t, args.c)]
+            )
+        chaos = _chaos_tail_grid(A, t_grid, args.c, args.trials, seed.child(2), cert)
+        for t, est in zip(t_grid, chaos):
+            rows.append(
+                ["chaos", args.n, m, t, args.c, est.threshold, est.trials, est.hits, est.p_hat,
+                 est.stderr, None]
+            )
+        joint = _joint_event_grid(A, delta_grid, args.c1, args.c2, args.trials, seed.child(3), cert)
+        for d, est in zip(delta_grid, joint):
+            rows.append(
+                ["joint", args.n, m, d, args.c1, est.threshold, est.trials, est.hits, est.p_hat,
+                 est.stderr, None]
+            )
     _write_csv(args.out, config, header, rows)
     print(json.dumps({"config": config, "rows": len(rows)}, sort_keys=True))
     return 0

@@ -28,6 +28,13 @@ and writes its chunks' values into their own slice of the output, so the
 result does not depend on the worker count.  The estimators that multiply
 each chunk by a matrix run their chunks serially, since the BLAS call
 already spreads over the cores.
+
+Each estimator evaluates a whole grid of thresholds on one sample: the
+private grid forms draw the sample once, take the map's spectral
+certificate from the caller, and count hits at every threshold.  The
+public single-threshold estimators call them with a one-element grid, so
+a grid evaluation and a loop of single calls at the same seed give the
+same counts.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .certify import spectral_certificate
+from .certify import SpectralCertificate, spectral_certificate
 from .embeddings import LinearMap
 from .seeds import Seed, as_seed
 
@@ -130,9 +137,12 @@ def chi_square_sf(n: int, x: float) -> float:
 
     Computed from scratch as the regularized upper incomplete gamma
     Q(n/2, x/2): a power series for the lower function when x < n + 2,
-    otherwise a modified Lentz continued fraction.  Absolute error is
-    below 1e-10 over the tested range; for n = 2 the value is exp(-x/2)
-    up to rounding.
+    otherwise a modified Lentz continued fraction.  Against scipy, the
+    absolute error is below 1e-10 for n <= 2000 and x in [0, 4n], and
+    below 1e-9 for n <= 1e6 and x within 8 standard deviations sqrt(2n)
+    of the mean.  Beyond n of about 1e6 the exp(-s + a log s - lgamma a)
+    prefactor costs accuracy (about 3e-8 at n = 1e7).  For n = 2 the value
+    is exp(-x/2) up to rounding.
     """
     if n < 1 or not isinstance(n, int):
         raise ValueError(f"degrees of freedom must be a positive integer, got {n}")
@@ -151,7 +161,9 @@ def _gamma_p_series(a: float, s: float) -> float:
     ap = a
     term = 1.0 / a
     total = term
-    for _ in range(1000):
+    # near s = a the terms shrink like exp(-k^2 / 2a), so the number of
+    # terms needed grows like sqrt(a)
+    for _ in range(1000 + int(20 * math.sqrt(a))):
         ap += 1.0
         term *= s / ap
         total += term
@@ -262,21 +274,37 @@ def map_samples(A: LinearMap, trials: int, seed: int | Seed) -> tuple[np.ndarray
 
 def norm_tail_estimate(n: int, t: float, c: float, trials: int, seed: int | Seed) -> TailEstimate:
     """Estimate Pr(|‖g‖² - n| > c sqrt(n t)) by direct simulation."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    return _norm_tail_grid(n, [t], c, trials, seed)[0]
+
+
+def _norm_tail_grid(
+    n: int, ts: Sequence[float], c: float, trials: int, seed: int | Seed
+) -> list[TailEstimate]:
+    """`norm_tail_estimate` at every t of ``ts`` on one norm sample."""
+    if not ts:
+        return []
+    for t in ts:
+        if not t > 0:
+            raise ValueError(f"t must be positive, got {t}")
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
-    thr = c * math.sqrt(n * t)
     dev = norm_deviation_sample(n, trials, seed)
-    return TailEstimate.from_hits(thr, trials, int(np.count_nonzero(dev > thr)))
+    out = []
+    for t in ts:
+        thr = c * math.sqrt(n * t)
+        out.append(TailEstimate.from_hits(thr, trials, int(np.count_nonzero(dev > thr))))
+    return out
+
+
+def _chaos_threshold(cert: SpectralCertificate, t: float, c: float) -> float:
+    frob = math.sqrt(cert.frob_sq)
+    top = float(cert.eigenvalues[0]) if cert.eigenvalues.size else 0.0
+    return c * (math.sqrt(t) * frob + t * top)
 
 
 def chaos_threshold(A: LinearMap, t: float, c: float) -> float:
     """Deviation threshold c (sqrt(t) ‖A^T A‖_F + t ‖A^T A‖)."""
-    cert = spectral_certificate(A)
-    frob = math.sqrt(cert.frob_sq)
-    top = float(cert.eigenvalues[0]) if cert.eigenvalues.size else 0.0
-    return c * (math.sqrt(t) * frob + t * top)
+    return _chaos_threshold(spectral_certificate(A), t, c)
 
 
 def chaos_tail_estimate(
@@ -289,17 +317,34 @@ def chaos_tail_estimate(
     At A = identity the event coincides with the norm tail at the matched
     threshold, and the shared sampling makes the counts identical.
     """
-    if not t >= 1.0:
-        raise ValueError(f"t must be at least 1, got {t}")
+    return _chaos_tail_grid(A, [t], c, trials, seed, spectral_certificate(A))[0]
+
+
+def _chaos_tail_grid(
+    A: LinearMap,
+    ts: Sequence[float],
+    c: float,
+    trials: int,
+    seed: int | Seed,
+    cert: SpectralCertificate,
+) -> list[TailEstimate]:
+    """`chaos_tail_estimate` at every t of ``ts`` on one map sample; ``cert`` is A's."""
+    if not ts:
+        return []
+    for t in ts:
+        if not t >= 1.0:
+            raise ValueError(f"t must be at least 1, got {t}")
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
-    cert = spectral_certificate(A)
     if cert.frob_sq == 0.0:
         raise ValueError("zero map: the deviation event is degenerate")
-    thr = chaos_threshold(A, t, c)
     img, _ = map_samples(A, trials, seed)
-    hits = int(np.count_nonzero(np.abs(img - cert.trace) > thr))
-    return TailEstimate.from_hits(thr, trials, hits)
+    dev = np.abs(img - cert.trace)
+    out = []
+    for t in ts:
+        thr = _chaos_threshold(cert, t, c)
+        out.append(TailEstimate.from_hits(thr, trials, int(np.count_nonzero(dev > thr))))
+    return out
 
 
 def symmetric_form_tail_estimate(
@@ -345,19 +390,38 @@ def joint_event_rate(
     (non-strict), the norm side asks ‖g‖² <= n + c2 sqrt(n ln(1/delta)).
     The reported threshold is the form-side one.
     """
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
+    return _joint_event_grid(A, [delta], c1, c2, trials, seed, spectral_certificate(A))[0]
+
+
+def _joint_event_grid(
+    A: LinearMap,
+    deltas: Sequence[float],
+    c1: float,
+    c2: float,
+    trials: int,
+    seed: int | Seed,
+    cert: SpectralCertificate,
+) -> list[TailEstimate]:
+    """`joint_event_rate` at every delta of ``deltas`` on one map sample; ``cert`` is A's."""
+    if not deltas:
+        return []
+    for delta in deltas:
+        if not 0.0 < delta < 0.5:
+            raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     if c1 < 0 or c2 < 0:
         raise ValueError(f"c1 and c2 must be nonnegative, got c1={c1}, c2={c2}")
-    cert = spectral_certificate(A)
     if cert.frob_sq == 0.0:
         raise ValueError("zero map: the deviation event is degenerate")
-    ell = math.log(1.0 / delta)
-    thr1 = c1 * math.sqrt(ell) * math.sqrt(cert.frob_sq)
-    thr2 = A.n + c2 * math.sqrt(A.n * ell)
     img, nrm = map_samples(A, trials, seed)
-    hits = int(np.count_nonzero((np.abs(img - cert.trace) >= thr1) & (nrm <= thr2)))
-    return TailEstimate.from_hits(thr1, trials, hits)
+    dev = np.abs(img - cert.trace)
+    out = []
+    for delta in deltas:
+        ell = math.log(1.0 / delta)
+        thr1 = c1 * math.sqrt(ell) * math.sqrt(cert.frob_sq)
+        thr2 = A.n + c2 * math.sqrt(A.n * ell)
+        hits = int(np.count_nonzero((dev >= thr1) & (nrm <= thr2)))
+        out.append(TailEstimate.from_hits(thr1, trials, hits))
+    return out
 
 
 # ---------------------------------------------------------------------------

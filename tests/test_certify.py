@@ -248,6 +248,20 @@ def test_audit_passes_on_good_map():
     assert "more rows than columns" in report.notes
 
 
+def test_audit_computes_one_certificate(monkeypatch):
+    import jllab.certify
+
+    calls = []
+    real = jllab.certify.spectral_certificate
+    monkeypatch.setattr(jllab.certify, "spectral_certificate", lambda A: calls.append(A) or real(A))
+    X = hard_instance(8, 20, 5)
+    A = gaussian_map(32, 8, 6)
+    report = audit_embedding(A, X, 0.99)
+    assert len(calls) == 1
+    _, wdev = witness_search(A, X)
+    assert report.witness_deviation == wdev
+
+
 def test_audit_requires_basis():
     X = PointSet(3, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), ("basis", "basis"))
     with pytest.raises(AuditError, match="e_3"):

@@ -5,9 +5,18 @@ import json
 import numpy as np
 import pytest
 
+import jllab.cli
+import jllab.concentration
 from jllab.cli import main
+from jllab.concentration import (
+    chaos_tail_estimate,
+    joint_event_rate,
+    norm_tail_estimate,
+    norm_tail_oracle,
+)
 from jllab.embeddings import read_map, write_map, gaussian_map
 from jllab.pointset import read_pointset
+from jllab.seeds import Seed
 
 
 def run(argv, capsys):
@@ -211,6 +220,82 @@ def test_tails_rerun_byte_identical(tmp_path, capsys):
     first = out_csv.read_bytes()
     run(argv, capsys)
     assert out_csv.read_bytes() == first
+
+
+TAILS_GRID_ARGV = ["tails", "--n", "8", "--t-grid", "1,2,3", "--delta-grid", "0.05,0.1",
+                   "--trials", "2000", "--seed", "4"]
+
+
+def test_tails_grid_rows_match_single_threshold_estimators(tmp_path, capsys):
+    # one sample per seed, counted at every threshold, gives the rows that
+    # the public estimators give one threshold at a time
+    out_csv = tmp_path / "tails.csv"
+    code, _, _ = run(TAILS_GRID_ARGV + ["--out", str(out_csv)], capsys)
+    assert code == 0
+    n, m, trials, c, c1, c2 = 8, 4, 2000, 1.0, 0.5, 2.0
+    seed = Seed(4)
+    A = gaussian_map(m, n, seed.child(0))
+    expected = []
+    for t in (1.0, 2.0, 3.0):
+        est = norm_tail_estimate(n, t, c, trials, seed.child(1))
+        expected.append(("norm", n, None, t, c, est, norm_tail_oracle(n, t, c)))
+    for t in (1.0, 2.0, 3.0):
+        est = chaos_tail_estimate(A, t, c, trials, seed.child(2))
+        expected.append(("chaos", n, m, t, c, est, None))
+    for d in (0.05, 0.1):
+        est = joint_event_rate(A, d, c1, c2, trials, seed.child(3))
+        expected.append(("joint", n, m, d, c1, est, None))
+
+    def cell(v):
+        if v is None:
+            return ""
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+
+    rows = [
+        ",".join(cell(v) for v in (op, nn, mm, x, cc, e.threshold, e.trials, e.hits,
+                                   e.p_hat, e.stderr, oracle))
+        for op, nn, mm, x, cc, e, oracle in expected
+    ]
+    assert out_csv.read_text().splitlines()[2:] == rows
+
+
+def test_tails_draws_each_sample_once(tmp_path, capsys, monkeypatch):
+    calls = {"norm_deviation_sample": 0, "map_samples": 0, "spectral_certificate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("norm_deviation_sample", "map_samples", "spectral_certificate"):
+        monkeypatch.setattr(jllab.concentration, name, counted(name, getattr(jllab.concentration, name)))
+    # cmd_tails reaches the certificate through jllab.cli's own binding; count it too
+    monkeypatch.setattr(jllab.cli, "spectral_certificate", jllab.concentration.spectral_certificate)
+    code, _, _ = run(TAILS_GRID_ARGV + ["--out", str(tmp_path / "tails.csv")], capsys)
+    assert code == 0
+    assert calls == {"norm_deviation_sample": 1, "map_samples": 2, "spectral_certificate": 1}
+
+
+def test_tails_over_size_limit_exits_one(tmp_path, capsys):
+    # a 50000 x 100000 map would need 37 GiB; the guard refuses it first
+    out_csv = tmp_path / "tails.csv"
+    code, _, err = run(
+        ["tails", "--n", "100000", "--t-grid", "1", "--trials", "1000", "--seed", "7",
+         "--out", str(out_csv)],
+        capsys,
+    )
+    assert code == 1
+    assert "over the 10000000 coordinate limit" in err
+    assert not out_csv.exists()
+    # the n x n Gram matrix counts too, even for a one-row map
+    code, _, err = run(
+        ["tails", "--n", "4000", "--m", "1", "--delta-grid", "0.05", "--trials", "1000",
+         "--seed", "7", "--out", str(out_csv)],
+        capsys,
+    )
+    assert code == 1
+    assert "4000x4000 Gram matrix" in err
 
 
 def test_frontier_csv(tmp_path, capsys):

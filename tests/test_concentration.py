@@ -46,6 +46,21 @@ def test_chi_square_sf_against_scipy():
     assert worst <= 1e-10
 
 
+def test_chi_square_sf_large_n_against_scipy():
+    # near the mean the series needs about sqrt(n) terms; a fixed cap of
+    # 1000 failed to converge from n = 1e5 on
+    worst = 0.0
+    for n in (1000, 10_000, 100_000, 1_000_000):
+        for z in np.linspace(-8.0, 8.0, 33):
+            x = n + z * math.sqrt(2.0 * n)
+            worst = max(worst, abs(chi_square_sf(n, float(x)) - scipy_stats.chi2.sf(x, n)))
+    assert worst <= 1e-9
+    assert chi_square_sf(100_000, 1e5) == pytest.approx(scipy_stats.chi2.sf(1e5, 100_000), abs=1e-9)
+    assert chi_square_sf(1_000_000, 997_000.0) == pytest.approx(
+        scipy_stats.chi2.sf(997_000.0, 1_000_000), abs=1e-9
+    )
+
+
 def test_chi_square_sf_edge_values():
     assert chi_square_sf(5, 0.0) == 1.0
     assert chi_square_sf(1, 1e6) == 0.0
