@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import LinearMap
+from .embeddings import LinearMap, _rowsq
 from .pointset import ROLE_BASIS, PointSet
 
 MODE_NORM = "norm-preservation"
@@ -140,10 +140,6 @@ class AuditReport:
         }
 
 
-def _rowsq(M: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", M, M)
-
-
 def _normalize_mode(mode: str) -> str:
     if mode in (MODE_NORM, "norm"):
         return MODE_NORM
@@ -156,45 +152,49 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     """Measure the worst multiplicative error of A on X.
 
     Norm mode compares ‖Ax‖² to ‖x‖² point by point; pairwise mode
-    compares squared distances over all N(N-1)/2 unordered pairs.
+    compares squared distances over all N(N-1)/2 unordered pairs.  Pairwise
+    mode streams the pairs one point i at a time (its pairs (i, j), j > i),
+    so besides the returned ratios it holds O(N (n + m)) floats, not a
+    multiple of the pair count.
     """
     mode = _normalize_mode(mode)
     if A.n != X.dim:
         raise ValueError(f"map has {A.n} columns but the set has dimension {X.dim}")
     P = X.points
-    if mode == MODE_NORM:
-        before = _rowsq(P)
-        after = _rowsq(A.apply(P))
-    else:
-        before = _pair_sq_dists(P)
-        after = _pair_sq_dists(A.apply(P))
-    keep = before > 0.0
-    keep_idx = np.where(keep)[0]
-    skipped = tuple(int(i) for i in np.where(~keep)[0])
-    ratios = after[keep] / before[keep]
-    if ratios.size:
-        dev = np.abs(ratios - 1.0)
-        j = int(np.argmax(dev))
-        eps_max = float(dev[j])
-        violating = int(keep_idx[j])
-    else:
-        eps_max = 0.0
-        violating = None
-    return DistortionReport(
-        mode=mode, ratios=ratios, eps_max=eps_max, violating_index=violating, skipped=skipped
-    )
-
-
-def _pair_sq_dists(P: np.ndarray) -> np.ndarray:
-    """Squared distances over pairs (i, j), i < j, in lexicographic order."""
+    Y = A.apply(P)
     N = P.shape[0]
-    out = np.empty(N * (N - 1) // 2)
-    pos = 0
-    for i in range(N - 1):
-        diff = P[i + 1 :] - P[i]
-        out[pos : pos + N - 1 - i] = _rowsq(diff)
-        pos += N - 1 - i
-    return out
+    if mode == MODE_NORM:
+        total = N
+        blocks = [(_rowsq(P), _rowsq(Y))]
+    else:
+        total = N * (N - 1) // 2
+        blocks = ((_rowsq(P[i + 1 :] - P[i]), _rowsq(Y[i + 1 :] - Y[i])) for i in range(N - 1))
+    ratios = np.empty(total)
+    skipped: list[int] = []
+    eps_max, violating = 0.0, None
+    pos = flat = 0
+    for before, after in blocks:
+        keep = before > 0.0
+        row = after[keep] / before[keep]
+        ratios[pos : pos + row.size] = row
+        if row.size < before.size:
+            skipped.extend(flat + int(k) for k in np.flatnonzero(~keep))
+        if row.size:
+            dev = np.abs(row - 1.0)
+            j = int(np.argmax(dev))
+            # as one argmax over every item: the first NaN, else the first maximum
+            if violating is None or (eps_max == eps_max and not dev[j] <= eps_max):
+                eps_max = float(dev[j])
+                violating = flat + int(np.flatnonzero(keep)[j])
+        pos += row.size
+        flat += before.size
+    return DistortionReport(
+        mode=mode,
+        ratios=ratios[:pos],
+        eps_max=eps_max,
+        violating_index=violating,
+        skipped=tuple(skipped),
+    )
 
 
 def pair_from_flat(N: int, flat: int) -> tuple[int, int]:

@@ -229,6 +229,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
         status["converged"] = info.converged
         status["init_distortion"] = info.init_distortion
         status["final_distortion"] = info.final_distortion
+        status["stop_reason"] = info.stop_reason
+        status["accepted"] = info.accepted
+        status["backtracks"] = info.backtracks
     print(json.dumps(status, sort_keys=True))
     return 0
 

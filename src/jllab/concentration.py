@@ -48,7 +48,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .certify import SpectralCertificate, spectral_certificate
-from .embeddings import LinearMap
+from .embeddings import LinearMap, _rowsq
 from .seeds import Seed, as_seed
 
 CHUNK_TRIALS = 1024
@@ -222,10 +222,6 @@ def _gaussian_chunks(
 
 def _chunk_count(trials: int) -> int:
     return -(-trials // CHUNK_TRIALS)
-
-
-def _rowsq(M: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", M, M)
 
 
 def _validate_mc(n: int, trials: int) -> None:

@@ -85,7 +85,9 @@ def pca_map(X: PointSet, m: int) -> LinearMap:
     if len(X) == 0 or not P.any():
         warnings.warn("degenerate point set (all zero); using leading coordinate directions")
         return LinearMap(np.eye(X.dim)[:m])
-    _, _, vt = np.linalg.svd(P, full_matrices=True)
+    # the thin SVD has min(N, n) right singular rows; only a set with
+    # fewer than m points needs the full n x n factor
+    _, _, vt = np.linalg.svd(P, full_matrices=len(X) < m)
     return LinearMap(vt[:m])
 
 
@@ -122,8 +124,10 @@ class OptimizeInfo:
     """Diagnostics from one `optimize_map` run.
 
     ``objective_history`` records the smoothed objective at every accepted
-    step; it is non-increasing.  ``converged`` is False iff the iteration
-    budget ran out first.
+    step; it is non-increasing.  ``stop_reason`` is ``"dist_floor"``,
+    ``"tau_floor"`` or ``"max_iters"`` (see `optimize_map`), and
+    ``converged`` is False iff it is ``"max_iters"``.  ``accepted`` and
+    ``backtracks`` count the accepted and the rejected trial steps.
     """
 
     iterations: int
@@ -131,6 +135,9 @@ class OptimizeInfo:
     init_distortion: float
     final_distortion: float
     objective_history: tuple[float, ...]
+    stop_reason: str = "max_iters"
+    accepted: int = 0
+    backtracks: int = 0
 
 
 _DIST_FLOOR = 1e-13
@@ -138,6 +145,7 @@ _STEP_FLOOR = 1e-18
 
 
 def _rowsq(M: np.ndarray) -> np.ndarray:
+    # squared norm of every row; certify and concentration share this one
     return np.einsum("ij,ij->i", M, M)
 
 
@@ -157,9 +165,18 @@ def optimize_map(
     run, so the result never does worse than its initialization.  Starting
     candidates are the PCA projection and, if given, ``init`` (same shape).
 
+    Every evaluated map E (each starting candidate and each trial step,
+    accepted or rejected) costs one image Y = P Eᵀ of the points.  The
+    ratios, the smoothed objective and the true distortion all come from
+    that image, and so does the gradient 2 (Y ∘ coef)ᵀ P at an accepted
+    iterate; a temperature change re-smooths the cached ratios.
+
     Running out of ``max_iters`` is not an error; request the run record
-    with ``return_info=True`` to see the iteration count and whether the
-    run converged before the budget.
+    with ``return_info=True`` to see the iteration count, the accepted and
+    rejected steps, and the ``stop_reason``: ``"dist_floor"`` when the best
+    distortion reached 1e-13, ``"tau_floor"`` when two stalled iterations
+    came at the lowest temperature, ``"max_iters"`` when the budget ran
+    out first (the only reason with ``converged`` False).
     """
     opts = opts or OptimizerOptions()
     if len(X) == 0:
@@ -172,88 +189,98 @@ def optimize_map(
     if zero.size:
         raise ValueError(f"point {zero[0]} has zero norm; norm ratios are undefined for it")
 
-    def ratios(E: np.ndarray) -> np.ndarray:
-        return _rowsq(P @ E.T) / sqn
+    def image(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the one product P Eᵀ per evaluated map, with its norm ratios
+        Y = P @ E.T
+        return Y, _rowsq(Y) / sqn
 
-    def true_dist(E: np.ndarray) -> float:
-        return float(np.abs(ratios(E) - 1.0).max())
+    def true_dist(r: np.ndarray) -> float:
+        return float(np.abs(r - 1.0).max())
+
+    def smoothed(r: np.ndarray, tau: float) -> float:
+        d = np.abs(r - 1.0)
+        top = d.max()
+        return float(top + tau * np.log(np.exp((d - top) / tau).sum()))
 
     candidates = [pca_map(X, m).entries]
     if init is not None:
         if init.m != m or init.n != X.dim:
             raise ValueError(f"init must have shape ({m}, {X.dim}), got ({init.m}, {init.n})")
         candidates.append(init.entries)
-    dists = [true_dist(E) for E in candidates]
+    images = [image(E) for E in candidates]
+    dists = [true_dist(r) for _, r in images]
     best = int(np.argmin(dists))
     A = candidates[best].copy()
+    Y, r = images[best]
     best_E, best_dist = A.copy(), dists[best]
     init_dist = best_dist
 
-    def smoothed(E: np.ndarray, tau: float) -> float:
-        d = np.abs(ratios(E) - 1.0)
-        top = d.max()
-        return float(top + tau * np.log(np.exp((d - top) / tau).sum()))
-
     tau = opts.smoothing
     tau_floor = 1e-12
-    fA = smoothed(A, tau)
+    fA = smoothed(r, tau)
     history = [fA]
     step = opts.step_init
-    iters = 0
+    iters = accepted = backtracks = 0
+    stop_reason = "max_iters"
     stall = 0
     kick = opts.seed.child(0).generator()
     while iters < opts.max_iters and best_dist > _DIST_FLOOR:
         iters += 1
-        r = ratios(A)
         d = np.abs(r - 1.0)
         w = np.exp((d - d.max()) / tau)
         w /= w.sum()
         coef = w * np.sign(r - 1.0) / sqn
-        G = 2.0 * (A @ (P.T @ (P * coef[:, None])))
-        gnorm = math.sqrt(float(np.einsum("ij,ij->", G, G)))
-        if gnorm == 0.0:
+        G = 2.0 * ((Y * coef[:, None]).T @ P)
+        if float(np.einsum("ij,ij->", G, G)) == 0.0:
             # flat objective: random direction from the options seed
             G = kick.standard_normal(A.shape)
-            gnorm = math.sqrt(float(np.einsum("ij,ij->", G, G)))
-        accepted = False
+        moved = False
         prev_f = fA
         while step > _STEP_FLOOR:
             cand = A - step * G
-            fc = smoothed(cand, tau)
+            Yc, rc = image(cand)
+            fc = smoothed(rc, tau)
             if fc < fA:
-                A = cand
-                fA = fc
+                A, Y, r, fA = cand, Yc, rc, fc
                 history.append(fA)
-                dc = true_dist(cand)
+                dc = true_dist(rc)
                 if dc < best_dist:
                     best_dist = dc
                     best_E = cand.copy()
                 step = min(step * 2.0, 1e9)
-                accepted = True
+                accepted += 1
+                moved = True
                 break
+            backtracks += 1
             step *= opts.step_shrink
-        if not accepted or prev_f - fA <= opts.tol * max(1.0, abs(fA)):
+        if not moved or prev_f - fA <= opts.tol * max(1.0, abs(fA)):
             stall += 1
         else:
             stall = 0
         if stall >= 2:
             if tau <= tau_floor:
+                stop_reason = "tau_floor"
                 break
             tau = max(tau * 0.25, tau_floor)
-            fA = smoothed(A, tau)
+            fA = smoothed(r, tau)
             history.append(min(fA, history[-1]))
             step = max(step, 1e-6 * opts.step_init)
             stall = 0
+    if best_dist <= _DIST_FLOOR:
+        stop_reason = "dist_floor"
 
     result = LinearMap(best_E)
     if not return_info:
         return result
     info = OptimizeInfo(
         iterations=iters,
-        converged=iters < opts.max_iters,
+        converged=stop_reason != "max_iters",
         init_distortion=init_dist,
         final_distortion=best_dist,
         objective_history=tuple(history),
+        stop_reason=stop_reason,
+        accepted=accepted,
+        backtracks=backtracks,
     )
     return result, info
 

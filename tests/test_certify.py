@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from jllab.certify import (
     witness_search,
 )
 from jllab.embeddings import LinearMap, gaussian_map, identity_map, pca_map
-from jllab.pointset import PointSet, hard_instance, simplex, standard_basis
+from jllab.pointset import PointSet, gaussian_vectors, hard_instance, simplex, standard_basis
 from jllab.seeds import Seed
 
 
@@ -89,6 +90,57 @@ def test_distortion_pairwise_duplicate_points_skipped():
     assert rep.skipped == (0,)  # pair (0, 1) has zero distance
     assert pair_from_flat(3, 0) == (0, 1)
     assert pair_from_flat(3, 2) == (1, 2)
+
+
+def _pairwise_oracle(A, P):
+    # all pairs at once, in lexicographic (i, j) order, with the same
+    # subtraction and row sums as the streamed pass
+    i, j = np.triu_indices(len(P), 1)
+    Q = P @ A.entries.T
+    before = np.einsum("ij,ij->i", P[j] - P[i], P[j] - P[i])
+    after = np.einsum("ij,ij->i", Q[j] - Q[i], Q[j] - Q[i])
+    keep = before > 0.0
+    ratios = after[keep] / before[keep]
+    dev = np.abs(ratios - 1.0)
+    k = int(np.argmax(dev))
+    skipped = tuple(int(f) for f in np.flatnonzero(~keep))
+    return ratios, float(dev[k]), int(np.flatnonzero(keep)[k]), skipped
+
+
+def test_distortion_pairwise_streamed_matches_all_pairs_bitwise():
+    X = hard_instance(5, 60, 2)
+    P = X.points.copy()
+    P[40] = P[17]  # one duplicated point: one skipped pair
+    dup = PointSet(5, P, X.roles)
+    # a grid under diag(2, 1): every horizontal pair ties at the worst ratio 4
+    grid = np.array([[x, y] for x in range(4) for y in range(3)], dtype=float)
+    ties = PointSet(2, grid, ("gaussian",) * len(grid))
+    reports = []
+    for A, Y in ((gaussian_map(3, 5, 4), dup), (LinearMap(np.diag([2.0, 1.0])), ties)):
+        rep = distortion(A, Y, "pairwise")
+        ratios, eps_max, violating, skipped = _pairwise_oracle(A, Y.points)
+        assert rep.ratios.tobytes() == ratios.tobytes()
+        assert rep.eps_max == eps_max
+        assert rep.violating_index == violating
+        assert rep.skipped == skipped
+        reports.append(rep)
+    assert [pair_from_flat(len(P), f) for f in reports[0].skipped] == [(17, 40)]
+
+
+def test_distortion_pairwise_memory_is_the_ratios():
+    # 8 bytes per pair for the returned ratios, plus per-row scratch
+    N = 2000
+    X = gaussian_vectors(8, N, 3)
+    A = gaussian_map(4, 8, 5)
+    tracemalloc.start()
+    try:
+        rep = distortion(A, X, "pairwise")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairs = N * (N - 1) // 2
+    assert rep.ratios.size == pairs
+    assert peak < 12 * pairs
 
 
 def test_distortion_mode_and_shape_validation():

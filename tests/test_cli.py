@@ -168,6 +168,22 @@ def test_embed_optimize_writes_readable_map(tmp_path, capsys):
     assert A.m == 3 and A.n == 6
 
 
+def test_embed_optimize_prints_stop_reason(tmp_path, capsys):
+    ps = tmp_path / "h.jlps"
+    run(["gen", "--kind", "hard", "--n", "6", "--k", "4", "--seed", "3",
+         "--out", str(ps)], capsys)
+    code, out, _ = run(
+        ["embed", "--method", "optimize", "--set", str(ps), "--m", "3",
+         "--max-iters", "5", "--seed", "0", "--out", str(tmp_path / "opt.jlmap")],
+        capsys,
+    )
+    assert code == 0
+    status = json.loads(out)
+    assert status["stop_reason"] == "max_iters" and not status["converged"]
+    assert status["iterations"] == 5
+    assert status["accepted"] + status["backtracks"] >= 5
+
+
 def test_tails_csv_shape(tmp_path, capsys):
     out_csv = tmp_path / "tails.csv"
     code, _, _ = run(

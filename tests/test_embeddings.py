@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from jllab import embeddings
 from jllab.certify import distortion
 from jllab.embeddings import (
     LinearMap,
@@ -76,6 +77,23 @@ def test_pca_map_recovers_low_rank_sets():
     coeff = gaussian_vectors(3, 50, 2).points
     X = PointSet(8, coeff @ basis.T, ("gaussian",) * 50)
     A = pca_map(X, 3)
+    assert distortion(A, X).eps_max < 1e-12
+
+
+@pytest.mark.parametrize("n, k", [(32, 1024), (64, 4096)])
+def test_pca_map_thin_svd_matches_full(n, k):
+    X = hard_instance(n, k, 1)
+    vt = np.linalg.svd(X.points, full_matrices=True)[2]
+    for m in (1, n // 2, n):
+        assert pca_map(X, m).entries.tobytes() == vt[:m].tobytes()
+
+
+def test_pca_map_fewer_points_than_m():
+    # 3 points in R^8: the thin SVD has 3 rows, so m = 6 needs the full one
+    X = gaussian_vectors(8, 3, 4)
+    A = pca_map(X, 6)
+    assert A.entries.shape == (6, 8)
+    assert np.allclose(A.entries @ A.entries.T, np.eye(6), atol=1e-12)
     assert distortion(A, X).eps_max < 1e-12
 
 
@@ -153,6 +171,39 @@ def test_optimize_budget_flag():
     _, info = optimize_map(X, 2, OptimizerOptions(max_iters=5), return_info=True)
     assert info.iterations == 5
     assert not info.converged
+
+
+def test_optimizer_one_image_per_evaluation(monkeypatch):
+    # one _rowsq for the set's norms, then one image per starting
+    # candidate and per trial step, accepted or rejected
+    calls = []
+    rowsq = embeddings._rowsq
+
+    def counted(M):
+        calls.append(M.shape)
+        return rowsq(M)
+
+    monkeypatch.setattr(embeddings, "_rowsq", counted)
+    X = hard_instance(8, 40, 3)
+    init = gaussian_map(4, 8, 2)
+    _, info = optimize_map(X, 4, OptimizerOptions(max_iters=200), init=init, return_info=True)
+    assert info.iterations == 200
+    assert info.accepted >= 1 and info.backtracks >= 1
+    assert len(calls) == 1 + 2 + info.accepted + info.backtracks
+
+
+def test_optimizer_stop_reasons():
+    X = hard_instance(3, 5, 1)
+    _, free = optimize_map(X, 1, OptimizerOptions(max_iters=5000), return_info=True)
+    assert free.stop_reason == "tau_floor" and free.converged
+    # the same run with the budget ending on its tau-floor iteration
+    _, last = optimize_map(X, 1, OptimizerOptions(max_iters=free.iterations), return_info=True)
+    assert last.iterations == free.iterations
+    assert last.stop_reason == "tau_floor" and last.converged
+    _, capped = optimize_map(X, 1, OptimizerOptions(max_iters=10), return_info=True)
+    assert capped.stop_reason == "max_iters" and not capped.converged
+    _, exact = optimize_map(hard_instance(6, 20, 4), 6, return_info=True)
+    assert exact.stop_reason == "dist_floor" and exact.converged
 
 
 def test_optimize_rejects_zero_vectors():
