@@ -20,12 +20,13 @@ routes check each other.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import LinearMap, _rowsq
-from .pointset import ROLE_BASIS, PointSet
+from .embeddings import LinearMap, _rowsq, _worker_count
+from .pointset import ROLE_BASIS, PointSet, SizeError
 
 MODE_NORM = "norm-preservation"
 MODE_PAIRWISE = "pairwise"
@@ -36,6 +37,13 @@ EIG_CUTOFF = 1e-10
 _RANK_SLACK = 1e-9
 
 _JSON_RATIO_CAP = 100_000
+
+# pair budget of pairwise distortion: the returned ratios alone take
+# 8 bytes per pair, so 10**8 pairs is 800 MB; N = 14142 points fit under it
+MAX_PAIRS = 10**8
+# points per tile of a pairwise row; smaller tiles lose the pool's gain
+# to the interpreter lock, larger ones grow each worker's scratch
+_PAIR_TILE = 1024
 
 
 class AuditError(ValueError):
@@ -152,49 +160,130 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     """Measure the worst multiplicative error of A on X.
 
     Norm mode compares ‖Ax‖² to ‖x‖² point by point; pairwise mode
-    compares squared distances over all N(N-1)/2 unordered pairs.  Pairwise
-    mode streams the pairs one point i at a time (its pairs (i, j), j > i),
-    so besides the returned ratios it holds O(N (n + m)) floats, not a
-    multiple of the pair count.
+    compares squared distances over all N(N-1)/2 unordered pairs and
+    raises `SizeError` before it allocates anything when that count
+    exceeds `MAX_PAIRS`.
+
+    Pairwise mode runs on a bounded thread pool of min(available cores,
+    N - 1, 8) workers, inline when that is 1.  Worker w of W takes the
+    rows i = w, w + W, ... and each row's pairs (i, j), j > i, in tiles of
+    1024 points.  A tile costs one subtraction of the stacked rows
+    [x | Ax] into the worker's scratch, two row sums and one division
+    written straight into the ratios at the pairs' flat indices.  Each
+    row keeps its worst pair; the main thread merges the rows in row
+    order by the rule of one argmax over every kept pair (the first NaN,
+    else the first maximum), then squeezes the skipped pairs' slots out
+    of the ratios in place.  The report is bitwise the same for any
+    worker count.  Memory is the returned ratios (8 bytes per pair), the
+    N (n + m) stacked rows and O(workers * 1024 * (n + m)) scratch.  Norm
+    mode stays serial.
     """
     mode = _normalize_mode(mode)
     if A.n != X.dim:
         raise ValueError(f"map has {A.n} columns but the set has dimension {X.dim}")
-    P = X.points
-    Y = A.apply(P)
-    N = P.shape[0]
-    if mode == MODE_NORM:
-        total = N
-        blocks = [(_rowsq(P), _rowsq(Y))]
-    else:
-        total = N * (N - 1) // 2
-        blocks = ((_rowsq(P[i + 1 :] - P[i]), _rowsq(Y[i + 1 :] - Y[i])) for i in range(N - 1))
-    ratios = np.empty(total)
-    skipped: list[int] = []
+    if mode == MODE_PAIRWISE:
+        return _pairwise_distortion(A, X.points)
+    before, after = _rowsq(X.points), _rowsq(A.apply(X.points))
+    keep = before > 0.0
+    ratios = after[keep] / before[keep]
     eps_max, violating = 0.0, None
-    pos = flat = 0
-    for before, after in blocks:
-        keep = before > 0.0
-        row = after[keep] / before[keep]
-        ratios[pos : pos + row.size] = row
-        if row.size < before.size:
-            skipped.extend(flat + int(k) for k in np.flatnonzero(~keep))
-        if row.size:
-            dev = np.abs(row - 1.0)
-            j = int(np.argmax(dev))
-            # as one argmax over every item: the first NaN, else the first maximum
-            if violating is None or (eps_max == eps_max and not dev[j] <= eps_max):
-                eps_max = float(dev[j])
-                violating = flat + int(np.flatnonzero(keep)[j])
-        pos += row.size
-        flat += before.size
+    if ratios.size:
+        dev = np.abs(ratios - 1.0)
+        j = int(np.argmax(dev))
+        eps_max, violating = float(dev[j]), int(np.flatnonzero(keep)[j])
     return DistortionReport(
         mode=mode,
-        ratios=ratios[:pos],
+        ratios=ratios,
+        eps_max=eps_max,
+        violating_index=violating,
+        skipped=tuple(int(k) for k in np.flatnonzero(~keep)),
+    )
+
+
+def _pairwise_distortion(A: LinearMap, P: np.ndarray) -> DistortionReport:
+    N, n = P.shape
+    total = N * (N - 1) // 2
+    if total > MAX_PAIRS:
+        raise SizeError(
+            f"pairwise distortion of {N} points has {total} pairs, over the {MAX_PAIRS} pair limit"
+        )
+    Z = np.empty((N, n + A.m))  # [P | P Aᵀ], so one subtraction serves both sides
+    Z[:, :n] = P
+    np.matmul(P, A.entries.T, out=Z[:, n:])
+    ratios = np.empty(total)
+    rows = max(N - 1, 0)
+    row_dev = np.full(rows, -np.inf)  # per row: worst |ratio - 1| and its flat index
+    row_flat = np.full(rows, -1, dtype=np.int64)
+    workers = max(_worker_count(rows), 1)
+    tile = min(_PAIR_TILE, N)
+    # one scratch per worker: a tile of differences and three row vectors
+    scratch = [(np.empty((tile, Z.shape[1])), np.empty((3, tile))) for _ in range(workers)]
+
+    def run(first: int) -> list[int]:
+        # rows first, first + workers, ...; returns their skipped flat indices
+        buf, (before, after, dev) = scratch[first]
+        skipped: list[int] = []
+        for i in range(first, rows, workers):
+            base = i * (2 * N - i - 1) // 2 - i - 1  # flat index of (i, j) is base + j
+            best, best_flat = -np.inf, -1
+            for j0 in range(i + 1, N, tile):
+                j1 = min(j0 + tile, N)
+                t, f0 = j1 - j0, base + j0
+                d = buf[:t]
+                np.subtract(Z[j0:j1], Z[i], out=d)
+                b = np.einsum("ij,ij->i", d[:, :n], d[:, :n], out=before[:t])
+                a = np.einsum("ij,ij->i", d[:, n:], d[:, n:], out=after[:t])
+                r = ratios[f0 : f0 + t]
+                dv = dev[:t]
+                if b.min() > 0.0:
+                    np.divide(a, b, out=r)
+                    np.abs(np.subtract(r, 1.0, out=dv), out=dv)
+                else:
+                    # zero-distance pairs carry no constraint: their slots
+                    # are left unwritten and squeezed out at the end
+                    keep = b > 0.0
+                    np.divide(a, b, out=r, where=keep)
+                    np.abs(np.subtract(r, 1.0, out=dv, where=keep), out=dv, where=keep)
+                    dv[~keep] = -np.inf
+                    skipped.extend(f0 + int(k) for k in np.flatnonzero(~keep))
+                k = int(np.argmax(dv))
+                if dv[k] == -np.inf:
+                    continue  # every pair of the tile was skipped
+                # as one argmax over the row: the first NaN, else the first maximum
+                if best_flat < 0 or (best == best and not dv[k] <= best):
+                    best, best_flat = float(dv[k]), f0 + k
+            row_dev[i], row_flat[i] = best, best_flat
+        return skipped
+
+    if workers == 1:
+        parts = [run(0)]
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(run, range(workers)))  # re-raises a worker's error
+    skipped = sorted(f for part in parts for f in part)
+    eps_max, violating = 0.0, None
+    if rows:
+        k = int(np.argmax(row_dev))  # rows with no kept pair hold -inf and -1
+        if row_flat[k] >= 0:
+            eps_max, violating = float(row_dev[k]), int(row_flat[k])
+    return DistortionReport(
+        mode=MODE_PAIRWISE,
+        ratios=_compact(ratios, skipped),
         eps_max=eps_max,
         violating_index=violating,
         skipped=tuple(skipped),
     )
+
+
+def _compact(ratios: np.ndarray, skipped: list[int]) -> np.ndarray:
+    # drops the slots at the sorted indices ``skipped`` in place and returns
+    # the kept prefix; each run of kept values moves left as one 1-d copy,
+    # which numpy performs without a temporary
+    pos = skipped[0] if skipped else ratios.size
+    for s, nxt in zip(skipped, skipped[1:] + [ratios.size]):
+        ratios[pos : pos + nxt - s - 1] = ratios[s + 1 : nxt]
+        pos += nxt - s - 1
+    return ratios[:pos]
 
 
 def pair_from_flat(N: int, flat: int) -> tuple[int, int]:
@@ -239,8 +328,8 @@ def _cs_rank_lb(trace: float, frob_sq: float) -> int:
 
 
 def rank_lower_bound(cert: SpectralCertificate) -> int:
-    """Cauchy-Schwarz rank bound ceil(trace² / frob_sq); 0 for the zero map."""
-    return _cs_rank_lb(cert.trace, cert.frob_sq)
+    """Alias of ``cert.rank_lb``: the bound ceil(trace² / frob_sq), 0 for the zero map."""
+    return cert.rank_lb
 
 
 def witness_search(A: LinearMap, V: PointSet) -> tuple[np.ndarray, float]:

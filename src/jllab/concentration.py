@@ -40,7 +40,6 @@ same counts.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -48,7 +47,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .certify import SpectralCertificate, spectral_certificate
-from .embeddings import LinearMap, _rowsq
+from .embeddings import LinearMap, _rowsq, _worker_count
 from .seeds import Seed, as_seed
 
 CHUNK_TRIALS = 1024
@@ -236,12 +235,7 @@ def norm_deviation_sample(n: int, trials: int, seed: int | Seed) -> np.ndarray:
     _validate_mc(n, trials)
     s = as_seed(seed)
     out = np.empty(trials)
-    # the cores this process may run on, where the platform reports them
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    workers = min(cores, _chunk_count(trials), 8)
+    workers = _worker_count(_chunk_count(trials))
 
     def fill(first: int) -> None:
         for offset, g in _gaussian_chunks(n, trials, s, first, workers):

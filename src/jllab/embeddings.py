@@ -13,6 +13,7 @@ one comma-separated row per output coordinate, 17 significant digits.
 from __future__ import annotations
 
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pointset import PointSet
+from .pointset import PointSet, _format_rows
 from .seeds import Seed, as_seed
 
 _MAP_HEADER = re.compile(r"^jlmap v1 m=(\d+) n=(\d+)$")
@@ -147,6 +148,16 @@ _STEP_FLOOR = 1e-18
 def _rowsq(M: np.ndarray) -> np.ndarray:
     # squared norm of every row; certify and concentration share this one
     return np.einsum("ij,ij->i", M, M)
+
+
+def _worker_count(tasks: int) -> int:
+    # threads for a pool over independent tasks, shared by certify and
+    # concentration: min(available cores, tasks, 8); 1 means run inline
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(cores, tasks, 8)
 
 
 def optimize_map(
@@ -285,15 +296,9 @@ def optimize_map(
     return result, info
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def write_map(path: str | Path, A: LinearMap) -> None:
     """Write a map to ``path`` in the jlmap text format."""
-    lines = [f"jlmap v1 m={A.m} n={A.n}"]
-    for row in A.entries:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [f"jlmap v1 m={A.m} n={A.n}", *_format_rows(A.entries)]
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 

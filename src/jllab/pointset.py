@@ -145,8 +145,12 @@ def _require_dim(n: int) -> None:
         raise ValueError(f"dimension must be at least 1, got {n}")
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
+def _format_rows(M: np.ndarray) -> list[str]:
+    # one comma-separated line per row of M, 17 significant digits a value
+    # (the same text as format(v, ".17g")); shared by the point-set and map
+    # writers
+    template = ",".join(["%.17g"] * M.shape[1])
+    return [template % tuple(row.tolist()) for row in M]
 
 
 def write_pointset(path: str | Path, ps: PointSet, binary: bool = False) -> None:
@@ -158,9 +162,7 @@ def write_pointset(path: str | Path, ps: PointSet, binary: bool = False) -> None
         blob += bytes(_ROLE_CODE[r] for r in ps.roles)
         path.write_bytes(blob)
         return
-    lines = [f"jlps v1 n={ps.dim} N={len(ps)}"]
-    for row in ps.points:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [f"jlps v1 n={ps.dim} N={len(ps)}", *_format_rows(ps.points)]
     lines.append("roles=" + ",".join(ps.roles))
     path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jllab.certify import (
+    MAX_PAIRS,
     AuditError,
     audit_embedding,
     distortion,
@@ -19,7 +22,14 @@ from jllab.certify import (
     witness_search,
 )
 from jllab.embeddings import LinearMap, gaussian_map, identity_map, pca_map
-from jllab.pointset import PointSet, gaussian_vectors, hard_instance, simplex, standard_basis
+from jllab.pointset import (
+    PointSet,
+    SizeError,
+    gaussian_vectors,
+    hard_instance,
+    simplex,
+    standard_basis,
+)
 from jllab.seeds import Seed
 
 
@@ -125,6 +135,62 @@ def test_distortion_pairwise_streamed_matches_all_pairs_bitwise():
         assert rep.skipped == skipped
         reports.append(rep)
     assert [pair_from_flat(len(P), f) for f in reports[0].skipped] == [(17, 40)]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_distortion_pairwise_pool_matches_all_pairs_bitwise(monkeypatch, cores):
+    # the pooled pass gives the serial pass's bytes whatever the worker count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    X = hard_instance(5, 60, 2)
+    P = X.points.copy()
+    P[40] = P[17]
+    dup = PointSet(5, P, X.roles)
+    # more than two 1024-point tiles; the skipped pair (3, 1500) sits in
+    # row 3's second tile
+    Q = gaussian_vectors(3, 2 * 1024 + 37, 11).points.copy()
+    Q[1500] = Q[3]
+    tiles = PointSet(3, Q, ("gaussian",) * len(Q))
+    # under diag(2, 1) the worst ratio 4 ties in every row, and rows 0 and 1
+    # go to different workers
+    grid = np.array([[x, y] for x in range(4) for y in range(3)], dtype=float)
+    ties = PointSet(2, grid, ("gaussian",) * len(grid))
+    # under x -> 2x every ratio is exactly 4, so ties also span a row's tiles
+    line = PointSet(1, np.arange(len(Q), dtype=float)[:, None], ("gaussian",) * len(Q))
+    cases = (
+        (gaussian_map(3, 5, 4), dup, [(17, 40)]),
+        (gaussian_map(2, 3, 12), tiles, [(3, 1500)]),
+        (LinearMap(np.diag([2.0, 1.0])), ties, []),
+        (LinearMap(np.array([[2.0]])), line, []),
+    )
+    for A, Y, pairs in cases:
+        # switch threads often, so workers interleave inside their rows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            rep = distortion(A, Y, "pairwise")
+        finally:
+            sys.setswitchinterval(interval)
+        ratios, eps_max, violating, skipped = _pairwise_oracle(A, Y.points)
+        assert rep.ratios.tobytes() == ratios.tobytes()
+        assert rep.eps_max == eps_max
+        assert rep.violating_index == violating
+        assert rep.skipped == skipped
+        assert [pair_from_flat(len(Y), f) for f in rep.skipped] == pairs
+
+
+def test_distortion_pairwise_pair_budget():
+    # one point over the budget: N(N-1)/2 = 100005153 pairs, 800 MB of ratios
+    assert 14142 * 14141 // 2 <= MAX_PAIRS < 14143 * 14142 // 2
+    X = PointSet(1, np.arange(14143.0)[:, None], ("gaussian",) * 14143)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match="over the 100000000 pair limit"):
+            distortion(identity_map(1), X, "pairwise")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # nothing the size of the ratios was allocated
+    assert distortion(identity_map(1), X).eps_max == 0.0  # norm mode has no pair budget
 
 
 def test_distortion_pairwise_memory_is_the_ratios():

@@ -1,6 +1,7 @@
 """End-to-end command line checks: exit codes, file outputs, determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from jllab.concentration import (
     norm_tail_oracle,
 )
 from jllab.embeddings import read_map, write_map, gaussian_map
-from jllab.pointset import read_pointset
+from jllab.pointset import PointSet, read_pointset, write_pointset
 from jllab.seeds import Seed
 
 
@@ -151,6 +152,27 @@ def test_certify_with_distortion(tmp_path, capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["distortion"]["eps_max"] == 0.0
+
+
+def test_certify_over_pair_budget_exits_one(tmp_path, capsys):
+    # 14143 points have 100005153 pairs, over the 10**8 pair budget; the
+    # refusal comes before the 800 MB of ratios
+    ps = tmp_path / "line.jlps"
+    mp = tmp_path / "id.jlmap"
+    out = tmp_path / "cert.json"
+    write_pointset(ps, PointSet(1, np.arange(14143.0)[:, None], ("gaussian",) * 14143))
+    run(["embed", "--method", "identity", "--n", "1", "--out", str(mp)], capsys)
+    tracemalloc.start()
+    try:
+        code, _, err = run(["certify", "--map", str(mp), "--set", str(ps), "--mode", "pairwise",
+                            "--out", str(out)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "100005153 pairs, over the 100000000 pair limit" in err
+    assert not out.exists()
+    assert peak < 16 << 20
 
 
 def test_embed_optimize_writes_readable_map(tmp_path, capsys):

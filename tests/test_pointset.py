@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from jllab.embeddings import LinearMap, write_map
 from jllab.pointset import (
     MAX_TOTAL_COORDS,
     PointSet,
     SizeError,
+    _format_rows,
     gaussian_vectors,
     hard_instance,
     read_pointset,
@@ -111,6 +113,22 @@ def test_text_roundtrip_is_exact(tmp_path):
     assert first.startswith(b"jlps v1 n=5 N=12\n")
     write_pointset(path, back)
     assert path.read_bytes() == first
+
+
+def test_text_writers_format_each_value_as_17g(tmp_path):
+    # both text writers write every value as format(v, ".17g")
+    values = [-0.0, 5e-324, 1e308, 0.1, 3.0, -2.0, 1e16, 2.0**53, -1.0 / 3.0]
+    M = np.array([values, values[::-1]])
+    expected = [",".join(format(v, ".17g") for v in row) for row in M]
+    assert _format_rows(M) == expected
+    path = tmp_path / "set.jlps"
+    write_pointset(path, PointSet(len(values), M, ("gaussian",) * 2))
+    text = "\n".join([f"jlps v1 n={len(values)} N=2", *expected, "roles=gaussian,gaussian"])
+    assert path.read_bytes() == (text + "\n").encode("ascii")
+    path = tmp_path / "map.jlmap"
+    write_map(path, LinearMap(M))
+    text = "\n".join([f"jlmap v1 m=2 n={len(values)}", *expected])
+    assert path.read_bytes() == (text + "\n").encode("ascii")
 
 
 def test_binary_roundtrip_is_exact(tmp_path):
