@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import LinearMap, _rowsq, _worker_count
-from .pointset import ROLE_BASIS, PointSet, SizeError
+from .pointset import PointSet, SizeError, _json_fields, _unit_rows
 
 MODE_NORM = "norm-preservation"
 MODE_PAIRWISE = "pairwise"
@@ -99,13 +99,7 @@ class SpectralCertificate:
             return 0
         return int(np.count_nonzero(self.eigenvalues > EIG_CUTOFF * self.eigenvalues[0]))
 
-    def to_json(self) -> dict:
-        return {
-            "trace": self.trace,
-            "frob_sq": self.frob_sq,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "rank_lb": self.rank_lb,
-        }
+    to_json = _json_fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,22 +124,7 @@ class AuditReport:
     def ok(self) -> bool:
         return self.precondition_ok and self.trace_window_ok and self.rank_ok
 
-    def to_json(self) -> dict:
-        return {
-            "eps": self.eps,
-            "eps_max": self.eps_max,
-            "precondition_ok": self.precondition_ok,
-            "trace": self.trace,
-            "trace_window_ok": self.trace_window_ok,
-            "frob_sq": self.frob_sq,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "rank_lb": self.rank_lb,
-            "rank_ok": self.rank_ok,
-            "witness_deviation": self.witness_deviation,
-            "m": self.m,
-            "n": self.n,
-            "notes": self.notes,
-        }
+    to_json = _json_fields
 
 
 def _normalize_mode(mode: str) -> str:
@@ -418,9 +397,6 @@ def _missing_basis(X: PointSet) -> list[int]:
     P = X.points
     n = X.dim
     hit = np.zeros(n, dtype=bool)
-    cand = np.where(
-        (np.count_nonzero(P, axis=1) == 1) & (P.max(axis=1) == 1.0) & (P.min(axis=1) >= 0.0)
-    )[0]
-    for i in cand:
+    for i in np.flatnonzero(_unit_rows(P)):
         hit[int(np.argmax(P[i]))] = True
     return [int(j) for j in np.where(~hit)[0]]

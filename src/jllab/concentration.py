@@ -48,6 +48,7 @@ import numpy as np
 
 from .certify import SpectralCertificate, spectral_certificate
 from .embeddings import LinearMap, _rowsq, _worker_count
+from .pointset import _json_fields
 from .seeds import Seed, as_seed
 
 CHUNK_TRIALS = 1024
@@ -97,14 +98,7 @@ class TailEstimate:
             stderr=math.sqrt(p * (1.0 - p) / trials),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "trials": self.trials,
-            "hits": self.hits,
-            "p_hat": self.p_hat,
-            "stderr": self.stderr,
-        }
+    to_json = _json_fields
 
 
 @dataclass(frozen=True)
@@ -123,8 +117,7 @@ class CalibrationConstants:
         if not self.delta0 < 0.5:
             raise ValueError(f"delta0 must be below 1/2, got {self.delta0}")
 
-    def to_json(self) -> dict:
-        return {"c": self.c, "c1": self.c1, "c2": self.c2, "delta0": self.delta0}
+    to_json = _json_fields
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +399,19 @@ def _joint_event_grid(
     dev = np.abs(img - cert.trace)
     out = []
     for delta in deltas:
-        ell = math.log(1.0 / delta)
-        thr1 = c1 * math.sqrt(ell) * math.sqrt(cert.frob_sq)
-        thr2 = A.n + c2 * math.sqrt(A.n * ell)
+        thr1, thr2 = _joint_thresholds(cert, A.n, delta, c1, c2)
         hits = int(np.count_nonzero((dev >= thr1) & (nrm <= thr2)))
         out.append(TailEstimate.from_hits(thr1, trials, hits))
     return out
+
+
+def _joint_thresholds(
+    cert: SpectralCertificate, n: int, delta: float, c1: float, c2: float
+) -> tuple[float, float]:
+    # the form-side threshold c1 sqrt(ln(1/delta)) ‖A^T A‖_F and the
+    # norm-side bound n + c2 sqrt(n ln(1/delta)) of the joint event
+    ell = math.log(1.0 / delta)
+    return c1 * math.sqrt(ell) * math.sqrt(cert.frob_sq), n + c2 * math.sqrt(n * ell)
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +421,7 @@ def _joint_event_grid(
 @dataclass(frozen=True, eq=False)
 class _MemberSample:
     n: int
-    trace: float
-    frob: float
-    top: float
+    cert: SpectralCertificate
     dev: np.ndarray
     normsq: np.ndarray
 
@@ -438,14 +436,7 @@ def _member_samples(
             raise ValueError(f"family member {i} is the zero map")
         img, nrm = map_samples(A, trials, seed.child(i))
         out.append(
-            _MemberSample(
-                n=A.n,
-                trace=cert.trace,
-                frob=math.sqrt(cert.frob_sq),
-                top=float(cert.eigenvalues[0]),
-                dev=np.abs(img - cert.trace),
-                normsq=nrm,
-            )
+            _MemberSample(n=A.n, cert=cert, dev=np.abs(img - cert.trace), normsq=nrm)
         )
     return out
 
@@ -537,7 +528,7 @@ def calibrate_constants(
     def c_feasible(c: float) -> bool:
         for s in samples:
             for t in t_grid:
-                thr = c * (math.sqrt(t) * s.frob + t * s.top)
+                thr = _chaos_threshold(s.cert, t, c)
                 p_hat = np.count_nonzero(s.dev > thr) / trials
                 if not tail_ok(p_hat, min(c, math.exp(-t))):
                     return False
@@ -559,9 +550,7 @@ def calibrate_constants(
     def c1_feasible(c1: float) -> bool:
         for s in samples:
             for d in delta_grid:
-                ell = math.log(1.0 / d)
-                thr1 = c1 * math.sqrt(ell) * s.frob
-                thr2 = s.n + c2 * math.sqrt(s.n * ell)
+                thr1, thr2 = _joint_thresholds(s.cert, s.n, d, c1, c2)
                 p_hat = np.count_nonzero((s.dev >= thr1) & (s.normsq <= thr2)) / trials
                 if not tail_ok(p_hat, d):
                     return False

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pointset import PointSet, _format_rows
+from .pointset import PointSet, _format_rows, _read_rows
 from .seeds import Seed, as_seed
 
 _MAP_HEADER = re.compile(r"^jlmap v1 m=(\d+) n=(\d+)$")
@@ -314,13 +314,4 @@ def read_map(path: str | Path) -> LinearMap:
     m, n = int(match.group(1)), int(match.group(2))
     if len(lines) != m + 1:
         raise ValueError(f"{path}: expected {m + 1} lines for m={m}, found {len(lines)}")
-    mat = np.empty((m, n))
-    for i in range(m):
-        fields = lines[1 + i].split(",")
-        if len(fields) != n:
-            raise ValueError(f"{path}: line {i + 2}: expected {n} entries, found {len(fields)}")
-        try:
-            mat[i] = [float(f) for f in fields]
-        except ValueError:
-            raise ValueError(f"{path}: line {i + 2}: malformed entry") from None
-    return LinearMap(mat)
+    return LinearMap(_read_rows(lines, 1, m, n, path))

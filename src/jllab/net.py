@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import LinearMap
+from .pointset import _json_fields
 
 # absorbs float representation error in 20 n / sqrt(alpha) so an intended
 # integer range is never truncated by one
@@ -51,14 +52,7 @@ class NetParams:
     index_range: int
     covers: bool
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "grid_step": self.grid_step,
-            "index_range": self.index_range,
-            "covers": self.covers,
-        }
+    to_json = _json_fields
 
 
 @dataclass(frozen=True)
@@ -71,14 +65,7 @@ class NetCardinality:
     exact_log: float
     bound_log: float
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "values_per_entry": self.values_per_entry,
-            "exact_log": self.exact_log,
-            "bound_log": self.bound_log,
-        }
+    to_json = _json_fields
 
 
 def net_params(n: int, alpha: float) -> NetParams:

@@ -17,13 +17,20 @@ Two file formats are supported.  Text files carry a header line
 significant digits, and a trailing ``roles=...`` line.  Binary files start
 with the magic bytes ``JLPS`` followed by a little-endian version, the
 dimensions, raw float64 coordinates, and one role byte per point.
+
+The text point-set format and the ``jlmap`` text format of `embeddings`
+share one row grammar, written by `_format_rows` and read by `_read_rows`.
+The reader checks the header's sizes against the rows themselves (the
+line count, then every row's width) before it allocates the array, so the
+array takes at most 8 bytes per byte of the file, whatever the header
+claims.
 """
 
 from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -82,12 +89,7 @@ class PointSet:
             raise ValueError(f"non-finite coordinate at point {bad[0]}, axis {bad[1]}")
         basis_rows = [i for i, r in enumerate(roles) if r == ROLE_BASIS]
         if basis_rows:
-            sub = pts[basis_rows]
-            ok = (
-                (np.count_nonzero(sub, axis=1) == 1)
-                & (sub.max(axis=1) == 1.0)
-                & (sub.min(axis=1) >= 0.0)
-            )
+            ok = _unit_rows(pts[basis_rows])
             if not ok.all():
                 i = basis_rows[int(np.argmin(ok))]
                 raise ValueError(f"point {i} is tagged basis but is not an exact unit vector")
@@ -145,12 +147,46 @@ def _require_dim(n: int) -> None:
         raise ValueError(f"dimension must be at least 1, got {n}")
 
 
+def _unit_rows(P: np.ndarray) -> np.ndarray:
+    # mask of the rows of P that are exact standard basis vectors
+    return (np.count_nonzero(P, axis=1) == 1) & (P.max(axis=1) == 1.0) & (P.min(axis=1) >= 0.0)
+
+
+def _json_fields(obj) -> dict:
+    # a dataclass as a JSON dict: its fields in declaration order, an array
+    # field as a list of Python floats
+    out = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        out[f.name] = [float(x) for x in v] if isinstance(v, np.ndarray) else v
+    return out
+
+
 def _format_rows(M: np.ndarray) -> list[str]:
     # one comma-separated line per row of M, 17 significant digits a value
     # (the same text as format(v, ".17g")); shared by the point-set and map
     # writers
     template = ",".join(["%.17g"] * M.shape[1])
     return [template % tuple(row.tolist()) for row in M]
+
+
+def _read_rows(lines: list[str], first: int, count: int, width: int, path: Path) -> np.ndarray:
+    # lines[first : first + count] as a (count, width) array, the inverse of
+    # _format_rows; errors name the 1-based line.  Every row must show the
+    # header's width before the array is allocated: a row of width values
+    # holds width - 1 commas, so the array is at most 8 bytes per byte read.
+    rows = lines[first : first + count]
+    for i, row in enumerate(rows):
+        found = row.count(",") + 1
+        if found != width:
+            raise ValueError(f"{path}: line {first + i + 1}: expected {width} values, found {found}")
+    out = np.empty((count, width))
+    for i, row in enumerate(rows):
+        try:
+            out[i] = [float(f) for f in row.split(",")]
+        except ValueError:
+            raise ValueError(f"{path}: line {first + i + 1}: malformed value") from None
+    return out
 
 
 def write_pointset(path: str | Path, ps: PointSet, binary: bool = False) -> None:
@@ -205,15 +241,7 @@ def _read_text(blob: bytes, path: Path) -> PointSet:
     n, count = int(m.group(1)), int(m.group(2))
     if len(lines) != count + 2:
         raise ValueError(f"{path}: expected {count + 2} lines for N={count}, found {len(lines)}")
-    pts = np.empty((count, n))
-    for i in range(count):
-        fields = lines[1 + i].split(",")
-        if len(fields) != n:
-            raise ValueError(f"{path}: line {i + 2}: expected {n} coordinates, found {len(fields)}")
-        try:
-            pts[i] = [float(f) for f in fields]
-        except ValueError:
-            raise ValueError(f"{path}: line {i + 2}: malformed coordinate") from None
+    pts = _read_rows(lines, 1, count, n, path)
     footer = lines[count + 1]
     if not footer.startswith("roles="):
         raise ValueError(f"{path}: line {count + 2}: expected 'roles=' footer")

@@ -233,6 +233,22 @@ def test_report_json_fields():
     blob = json.dumps(rep.to_json())
     data = json.loads(blob)
     assert set(data) == {"mode", "eps_max", "violating_index", "n_ratios", "ratios", "skipped"}
+    data = rep.to_json()
+    assert data == {
+        "mode": rep.mode,
+        "eps_max": rep.eps_max,
+        "violating_index": rep.violating_index,
+        "n_ratios": rep.ratios.size,
+        "ratios": rep.ratios.tolist(),
+        "skipped": list(rep.skipped),
+    }
+    assert [type(data[k]) for k in ("mode", "eps_max", "violating_index", "n_ratios")] == [
+        str,
+        float,
+        int,
+        int,
+    ]
+    assert [type(v) for v in data["ratios"]] == [float] * rep.ratios.size
 
 
 # ---------------------------------------------------------------------------
@@ -437,3 +453,31 @@ def test_audit_json_fields():
     ):
         assert key in data
     json.dumps(data)
+    assert list(data.items()) == [
+        ("eps", report.eps),
+        ("eps_max", report.eps_max),
+        ("precondition_ok", report.precondition_ok),
+        ("trace", report.trace),
+        ("trace_window_ok", report.trace_window_ok),
+        ("frob_sq", report.frob_sq),
+        ("eigenvalues", report.eigenvalues.tolist()),
+        ("rank_lb", report.rank_lb),
+        ("rank_ok", report.rank_ok),
+        ("witness_deviation", report.witness_deviation),
+        ("m", report.m),
+        ("n", report.n),
+        ("notes", report.notes),
+    ]
+    types = [float, float, bool, float, bool, float, list, int, bool, float, int, int, str]
+    assert [type(v) for v in data.values()] == types
+    assert [type(v) for v in data["eigenvalues"]] == [float] * 3
+    cert = spectral_certificate(identity_map(3))
+    data = cert.to_json()
+    assert list(data.items()) == [
+        ("trace", cert.trace),
+        ("frob_sq", cert.frob_sq),
+        ("eigenvalues", cert.eigenvalues.tolist()),
+        ("rank_lb", cert.rank_lb),
+    ]
+    assert [type(v) for v in data.values()] == [float, float, list, int]
+    assert [type(v) for v in data["eigenvalues"]] == [float] * 3

@@ -94,7 +94,19 @@ def test_tail_estimate_fields():
     est = TailEstimate.from_hits(2.0, 1000, 100)
     assert est.p_hat == 0.1
     assert est.stderr == pytest.approx(math.sqrt(0.1 * 0.9 / 1000))
-    assert set(est.to_json()) == {"threshold", "trials", "hits", "p_hat", "stderr"}
+    data = est.to_json()
+    assert list(data.items()) == [
+        ("threshold", est.threshold),
+        ("trials", est.trials),
+        ("hits", est.hits),
+        ("p_hat", est.p_hat),
+        ("stderr", est.stderr),
+    ]
+    assert [type(v) for v in data.values()] == [float, int, int, float, float]
+    cal = CalibrationConstants(c=0.5, c1=0.25, c2=2.0, delta0=0.25)
+    data = cal.to_json()
+    assert list(data.items()) == [("c", cal.c), ("c1", cal.c1), ("c2", cal.c2), ("delta0", cal.delta0)]
+    assert [type(v) for v in data.values()] == [float] * 4
 
 
 def test_tail_query_validation():

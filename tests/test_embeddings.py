@@ -1,12 +1,14 @@
 """Linear map constructors, the distortion optimizer, and map files."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from jllab import embeddings
 from jllab.certify import distortion
+from jllab.cli import main
 from jllab.embeddings import (
     LinearMap,
     OptimizerOptions,
@@ -237,7 +239,7 @@ def test_map_roundtrip_exact(tmp_path):
     assert path.read_bytes() == first
 
 
-def test_map_parse_errors(tmp_path):
+def test_map_parse_errors(tmp_path, capsys):
     path = tmp_path / "bad.jlmap"
     path.write_text("jlmap v1 m=2 n=2\n1,0\n")
     with pytest.raises(ValueError, match="expected 3 lines"):
@@ -245,3 +247,25 @@ def test_map_parse_errors(tmp_path):
     path.write_text("jlmap v1 m=1 n=2\n1,zzz\n")
     with pytest.raises(ValueError, match="line 2"):
         read_map(path)
+
+    def read_peak(line: str) -> int:
+        # read_map must raise naming ``line``; returns its tracemalloc peak
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=line):
+                read_map(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a header sized at 7.28 TiB must not be allocated before a row shows
+    # its width; the row has 2 values, not 10**12
+    path.write_text("jlmap v1 m=1 n=1000000000000\n1,2\n")
+    assert read_peak("line 2") < 2**20
+    assert main(["certify", "--map", str(path)]) == 1
+    assert "line 2" in capsys.readouterr().err
+    # one full-width first row does not size the array either: row 3 is short
+    # (10**5 x 10**5 would be 80 GB)
+    k = 100_000
+    path.write_text(f"jlmap v1 m={k} n={k}\n" + ",".join(["1"] * k) + "\n" + "1\n" * (k - 1))
+    assert read_peak("line 3") < 2**24

@@ -22,7 +22,15 @@ def test_params_worked_example():
     assert p.grid_step == pytest.approx(0.005, rel=1e-15)
     assert p.index_range == 400
     assert p.covers  # 400.5 * 0.005 = 2.0025 >= 2
-    assert set(p.to_json()) == {"n", "alpha", "grid_step", "index_range", "covers"}
+    data = p.to_json()
+    assert list(data.items()) == [
+        ("n", p.n),
+        ("alpha", p.alpha),
+        ("grid_step", p.grid_step),
+        ("index_range", p.index_range),
+        ("covers", p.covers),
+    ]
+    assert [type(v) for v in data.values()] == [int, float, float, int, bool]
 
 
 def test_params_validation():
@@ -145,13 +153,15 @@ def test_cardinality_bound_formula():
     card = log_cardinality(5, 0.04)
     want = math.log(5) + 25 * math.log(40.0 * 5 / 0.2)
     assert card.bound_log == pytest.approx(want, rel=1e-15)
-    assert set(card.to_json()) == {
-        "n",
-        "alpha",
-        "values_per_entry",
-        "exact_log",
-        "bound_log",
-    }
+    data = card.to_json()
+    assert list(data.items()) == [
+        ("n", card.n),
+        ("alpha", card.alpha),
+        ("values_per_entry", card.values_per_entry),
+        ("exact_log", card.exact_log),
+        ("bound_log", card.bound_log),
+    ]
+    assert [type(v) for v in data.values()] == [int, float, int, float, float]
 
 
 def test_covering_radius_solves_budget():

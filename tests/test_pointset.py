@@ -1,8 +1,11 @@
 """Point set construction, validation, and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from jllab.cli import main
 from jllab.embeddings import LinearMap, write_map
 from jllab.pointset import (
     MAX_TOTAL_COORDS,
@@ -150,7 +153,7 @@ def test_text_and_binary_agree(tmp_path):
     assert read_pointset(t).roles == read_pointset(b).roles
 
 
-def test_parse_errors_carry_line_numbers(tmp_path):
+def test_parse_errors_carry_line_numbers(tmp_path, capsys):
     path = tmp_path / "bad.jlps"
     path.write_text("jlps v1 n=2 N=2\n1,0\n1\nroles=basis,basis\n")
     with pytest.raises(ValueError, match="line 3"):
@@ -161,6 +164,21 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     path.write_text("jlps v1 n=2 N=2\n1,0\n0,1\nroles=basis\n")
     with pytest.raises(ValueError, match="roles"):
         read_pointset(path)
+    # a header sized at 7.28 TiB must not be allocated before a row shows
+    # its width; the row has 2 values, not 10**12
+    path.write_text("jlps v1 n=1000000000000 N=1\n1,2\nroles=gaussian\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="line 2"):
+            read_pointset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    out = tmp_path / "pca.jlmap"
+    assert main(["embed", "--method", "pca", "--set", str(path), "--m", "1", "--out", str(out)]) == 1
+    assert "line 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_truncated_binary_rejected(tmp_path):
