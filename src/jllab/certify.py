@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import LinearMap, _rowsq, _worker_count
-from .pointset import PointSet, SizeError, _json_fields, _unit_rows
+from .pointset import MAX_TOTAL_COORDS, PointSet, SizeError, _json_fields, _unit_rows
 
 MODE_NORM = "norm-preservation"
 MODE_PAIRWISE = "pairwise"
@@ -284,8 +284,15 @@ def spectral_certificate(A: LinearMap) -> SpectralCertificate:
     The trace is computed directly from the entries (sum over basis
     directions of ‖Ae_i‖²) rather than from the spectrum, so eigensolver
     error cannot contaminate it.  Eigenvalues are returned descending with
-    negative rounding noise clipped to zero.
+    negative rounding noise clipped to zero.  The n x n Gram matrix must
+    stay within `MAX_TOTAL_COORDS` entries (n <= 3162); a wider map raises
+    `SizeError` before anything is allocated.
     """
+    if A.n * A.n > MAX_TOTAL_COORDS:
+        raise SizeError(
+            f"spectral certificate of a {A.m}x{A.n} map needs a {A.n}x{A.n} Gram matrix, "
+            f"over the {MAX_TOTAL_COORDS} coordinate limit"
+        )
     E = A.entries
     gram = E.T @ E
     trace = float(np.einsum("ij,ij->", E, E))

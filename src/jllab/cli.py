@@ -400,7 +400,18 @@ def cmd_frontier(args: argparse.Namespace) -> int:
             row.append(time.perf_counter() - started)
         rows.append(row)
     _write_csv(args.out, config, header, rows)
-    print(json.dumps({"config": config, "rows": len(rows)}, sort_keys=True))
+
+    def first_m(col: int) -> int | None:
+        # the paper's m(n, eps) as measured: the first grid m whose column reaches eps
+        return next((r[0] for r in rows if r[col] is not None and r[col] <= args.eps), None)
+
+    status = {
+        "config": config,
+        "rows": len(rows),
+        "first_m_eps_random_best": first_m(1),
+        "first_m_eps_opt": first_m(2),
+    }
+    print(json.dumps(status, sort_keys=True))
     return 0
 
 
@@ -518,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=0.25, help="target distortion echoed in the config")
+    p.add_argument("--eps", type=float, default=0.25, help="target distortion; stdout reports the first m reaching it")
     p.add_argument("--m-grid", default="", help="comma list; default powers of two up to n")
     p.add_argument("--maps-per-m", type=int, default=10)
     p.add_argument("--max-iters", type=int, default=2000)

@@ -18,6 +18,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,6 +151,25 @@ def _rowsq(M: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", M, M)
 
 
+class _Smoothing(NamedTuple):
+    objective: float  # top + tau log(total)
+    top: float  # the true distortion max|r - 1|
+    weights: np.ndarray  # exp((|r - 1| - top) / tau)
+    total: float  # sum of the weights
+    residual: np.ndarray  # r - 1
+
+
+def _smooth(r: np.ndarray, tau: float) -> _Smoothing:
+    # the one log-sum-exp pass over an evaluated map's norm ratios; the
+    # optimizer's objective, distortion and gradient weights all read it
+    residual = r - 1.0
+    d = np.abs(residual)
+    top = d.max()
+    weights = np.exp((d - top) / tau)
+    total = weights.sum()
+    return _Smoothing(float(top + tau * np.log(total)), float(top), weights, float(total), residual)
+
+
 def _worker_count(tasks: int) -> int:
     # threads for a pool over independent tasks, shared by certify and
     # concentration: min(available cores, tasks, 8); 1 means run inline
@@ -177,10 +197,15 @@ def optimize_map(
     candidates are the PCA projection and, if given, ``init`` (same shape).
 
     Every evaluated map E (each starting candidate and each trial step,
-    accepted or rejected) costs one image Y = P Eᵀ of the points.  The
-    ratios, the smoothed objective and the true distortion all come from
-    that image, and so does the gradient 2 (Y ∘ coef)ᵀ P at an accepted
-    iterate; a temperature change re-smooths the cached ratios.
+    accepted or rejected) costs one image of the points, held as
+    Yt = E Pᵀ (m x N) against a contiguous Pᵀ taken once per call, and one
+    smoothing pass over its norm ratios.  That pass gives the objective,
+    the true distortion max|r - 1| and the log-sum-exp weights with their
+    sum; an accepted map keeps them, so its gradient 2 (Yt ∘ coef) P needs
+    no second pass, and a temperature change re-smooths the cached ratios.
+    At m = 1 the image is taken as P e instead: numpy runs both forms
+    through GEMV, and only P e rounds as the N x m image P Eᵀ did, so the
+    output is the same bits for every m.
 
     Running out of ``max_iters`` is not an error; request the run record
     with ``return_info=True`` to see the iteration count, the accepted and
@@ -200,36 +225,33 @@ def optimize_map(
     if zero.size:
         raise ValueError(f"point {zero[0]} has zero norm; norm ratios are undefined for it")
 
+    Pt = np.ascontiguousarray(P.T)
+
     def image(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the one product P Eᵀ per evaluated map, with its norm ratios
-        Y = P @ E.T
-        return Y, _rowsq(Y) / sqn
-
-    def true_dist(r: np.ndarray) -> float:
-        return float(np.abs(r - 1.0).max())
-
-    def smoothed(r: np.ndarray, tau: float) -> float:
-        d = np.abs(r - 1.0)
-        top = d.max()
-        return float(top + tau * np.log(np.exp((d - top) / tau).sum()))
+        # the one product per evaluated map, Yt = E Pᵀ (m x N); the ratios
+        # take a contiguous Yt.T, as _rowsq on the transposed view rounds
+        # differently once m >= 3; at m = 1 numpy runs E Pᵀ through GEMV
+        # in the other orientation, and only P e keeps the bits of P Eᵀ
+        Yt = (P @ E[0])[None, :] if len(E) == 1 else E @ Pt
+        return Yt, _rowsq(np.ascontiguousarray(Yt.T)) / sqn
 
     candidates = [pca_map(X, m).entries]
     if init is not None:
         if init.m != m or init.n != X.dim:
             raise ValueError(f"init must have shape ({m}, {X.dim}), got ({init.m}, {init.n})")
         candidates.append(init.entries)
-    images = [image(E) for E in candidates]
-    dists = [true_dist(r) for _, r in images]
-    best = int(np.argmin(dists))
-    A = candidates[best].copy()
-    Y, r = images[best]
-    best_E, best_dist = A.copy(), dists[best]
-    init_dist = best_dist
-
     tau = opts.smoothing
     tau_floor = 1e-12
-    fA = smoothed(r, tau)
-    history = [fA]
+    images = [image(E) for E in candidates]
+    passes = [_smooth(r, tau) for _, r in images]
+    best = int(np.argmin([s.top for s in passes]))
+    A = candidates[best].copy()
+    Yt, r = images[best]
+    sm = passes[best]
+    best_E, best_dist = A.copy(), sm.top
+    init_dist = best_dist
+
+    history = [sm.objective]
     step = opts.step_init
     iters = accepted = backtracks = 0
     stop_reason = "max_iters"
@@ -237,26 +259,22 @@ def optimize_map(
     kick = opts.seed.child(0).generator()
     while iters < opts.max_iters and best_dist > _DIST_FLOOR:
         iters += 1
-        d = np.abs(r - 1.0)
-        w = np.exp((d - d.max()) / tau)
-        w /= w.sum()
-        coef = w * np.sign(r - 1.0) / sqn
-        G = 2.0 * ((Y * coef[:, None]).T @ P)
+        coef = sm.weights / sm.total * np.sign(sm.residual) / sqn
+        G = 2.0 * ((Yt * coef) @ P)
         if float(np.einsum("ij,ij->", G, G)) == 0.0:
             # flat objective: random direction from the options seed
             G = kick.standard_normal(A.shape)
         moved = False
-        prev_f = fA
+        prev_f = sm.objective
         while step > _STEP_FLOOR:
             cand = A - step * G
             Yc, rc = image(cand)
-            fc = smoothed(rc, tau)
-            if fc < fA:
-                A, Y, r, fA = cand, Yc, rc, fc
-                history.append(fA)
-                dc = true_dist(rc)
-                if dc < best_dist:
-                    best_dist = dc
+            sc = _smooth(rc, tau)
+            if sc.objective < sm.objective:
+                A, Yt, r, sm = cand, Yc, rc, sc
+                history.append(sm.objective)
+                if sm.top < best_dist:
+                    best_dist = sm.top
                     best_E = cand.copy()
                 step = min(step * 2.0, 1e9)
                 accepted += 1
@@ -264,7 +282,7 @@ def optimize_map(
                 break
             backtracks += 1
             step *= opts.step_shrink
-        if not moved or prev_f - fA <= opts.tol * max(1.0, abs(fA)):
+        if not moved or prev_f - sm.objective <= opts.tol * max(1.0, abs(sm.objective)):
             stall += 1
         else:
             stall = 0
@@ -273,8 +291,8 @@ def optimize_map(
                 stop_reason = "tau_floor"
                 break
             tau = max(tau * 0.25, tau_floor)
-            fA = smoothed(r, tau)
-            history.append(min(fA, history[-1]))
+            sm = _smooth(r, tau)
+            history.append(min(sm.objective, history[-1]))
             step = max(step, 1e-6 * opts.step_init)
             stall = 0
     if best_dist <= _DIST_FLOOR:

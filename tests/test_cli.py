@@ -175,6 +175,24 @@ def test_certify_over_pair_budget_exits_one(tmp_path, capsys):
     assert peak < 16 << 20
 
 
+def test_certify_gram_over_size_limit_exits_one(tmp_path, capsys):
+    # a 400 KB map of shape 1 x 100000 would need a 74.5 GiB Gram matrix;
+    # the certificate refuses it before the product
+    mp = tmp_path / "wide.jlmap"
+    out = tmp_path / "cert.json"
+    mp.write_text("jlmap v1 m=1 n=100000\n" + ",".join(["0.5"] * 100000) + "\n")
+    tracemalloc.start()
+    try:
+        code, _, err = run(["certify", "--map", str(mp), "--out", str(out)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "100000x100000 Gram matrix, over the 10000000 coordinate limit" in err
+    assert not out.exists()
+    assert peak < 16 << 20
+
+
 def test_embed_optimize_writes_readable_map(tmp_path, capsys):
     ps = tmp_path / "h.jlps"
     mp = tmp_path / "opt.jlmap"
@@ -338,7 +356,7 @@ def test_tails_over_size_limit_exits_one(tmp_path, capsys):
 
 def test_frontier_csv(tmp_path, capsys):
     out_csv = tmp_path / "front.csv"
-    code, _, _ = run(
+    code, out, _ = run(
         ["frontier", "--n", "8", "--k", "4", "--m-grid", "2,4,8",
          "--maps-per-m", "2", "--max-iters", "40", "--seed", "5",
          "--out", str(out_csv)],
@@ -357,6 +375,12 @@ def test_frontier_csv(tmp_path, capsys):
     # random never beats optimized
     eps_rand = [float(r[cols["eps_random_best"]]) for r in rows]
     assert all(o <= r + 1e-12 for o, r in zip(eps_opt, eps_rand))
+    # stdout's m(n, eps): the first m whose column is <= --eps (default 0.25)
+    ms = [int(r[cols["m"]]) for r in rows]
+    status = json.loads(out)
+    for col, eps in (("eps_random_best", eps_rand), ("eps_opt", eps_opt)):
+        assert status[f"first_m_{col}"] == next((m for m, e in zip(ms, eps) if e <= 0.25), None)
+    assert status["first_m_eps_opt"] is not None
 
 
 def test_frontier_timings_column_opt_in(tmp_path, capsys):

@@ -194,6 +194,132 @@ def test_optimizer_one_image_per_evaluation(monkeypatch):
     assert len(calls) == 1 + 2 + info.accepted + info.backtracks
 
 
+def test_optimizer_one_smoothing_per_evaluation(monkeypatch):
+    # one log-sum-exp pass per starting candidate, per trial step and per
+    # temperature change; an accepted step's pass also serves the next
+    # gradient, and the history grows once per accepted step or tau change
+    calls = []
+    smooth = embeddings._smooth
+
+    def counted(r, tau):
+        calls.append(tau)
+        return smooth(r, tau)
+
+    monkeypatch.setattr(embeddings, "_smooth", counted)
+    X = hard_instance(3, 5, 1)
+    init = gaussian_map(1, 3, 2)
+    _, info = optimize_map(X, 1, OptimizerOptions(max_iters=5000), init=init, return_info=True)
+    assert info.stop_reason == "tau_floor"
+    assert info.accepted >= 1 and info.backtracks >= 1
+    assert len(info.objective_history) - 1 > info.accepted  # some tau changes
+    assert len(calls) == 2 + info.backtracks + len(info.objective_history) - 1
+
+
+def _reference_optimize(X, m, opts, init):
+    # the optimizer loop written out in its N x m layout: image P Eᵀ, the
+    # weights re-derived from the ratios, gradient 2 (Y ∘ coef)ᵀ P
+    P = X.points
+    sqn = np.einsum("ij,ij->i", P, P)
+
+    def image(E):
+        Y = P @ E.T
+        return Y, np.einsum("ij,ij->i", Y, Y) / sqn
+
+    def true_dist(r):
+        return float(np.abs(r - 1.0).max())
+
+    def smoothed(r, tau):
+        d = np.abs(r - 1.0)
+        top = d.max()
+        return float(top + tau * np.log(np.exp((d - top) / tau).sum()))
+
+    candidates = [pca_map(X, m).entries]
+    if init is not None:
+        candidates.append(init.entries)
+    images = [image(E) for E in candidates]
+    dists = [true_dist(r) for _, r in images]
+    best = int(np.argmin(dists))
+    A = candidates[best].copy()
+    Y, r = images[best]
+    best_E, best_dist = A.copy(), dists[best]
+    init_dist = best_dist
+    tau = opts.smoothing
+    fA = smoothed(r, tau)
+    history = [fA]
+    step = opts.step_init
+    iters = accepted = backtracks = stall = 0
+    stop_reason = "max_iters"
+    kick = opts.seed.child(0).generator()
+    while iters < opts.max_iters and best_dist > 1e-13:
+        iters += 1
+        d = np.abs(r - 1.0)
+        w = np.exp((d - d.max()) / tau)
+        w /= w.sum()
+        coef = w * np.sign(r - 1.0) / sqn
+        G = 2.0 * ((Y * coef[:, None]).T @ P)
+        if float(np.einsum("ij,ij->", G, G)) == 0.0:
+            G = kick.standard_normal(A.shape)
+        moved = False
+        prev_f = fA
+        while step > 1e-18:
+            cand = A - step * G
+            Yc, rc = image(cand)
+            fc = smoothed(rc, tau)
+            if fc < fA:
+                A, Y, r, fA = cand, Yc, rc, fc
+                history.append(fA)
+                dc = true_dist(rc)
+                if dc < best_dist:
+                    best_dist, best_E = dc, cand.copy()
+                step = min(step * 2.0, 1e9)
+                accepted += 1
+                moved = True
+                break
+            backtracks += 1
+            step *= opts.step_shrink
+        stall = stall + 1 if not moved or prev_f - fA <= opts.tol * max(1.0, abs(fA)) else 0
+        if stall >= 2:
+            if tau <= 1e-12:
+                stop_reason = "tau_floor"
+                break
+            tau = max(tau * 0.25, 1e-12)
+            fA = smoothed(r, tau)
+            history.append(min(fA, history[-1]))
+            step = max(step, 1e-6 * opts.step_init)
+            stall = 0
+    if best_dist <= 1e-13:
+        stop_reason = "dist_floor"
+    info = embeddings.OptimizeInfo(
+        iterations=iters,
+        converged=stop_reason != "max_iters",
+        init_distortion=init_dist,
+        final_distortion=best_dist,
+        objective_history=tuple(history),
+        stop_reason=stop_reason,
+        accepted=accepted,
+        backtracks=backtracks,
+    )
+    return best_E, info
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("with_init", [False, True])
+def test_optimizer_matches_reference_loop_bitwise(m, with_init):
+    # the m x N image E Pᵀ and the cached smoothing pass must reproduce the
+    # N x m loop bit for bit on whatever BLAS runs the suite
+    X = hard_instance(8, 40, 3)
+    init = gaussian_map(m, 8, 2) if with_init else None
+    opts = OptimizerOptions(max_iters=200)
+    A, info = optimize_map(X, m, opts, init=init, return_info=True)
+    ref_E, ref_info = _reference_optimize(X, m, opts, init)
+    assert A.entries.tobytes() == ref_E.tobytes()
+    for field in ("iterations", "converged", "stop_reason", "accepted", "backtracks"):
+        assert getattr(info, field) == getattr(ref_info, field), field
+    for field in ("init_distortion", "final_distortion"):
+        assert getattr(info, field).hex() == getattr(ref_info, field).hex(), field
+    assert [v.hex() for v in info.objective_history] == [v.hex() for v in ref_info.objective_history]
+
+
 def test_optimizer_stop_reasons():
     X = hard_instance(3, 5, 1)
     _, free = optimize_map(X, 1, OptimizerOptions(max_iters=5000), return_info=True)
