@@ -20,12 +20,11 @@ routes check each other.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import LinearMap, _rowsq, _worker_count
+from .embeddings import LinearMap, _rowsq, _run_strided
 from .pointset import MAX_TOTAL_COORDS, PointSet, SizeError, _json_fields, _unit_rows
 
 MODE_NORM = "norm-preservation"
@@ -144,9 +143,9 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     exceeds `MAX_PAIRS`.
 
     Pairwise mode runs on a bounded thread pool of min(available cores,
-    N - 1, 8) workers, inline when that is 1.  Worker w of W takes the
-    rows i = w, w + W, ... and each row's pairs (i, j), j > i, in tiles of
-    1024 points.  A tile costs one subtraction of the stacked rows
+    N - 1, 8) workers, inline when that is at most 1.  Worker w of W takes
+    the rows i = w, w + W, ... and each row's pairs (i, j), j > i, in tiles
+    of 1024 points.  A tile costs one subtraction of the stacked rows
     [x | Ax] into the worker's scratch, two row sums and one division
     written straight into the ratios at the pairs' flat indices.  Each
     row keeps its worst pair; the main thread merges the rows in row
@@ -193,16 +192,14 @@ def _pairwise_distortion(A: LinearMap, P: np.ndarray) -> DistortionReport:
     rows = max(N - 1, 0)
     row_dev = np.full(rows, -np.inf)  # per row: worst |ratio - 1| and its flat index
     row_flat = np.full(rows, -1, dtype=np.int64)
-    workers = max(_worker_count(rows), 1)
     tile = min(_PAIR_TILE, N)
-    # one scratch per worker: a tile of differences and three row vectors
-    scratch = [(np.empty((tile, Z.shape[1])), np.empty((3, tile))) for _ in range(workers)]
 
-    def run(first: int) -> list[int]:
-        # rows first, first + workers, ...; returns their skipped flat indices
-        buf, (before, after, dev) = scratch[first]
+    def run(first: int, stride: int) -> list[int]:
+        # rows first, first + stride, ...; returns their skipped flat indices
+        # this worker's scratch: a tile of differences and three row vectors
+        buf, (before, after, dev) = np.empty((tile, Z.shape[1])), np.empty((3, tile))
         skipped: list[int] = []
-        for i in range(first, rows, workers):
+        for i in range(first, rows, stride):
             base = i * (2 * N - i - 1) // 2 - i - 1  # flat index of (i, j) is base + j
             best, best_flat = -np.inf, -1
             for j0 in range(i + 1, N, tile):
@@ -234,12 +231,7 @@ def _pairwise_distortion(A: LinearMap, P: np.ndarray) -> DistortionReport:
             row_dev[i], row_flat[i] = best, best_flat
         return skipped
 
-    if workers == 1:
-        parts = [run(0)]
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            parts = list(pool.map(run, range(workers)))  # re-raises a worker's error
-    skipped = sorted(f for part in parts for f in part)
+    skipped = sorted(f for part in _run_strided(rows, run) for f in part)
     eps_max, violating = 0.0, None
     if rows:
         k = int(np.argmax(row_dev))  # rows with no kept pair hold -inf and -1
@@ -353,8 +345,8 @@ def audit_embedding(A: LinearMap, X: PointSet, eps: float) -> AuditReport:
     exactly (raises `AuditError` otherwise).  Measures the true norm
     distortion of A on X, checks the implied trace window
     [(1-eps) n, (1+eps) n], computes the spectral certificate, and asserts
-    rank_lb <= m.  Nothing is trusted from a single route: the trace used
-    for the window comes from entry sums, never from the spectrum.
+    rank_lb <= m.  Nothing is trusted from a single route: the window uses
+    the certificate's trace, an entry sum, never the spectrum.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -368,10 +360,9 @@ def audit_embedding(A: LinearMap, X: PointSet, eps: float) -> AuditReport:
         )
     report = distortion(A, X, MODE_NORM)
     precondition_ok = report.eps_max <= eps
-    E = A.entries
-    trace = float(np.einsum("ij,ij->", E, E))
-    trace_window_ok = (1.0 - eps) * n <= trace <= (1.0 + eps) * n
     cert = spectral_certificate(A)
+    trace = cert.trace
+    trace_window_ok = (1.0 - eps) * n <= trace <= (1.0 + eps) * n
     _, wdev = _max_deviation(A, X, cert)
     rank_ok = cert.rank_lb <= A.m
     notes: list[str] = []

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -129,6 +130,14 @@ def _parse_grid(text: str, conv, flag: str) -> list:
 
 
 def _default_k(n: int, gamma: float) -> int:
+    if not math.isfinite(gamma):
+        raise _UsageError(f"--gamma must be finite, got {gamma}")
+    # compared in logarithms, so n^(2+gamma) is formed only when it is small
+    if (2.0 + gamma) * math.log(n) > math.log(MAX_TOTAL_COORDS):
+        raise SizeError(
+            f"default k = n^(2+gamma) at --n {n} --gamma {gamma:g} is over the "
+            f"{MAX_TOTAL_COORDS} coordinate limit"
+        )
     return max(1, int(round(float(n) ** (2.0 + gamma))))
 
 

@@ -29,25 +29,27 @@ result does not depend on the worker count.  The estimators that multiply
 each chunk by a matrix run their chunks serially, since the BLAS call
 already spreads over the cores.
 
-Each estimator evaluates a whole grid of thresholds on one sample: the
-private grid forms draw the sample once, take the map's spectral
-certificate from the caller, and count hits at every threshold.  The
-public single-threshold estimators call them with a one-element grid, so
-a grid evaluation and a loop of single calls at the same seed give the
-same counts.
+Each estimator evaluates a whole grid of thresholds on one sample, and the
+public single-threshold estimators are the grid forms at a one-element
+grid, so a grid evaluation and a loop of single calls at the same seed give
+the same counts.  The map events (chaos, norm side, joint) are counted in
+one place: a private map-sample record holds a map's spectral certificate
+and one `map_samples` draw, and its methods are the only code that writes
+each event's threshold and hit count.  The chaos and joint grid forms and
+`calibrate_constants` all count through those methods, so an estimate and
+the calibration validated against it cannot drift apart.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .certify import SpectralCertificate, spectral_certificate
-from .embeddings import LinearMap, _rowsq, _worker_count
+from .embeddings import LinearMap, _rowsq, _run_strided
 from .pointset import _json_fields
 from .seeds import Seed, as_seed
 
@@ -68,10 +70,20 @@ class TailQuery:
     delta: float
 
     def __post_init__(self) -> None:
-        if not self.t >= 1.0:
-            raise ValueError(f"t must be at least 1, got {self.t}")
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError(f"delta must lie in (0, 1/2), got {self.delta}")
+        _check_ts((self.t,))
+        _check_deltas((self.delta,))
+
+
+def _check_ts(ts: Sequence[float]) -> None:
+    for t in ts:
+        if not t >= 1.0:
+            raise ValueError(f"t must be at least 1, got {t}")
+
+
+def _check_deltas(deltas: Sequence[float]) -> None:
+    for delta in deltas:
+        if not 0.0 < delta < 0.5:
+            raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
 
 
 @dataclass(frozen=True)
@@ -228,17 +240,12 @@ def norm_deviation_sample(n: int, trials: int, seed: int | Seed) -> np.ndarray:
     _validate_mc(n, trials)
     s = as_seed(seed)
     out = np.empty(trials)
-    workers = _worker_count(_chunk_count(trials))
 
-    def fill(first: int) -> None:
-        for offset, g in _gaussian_chunks(n, trials, s, first, workers):
+    def fill(first: int, stride: int) -> None:
+        for offset, g in _gaussian_chunks(n, trials, s, first, stride):
             out[offset : offset + g.shape[0]] = _rowsq(g)
 
-    if workers == 1:
-        fill(0)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, range(workers)))  # re-raises a worker's error
+    _run_strided(_chunk_count(trials), fill)
     return np.abs(out - float(n))
 
 
@@ -314,20 +321,11 @@ def _chaos_tail_grid(
     """`chaos_tail_estimate` at every t of ``ts`` on one map sample; ``cert`` is A's."""
     if not ts:
         return []
-    for t in ts:
-        if not t >= 1.0:
-            raise ValueError(f"t must be at least 1, got {t}")
+    _check_ts(ts)
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
-    if cert.frob_sq == 0.0:
-        raise ValueError("zero map: the deviation event is degenerate")
-    img, _ = map_samples(A, trials, seed)
-    dev = np.abs(img - cert.trace)
-    out = []
-    for t in ts:
-        thr = _chaos_threshold(cert, t, c)
-        out.append(TailEstimate.from_hits(thr, trials, int(np.count_nonzero(dev > thr))))
-    return out
+    sample = _form_sample(A, trials, seed, cert)
+    return [sample.chaos(t, c) for t in ts]
 
 
 def symmetric_form_tail_estimate(
@@ -344,8 +342,7 @@ def symmetric_form_tail_estimate(
         raise ValueError(f"M must be square, got shape {M.shape}")
     if not np.allclose(M, M.T, rtol=1e-12, atol=0.0):
         raise ValueError("M must be symmetric")
-    if not t >= 1.0:
-        raise ValueError(f"t must be at least 1, got {t}")
+    _check_ts((t,))
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     _validate_mc(M.shape[0], trials)
@@ -388,57 +385,58 @@ def _joint_event_grid(
     """`joint_event_rate` at every delta of ``deltas`` on one map sample; ``cert`` is A's."""
     if not deltas:
         return []
-    for delta in deltas:
-        if not 0.0 < delta < 0.5:
-            raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
-    if c1 < 0 or c2 < 0:
+    _check_deltas(deltas)
+    if not c1 >= 0 or not c2 >= 0:
         raise ValueError(f"c1 and c2 must be nonnegative, got c1={c1}, c2={c2}")
-    if cert.frob_sq == 0.0:
-        raise ValueError("zero map: the deviation event is degenerate")
-    img, nrm = map_samples(A, trials, seed)
-    dev = np.abs(img - cert.trace)
-    out = []
-    for delta in deltas:
-        thr1, thr2 = _joint_thresholds(cert, A.n, delta, c1, c2)
-        hits = int(np.count_nonzero((dev >= thr1) & (nrm <= thr2)))
-        out.append(TailEstimate.from_hits(thr1, trials, hits))
-    return out
-
-
-def _joint_thresholds(
-    cert: SpectralCertificate, n: int, delta: float, c1: float, c2: float
-) -> tuple[float, float]:
-    # the form-side threshold c1 sqrt(ln(1/delta)) ‖A^T A‖_F and the
-    # norm-side bound n + c2 sqrt(n ln(1/delta)) of the joint event
-    ell = math.log(1.0 / delta)
-    return c1 * math.sqrt(ell) * math.sqrt(cert.frob_sq), n + c2 * math.sqrt(n * ell)
-
-
-# ---------------------------------------------------------------------------
-# constant calibration
+    sample = _form_sample(A, trials, seed, cert)
+    return [sample.joint(delta, c1, c2) for delta in deltas]
 
 
 @dataclass(frozen=True, eq=False)
-class _MemberSample:
+class _FormSample:
+    """One map sample: per trial, dev = |‖Ag‖² - tr(A^T A)| and normsq = ‖g‖².
+
+    Its methods count the map events of the module docstring at one
+    threshold each.  The chaos event is strict (dev > threshold), the
+    joint event's form side is not (dev >= threshold), and the norm side
+    is the joint event's second half, ‖g‖² <= n + c2 sqrt(n ln(1/delta)).
+    """
+
     n: int
     cert: SpectralCertificate
     dev: np.ndarray
     normsq: np.ndarray
 
+    def chaos(self, t: float, c: float) -> TailEstimate:
+        thr = _chaos_threshold(self.cert, t, c)
+        return TailEstimate.from_hits(thr, self.dev.size, int(np.count_nonzero(self.dev > thr)))
 
-def _member_samples(
-    family: Sequence[LinearMap], trials: int, seed: Seed
-) -> list[_MemberSample]:
-    out = []
-    for i, A in enumerate(family):
-        cert = spectral_certificate(A)
-        if cert.frob_sq == 0.0:
-            raise ValueError(f"family member {i} is the zero map")
-        img, nrm = map_samples(A, trials, seed.child(i))
-        out.append(
-            _MemberSample(n=A.n, cert=cert, dev=np.abs(img - cert.trace), normsq=nrm)
-        )
-    return out
+    def norm_side(self, delta: float, c2: float) -> TailEstimate:
+        thr = self._norm_bound(delta, c2)
+        return TailEstimate.from_hits(thr, self.dev.size, int(np.count_nonzero(self.normsq <= thr)))
+
+    def joint(self, delta: float, c1: float, c2: float) -> TailEstimate:
+        # reports the form-side threshold c1 sqrt(ln(1/delta)) ‖A^T A‖_F
+        thr = c1 * math.sqrt(math.log(1.0 / delta)) * math.sqrt(self.cert.frob_sq)
+        hits = np.count_nonzero((self.dev >= thr) & (self.normsq <= self._norm_bound(delta, c2)))
+        return TailEstimate.from_hits(thr, self.dev.size, int(hits))
+
+    def _norm_bound(self, delta: float, c2: float) -> float:
+        return self.n + c2 * math.sqrt(self.n * math.log(1.0 / delta))
+
+
+def _form_sample(
+    A: LinearMap, trials: int, seed: int | Seed, cert: SpectralCertificate
+) -> _FormSample:
+    # ``cert`` is A's spectral certificate
+    if cert.frob_sq == 0.0:
+        raise ValueError("zero map: the deviation event is degenerate")
+    img, nrm = map_samples(A, trials, seed)
+    return _FormSample(n=A.n, cert=cert, dev=np.abs(img - cert.trace), normsq=nrm)
+
+
+# ---------------------------------------------------------------------------
+# constant calibration
 
 
 def _largest_feasible(lo: float, hi: float, feasible, resolution: float, what: str) -> float:
@@ -491,7 +489,9 @@ def calibrate_constants(
     One sample of ``trials`` gaussian vectors is drawn per member (member
     i from ``seed.child(i)``) and reused for every feasibility check, so
     each search is over an exactly monotone predicate and bisection to
-    ``resolution`` is exact.
+    ``resolution`` is exact.  The predicates count with the same sample
+    methods as `chaos_tail_estimate` and `joint_event_rate`, so member i's
+    estimate at ``seed.child(i)`` gives exactly the counts the search saw.
 
     * ``c``: the largest value such that for every member and every t in
       ``t_grid`` the observed chaos tail is at least min(c, exp(-t)) minus
@@ -514,47 +514,28 @@ def calibrate_constants(
         raise ValueError("family must be nonempty")
     if not t_grid:
         raise ValueError("t_grid must be nonempty")
-    for t in t_grid:
-        if not t >= 1.0:
-            raise ValueError(f"t values must be at least 1, got {t}")
-    for d in delta_grid:
-        TailQuery(t=1.0, delta=d)
-    samples = _member_samples(family, trials, as_seed(seed))
+    _check_ts(t_grid)
+    _check_deltas(delta_grid)
+    s = as_seed(seed)
+    samples = [
+        _form_sample(A, trials, s.child(i), spectral_certificate(A)) for i, A in enumerate(family)
+    ]
 
-    def tail_ok(p_hat: float, req: float) -> bool:
-        se = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-        return p_hat >= req - 4.0 * se
+    def holds(est: TailEstimate, req: float) -> bool:
+        return est.p_hat >= req - 4.0 * est.stderr
 
     def c_feasible(c: float) -> bool:
-        for s in samples:
-            for t in t_grid:
-                thr = _chaos_threshold(s.cert, t, c)
-                p_hat = np.count_nonzero(s.dev > thr) / trials
-                if not tail_ok(p_hat, min(c, math.exp(-t))):
-                    return False
-        return True
+        return all(holds(x.chaos(t, c), min(c, math.exp(-t))) for x in samples for t in t_grid)
 
     c = _largest_feasible(floor, 1.0, c_feasible, resolution, "c")
 
     def c2_feasible(c2: float) -> bool:
-        for s in samples:
-            for d in delta_grid:
-                thr = s.n + c2 * math.sqrt(s.n * math.log(1.0 / d))
-                p_hat = np.count_nonzero(s.normsq <= thr) / trials
-                if not tail_ok(p_hat, 1.0 - 0.5 * d):
-                    return False
-        return True
+        return all(holds(x.norm_side(d, c2), 1.0 - 0.5 * d) for x in samples for d in delta_grid)
 
     c2 = _smallest_feasible(floor, 1.0, c2_feasible, resolution, "c2")
 
     def c1_feasible(c1: float) -> bool:
-        for s in samples:
-            for d in delta_grid:
-                thr1, thr2 = _joint_thresholds(s.cert, s.n, d, c1, c2)
-                p_hat = np.count_nonzero((s.dev >= thr1) & (s.normsq <= thr2)) / trials
-                if not tail_ok(p_hat, d):
-                    return False
-        return True
+        return all(holds(x.joint(d, c1, c2), d) for x in samples for d in delta_grid)
 
     c1 = _largest_feasible(floor, 1.0, c1_feasible, resolution, "c1")
     return CalibrationConstants(c=c, c1=c1, c2=c2, delta0=max(delta_grid))

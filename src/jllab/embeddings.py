@@ -16,14 +16,17 @@ import math
 import os
 import re
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
 from .pointset import PointSet, _format_rows, _read_rows
 from .seeds import Seed, as_seed
+
+_T = TypeVar("_T")
 
 _MAP_HEADER = re.compile(r"^jlmap v1 m=(\d+) n=(\d+)$")
 
@@ -170,14 +173,19 @@ def _smooth(r: np.ndarray, tau: float) -> _Smoothing:
     return _Smoothing(float(top + tau * np.log(total)), float(top), weights, float(total), residual)
 
 
-def _worker_count(tasks: int) -> int:
-    # threads for a pool over independent tasks, shared by certify and
-    # concentration: min(available cores, tasks, 8); 1 means run inline
+def _run_strided(tasks: int, run: Callable[[int, int], _T]) -> list[_T]:
+    # the thread pool shared by certify and concentration: run(first, stride)
+    # takes tasks first, first + stride, ... on each of min(available cores,
+    # tasks, 8) workers, inline when that is at most 1; results in worker order
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    return min(cores, tasks, 8)
+    workers = min(cores, tasks, 8)
+    if workers <= 1:
+        return [run(0, 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, range(workers), [workers] * workers))  # re-raises a worker's error
 
 
 def optimize_map(

@@ -354,6 +354,34 @@ def test_tails_over_size_limit_exits_one(tmp_path, capsys):
     assert "4000x4000 Gram matrix" in err
 
 
+def test_tails_nan_joint_constant_exits_one(tmp_path, capsys):
+    out_csv = tmp_path / "tails.csv"
+    for flag in ("--c1", "--c2"):
+        code, out, err = run(
+            ["tails", "--n", "8", "--t-grid", "1", "--delta-grid", "0.05", flag, "nan",
+             "--trials", "1000", "--out", str(out_csv)],
+            capsys,
+        )
+        assert code == 1
+        assert "c1 and c2 must be nonnegative" in err
+        assert out == ""
+        assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "frontier"])
+@pytest.mark.parametrize(
+    "gamma, message",
+    [("1000", "over the 10000000 coordinate limit"), ("inf", "--gamma"), ("nan", "--gamma")],
+)
+def test_default_k_gamma_out_of_range_exits_one(tmp_path, capsys, command, gamma, message):
+    # n^(2+gamma) is never formed past the coordinate limit, so it cannot overflow
+    out = tmp_path / "out"
+    code, _, err = run([command, "--n", "64", "--gamma", gamma, "--out", str(out)], capsys)
+    assert code == 1
+    assert message in err
+    assert not out.exists()
+
+
 def test_frontier_csv(tmp_path, capsys):
     out_csv = tmp_path / "front.csv"
     code, out, _ = run(

@@ -243,6 +243,10 @@ def test_joint_event_rate_limits():
     assert est2.p_hat == 0.0
     with pytest.raises(ValueError, match="delta"):
         joint_event_rate(A, 0.6, 1.0, 1.0, trials, 0)
+    # a NaN constant fails every comparison, so it must not reach the count
+    for c1, c2 in ((math.nan, 2.0), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="c1 and c2"):
+            joint_event_rate(A, 0.05, c1, c2, trials, 0)
 
 
 def test_joint_event_monotone_in_c1():
@@ -296,6 +300,26 @@ def test_calibrated_c_feasible_on_family_samples():
             if est.p_hat < min(bumped, math.exp(-t)) - 4.0 * est.stderr:
                 ok = False
     assert not ok
+
+
+def test_calibrated_c1_c2_feasible_on_family_samples():
+    # the joint-event counterpart of the test above: calibration and
+    # joint_event_rate count on the same member samples
+    fam = [identity_map(16), gaussian_map(8, 16, 7)]
+    deltas = (0.25, 0.125, 0.0625, 0.05, 0.03125)
+    trials, seed = 20000, Seed(9)
+    cal = calibrate_constants(fam, [1.0], trials, seed, delta_grid=deltas)
+
+    def feasible(c1: float) -> bool:
+        for i, A in enumerate(fam):
+            for d in deltas:
+                est = joint_event_rate(A, d, c1, cal.c2, trials, seed.child(i))
+                if est.p_hat < d - 4.0 * est.stderr:
+                    return False
+        return True
+
+    assert feasible(cal.c1)
+    assert not feasible(cal.c1 + 2.0**-9)
 
 
 def test_calibrate_validation():
