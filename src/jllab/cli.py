@@ -343,8 +343,14 @@ def cmd_tails(args: argparse.Namespace) -> int:
 
 def cmd_frontier(args: argparse.Namespace) -> int:
     seed = _seed_arg(args.seed)
+    if args.maps_per_m < 0:
+        raise _UsageError(f"--maps-per-m must be nonnegative, got {args.maps_per_m}")
     if args.set:
+        if args.k is not None:
+            raise _UsageError("--k does not apply with --set")
         X = read_pointset(args.set)
+        if args.n is not None and args.n != X.dim:
+            raise _UsageError(f"--n {args.n} disagrees with the set dimension {X.dim}")
         k = None
     else:
         if args.n is None:

@@ -22,12 +22,14 @@ All estimators consuming gaussian vectors of the same dimension share the
 same chunk derivation, so at matched ``(n, trials, seed)`` they see
 literally the same sample.
 
-`norm_deviation_sample` draws its chunks on a bounded thread pool of
-min(available cores, chunks, 8) workers.  Each worker has its own buffer
-and writes its chunks' values into their own slice of the output, so the
-result does not depend on the worker count.  The estimators that multiply
-each chunk by a matrix run their chunks serially, since the BLAS call
-already spreads over the cores.
+One private sampler draws every estimator's chunks and hands each chunk
+to a per-estimator function that reduces it to a few values per trial.
+The norm sample's chunks run on a bounded thread pool of min(available
+cores, chunks, 8) workers, each with its own buffer and its own slice of
+the output, so the result does not depend on the worker count.  The
+estimators that multiply each chunk by a matrix run their chunks inline:
+the BLAS call already spreads over the cores, and a pool adds one BLAS
+buffer and one chunk buffer per concurrent worker for no speed.
 
 Each estimator evaluates a whole grid of thresholds on one sample, and the
 public single-threshold estimators are the grid forms at a one-element
@@ -35,22 +37,24 @@ grid, so a grid evaluation and a loop of single calls at the same seed give
 the same counts.  The map events (chaos, norm side, joint) are counted in
 one place: a private map-sample record holds a map's spectral certificate
 and one `map_samples` draw, and its methods are the only code that writes
-each event's threshold and hit count.  The chaos and joint grid forms and
-`calibrate_constants` all count through those methods, so an estimate and
-the calibration validated against it cannot drift apart.
+each map event's threshold and hit count.  The chaos and joint grid forms
+and `calibrate_constants` all count through those methods, so an estimate
+and the calibration validated against it cannot drift apart.  The strict
+count dev > threshold of the norm, chaos and symmetric-form tails is one
+helper, and the chaos and symmetric-form thresholds one formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .certify import SpectralCertificate, spectral_certificate
 from .embeddings import LinearMap, _rowsq, _run_strided
-from .pointset import _json_fields
+from .pointset import MAX_TOTAL_COORDS, SizeError, _json_fields
 from .seeds import Seed, as_seed
 
 CHUNK_TRIALS = 1024
@@ -211,19 +215,6 @@ def norm_tail_oracle(n: int, t: float, c: float) -> float:
 # chunked gaussian sampling
 
 
-def _gaussian_chunks(
-    n: int, trials: int, seed: Seed, first: int = 0, stride: int = 1
-) -> Iterator[tuple[int, np.ndarray]]:
-    # yields (offset, chunk) for chunks first, first + stride, ...; the
-    # chunks are views into one reused buffer, consumers must not retain them
-    buf = np.empty((min(CHUNK_TRIALS, trials), n))
-    for index in range(first, _chunk_count(trials), stride):
-        offset = index * CHUNK_TRIALS
-        view = buf[: min(CHUNK_TRIALS, trials - offset)]
-        seed.child(index).generator().standard_normal(out=view)
-        yield offset, view
-
-
 def _chunk_count(trials: int) -> int:
     return -(-trials // CHUNK_TRIALS)
 
@@ -233,32 +224,43 @@ def _validate_mc(n: int, trials: int) -> None:
         raise ValueError(f"dimension must be at least 1, got {n}")
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
+    if trials > MAX_TOTAL_COORDS:
+        raise SizeError(f"trials must be at most {MAX_TOTAL_COORDS}, got {trials}")
+
+
+def _sample(
+    n: int, trials: int, seed: int | Seed, rows: Callable[[np.ndarray], object], width: int, pool: bool
+) -> np.ndarray:
+    # the one chunk loop: chunk c (trials c*CHUNK_TRIALS, ...) is drawn from
+    # seed.child(c) into a reused buffer g, and rows(g) is its (width, len(g))
+    # block of the (width, trials) result.  pool=False runs inline for rows
+    # that call BLAS: pooling map_samples was bit-identical and no faster, but
+    # raised the tails workload's peak RSS from 82 to 109-113 MiB (one BLAS
+    # buffer and one chunk buffer per concurrent caller)
+    _validate_mc(n, trials)
+    s = as_seed(seed)
+    out = np.empty((width, trials))
+
+    def fill(first: int, stride: int) -> None:
+        buf = np.empty((min(CHUNK_TRIALS, trials), n))
+        for c in range(first, _chunk_count(trials), stride):
+            offset = c * CHUNK_TRIALS
+            g = buf[: min(CHUNK_TRIALS, trials - offset)]
+            s.child(c).generator().standard_normal(out=g)
+            out[:, offset : offset + g.shape[0]] = rows(g)
+
+    _run_strided(_chunk_count(trials) if pool else 1, fill)
+    return out
 
 
 def norm_deviation_sample(n: int, trials: int, seed: int | Seed) -> np.ndarray:
     """The |‖g‖² - n| sample underlying `norm_tail_estimate`, in trial order."""
-    _validate_mc(n, trials)
-    s = as_seed(seed)
-    out = np.empty(trials)
-
-    def fill(first: int, stride: int) -> None:
-        for offset, g in _gaussian_chunks(n, trials, s, first, stride):
-            out[offset : offset + g.shape[0]] = _rowsq(g)
-
-    _run_strided(_chunk_count(trials), fill)
-    return np.abs(out - float(n))
+    return np.abs(_sample(n, trials, seed, _rowsq, 1, pool=True)[0] - float(n))
 
 
 def map_samples(A: LinearMap, trials: int, seed: int | Seed) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (‖Ag‖², ‖g‖²) pairs from the shared chunk derivation."""
-    _validate_mc(A.n, trials)
-    s = as_seed(seed)
-    img = np.empty(trials)
-    nrm = np.empty(trials)
-    for offset, g in _gaussian_chunks(A.n, trials, s):
-        b = g.shape[0]
-        img[offset : offset + b] = _rowsq(g @ A.entries.T)
-        nrm[offset : offset + b] = _rowsq(g)
+    img, nrm = _sample(A.n, trials, seed, lambda g: (_rowsq(g @ A.entries.T), _rowsq(g)), 2, pool=False)
     return img, nrm
 
 
@@ -279,22 +281,23 @@ def _norm_tail_grid(
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     dev = norm_deviation_sample(n, trials, seed)
-    out = []
-    for t in ts:
-        thr = c * math.sqrt(n * t)
-        out.append(TailEstimate.from_hits(thr, trials, int(np.count_nonzero(dev > thr))))
-    return out
+    return [_tail(dev, c * math.sqrt(n * t)) for t in ts]
 
 
-def _chaos_threshold(cert: SpectralCertificate, t: float, c: float) -> float:
-    frob = math.sqrt(cert.frob_sq)
-    top = float(cert.eigenvalues[0]) if cert.eigenvalues.size else 0.0
+def _tail(dev: np.ndarray, thr: float) -> TailEstimate:
+    # the strict deviation event dev > thr, shared by the norm, chaos and form tails
+    return TailEstimate.from_hits(thr, dev.size, int(np.count_nonzero(dev > thr)))
+
+
+def _chaos_threshold(frob: float, top: float, t: float, c: float) -> float:
+    # c (sqrt(t) ‖M‖_F + t ‖M‖) for M = A^T A or a symmetric form's matrix
     return c * (math.sqrt(t) * frob + t * top)
 
 
 def chaos_threshold(A: LinearMap, t: float, c: float) -> float:
     """Deviation threshold c (sqrt(t) ‖A^T A‖_F + t ‖A^T A‖)."""
-    return _chaos_threshold(spectral_certificate(A), t, c)
+    cert = spectral_certificate(A)
+    return _chaos_threshold(math.sqrt(cert.frob_sq), float(cert.eigenvalues[0]), t, c)
 
 
 def chaos_tail_estimate(
@@ -349,16 +352,9 @@ def symmetric_form_tail_estimate(
     frob = float(np.linalg.norm(M))
     if frob == 0.0:
         raise ValueError("zero matrix: the deviation event is degenerate")
-    lam = np.linalg.eigvalsh(M)
-    top = float(np.abs(lam).max())
-    trace = float(np.trace(M))
-    thr = c * (math.sqrt(t) * frob + t * top)
-    s = as_seed(seed)
-    hits = 0
-    for _, g in _gaussian_chunks(M.shape[0], trials, s):
-        form = np.einsum("ij,ij->i", g @ M, g)
-        hits += int(np.count_nonzero(np.abs(form - trace) > thr))
-    return TailEstimate.from_hits(thr, trials, hits)
+    top = float(np.abs(np.linalg.eigvalsh(M)).max())
+    form = _sample(M.shape[0], trials, seed, lambda g: np.einsum("ij,ij->i", g @ M, g), 1, pool=False)
+    return _tail(np.abs(form[0] - float(np.trace(M))), _chaos_threshold(frob, top, t, c))
 
 
 def joint_event_rate(
@@ -408,8 +404,8 @@ class _FormSample:
     normsq: np.ndarray
 
     def chaos(self, t: float, c: float) -> TailEstimate:
-        thr = _chaos_threshold(self.cert, t, c)
-        return TailEstimate.from_hits(thr, self.dev.size, int(np.count_nonzero(self.dev > thr)))
+        top = float(self.cert.eigenvalues[0])
+        return _tail(self.dev, _chaos_threshold(math.sqrt(self.cert.frob_sq), top, t, c))
 
     def norm_side(self, delta: float, c2: float) -> TailEstimate:
         thr = self._norm_bound(delta, c2)

@@ -16,6 +16,7 @@ in log space.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -111,8 +112,11 @@ def log_cardinality(n: int, alpha: float) -> NetCardinality:
     params = net_params(n, alpha)
     V = 2 * params.index_range + 1
     ln_v = math.log(V)
-    # logsumexp over m = 1..n of m*n*ln_v, shifted by the top term
-    tail = math.fsum(math.exp((m - n) * n * ln_v) for m in range(1, n + 1))
+    # logsumexp over m = 1..n of m*n*ln_v, shifted by the top term; the
+    # terms for m = n, n - 1, ... shrink, and once one underflows to 0.0 so
+    # do all the rest, so the exactly rounded fsum can stop there
+    terms = (math.exp((m - n) * n * ln_v) for m in range(n, 0, -1))
+    tail = math.fsum(itertools.takewhile(bool, terms))
     exact_log = n * n * ln_v + math.log(tail)
     bound_log = math.log(n) + n * n * math.log(40.0 * n / math.sqrt(alpha))
     return NetCardinality(

@@ -354,6 +354,21 @@ def test_tails_over_size_limit_exits_one(tmp_path, capsys):
     assert "4000x4000 Gram matrix" in err
 
 
+def test_tails_over_trials_limit_exits_one(tmp_path, capsys):
+    # 10**7 + 1 trials would need about 240 MB for the norm sample alone;
+    # the sampler refuses them before it allocates
+    out_csv = tmp_path / "tails.csv"
+    tracemalloc.start()
+    try:
+        code, _, err = run(["tails", "--n", "1", "--trials", "10000001", "--out", str(out_csv)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "trials must be at most 10000000" in err
+    assert not out_csv.exists()
+    assert peak < 16 << 20
+
 def test_tails_nan_joint_constant_exits_one(tmp_path, capsys):
     out_csv = tmp_path / "tails.csv"
     for flag in ("--c1", "--c2"):
@@ -410,6 +425,23 @@ def test_frontier_csv(tmp_path, capsys):
         assert status[f"first_m_{col}"] == next((m for m, e in zip(ms, eps) if e <= 0.25), None)
     assert status["first_m_eps_opt"] is not None
 
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--k", "7"], "--k does not apply with --set"),
+        (["--n", "99"], "--n 99 disagrees with the set dimension 4"),
+        (["--maps-per-m", "-3"], "--maps-per-m must be nonnegative, got -3"),
+    ],
+)
+def test_frontier_refuses_ignored_or_invalid_flags(tmp_path, capsys, extra, message):
+    ps = tmp_path / "set.jlps"
+    out_csv = tmp_path / "front.csv"
+    run(["gen", "--kind", "hard", "--n", "4", "--k", "3", "--out", str(ps)], capsys)
+    code, _, err = run(["frontier", "--set", str(ps), "--out", str(out_csv)] + extra, capsys)
+    assert code == 1
+    assert message in err
+    assert not out_csv.exists()
 
 def test_frontier_timings_column_opt_in(tmp_path, capsys):
     out_csv = tmp_path / "front.csv"

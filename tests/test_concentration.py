@@ -23,6 +23,7 @@ from jllab.concentration import (
     symmetric_form_tail_estimate,
 )
 from jllab.embeddings import LinearMap, gaussian_map, identity_map
+from jllab.pointset import SizeError
 from jllab.seeds import Seed
 
 scipy_stats = pytest.importorskip("scipy.stats")
@@ -142,24 +143,48 @@ def test_norm_estimate_deterministic():
 
 
 def test_chunking_is_part_of_the_contract(monkeypatch):
-    # sample length crosses several chunk boundaries and stays deterministic
+    # every sampler's length crosses several chunk boundaries and stays deterministic
     trials = CHUNK_TRIALS * 2 + 17
-    a = norm_deviation_sample(3, trials, 5)
-    b = norm_deviation_sample(3, trials, 5)
-    assert np.array_equal(a, b)
-    assert a.shape == (trials,)
+    A = gaussian_map(2, 3, Seed(6))
+    M = np.array([[2.0, 0.5, -1.0], [0.5, -1.0, 0.25], [-1.0, 0.25, 0.5]])
+
+    def samples():
+        img, nrm = map_samples(A, trials, 5)
+        est = symmetric_form_tail_estimate(M, 1.0, 0.5, trials, 5)
+        return norm_deviation_sample(3, trials, 5), img, nrm, est.hits
+
+    dev, img, nrm, hits = samples()
+    assert dev.shape == img.shape == nrm.shape == (trials,)
     # serial recomputation: chunk c holds the next (up to) CHUNK_TRIALS
     # trials, drawn from Seed(5).child(c); the last chunk is partial
-    parts = []
+    parts = {"dev": [], "img": [], "nrm": [], "form": []}
     for c, lo in enumerate(range(0, trials, CHUNK_TRIALS)):
         g = Seed(5).child(c).generator().standard_normal((min(CHUNK_TRIALS, trials - lo), 3))
-        parts.append(np.abs(np.einsum("ij,ij->i", g, g) - 3.0))
-    assert np.array_equal(a, np.concatenate(parts))
+        Ag = g @ A.entries.T
+        sq = np.einsum("ij,ij->i", g, g)
+        parts["dev"].append(np.abs(sq - 3.0))
+        parts["img"].append(np.einsum("ij,ij->i", Ag, Ag))
+        parts["nrm"].append(sq)
+        parts["form"].append(np.einsum("ij,ij->i", g @ M, g))
+    want = {k: np.concatenate(v) for k, v in parts.items()}
+    assert np.array_equal(dev, want["dev"])
+    assert np.array_equal(img, want["img"])
+    assert np.array_equal(nrm, want["nrm"])
+    thr = 0.5 * (np.linalg.norm(M) + np.abs(np.linalg.eigvalsh(M)).max())
+    assert hits == np.count_nonzero(np.abs(want["form"] - np.trace(M)) > thr)
+    assert 0 < hits < trials
     # the worker count follows the cores the process may use (one worker
     # runs inline, three is one per chunk) and never changes the result
     for cores in (1, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-        assert np.array_equal(norm_deviation_sample(3, trials, 5), a)
+        again = samples()
+        assert all(np.array_equal(x, y) for x, y in zip(again, (dev, img, nrm, hits)))
+
+
+def test_trials_over_limit_raise_size_error():
+    # the refusal comes before the (trials,) output is allocated
+    with pytest.raises(SizeError, match="trials must be at most 10000000"):
+        norm_deviation_sample(1, 10**7 + 1, 0)
 
 
 def test_norm_estimate_agrees_with_oracle():

@@ -1,6 +1,7 @@
 """Grid quantization, error budgets, and cardinality accounting."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -148,6 +149,21 @@ def test_cardinality_bound_dominates():
             card = log_cardinality(n, 2.0**-k)
             assert card.exact_log <= card.bound_log + math.log(2.0)
 
+
+def test_cardinality_sum_stops_at_underflow():
+    # the sum runs from m = n down and stops at the first term that
+    # underflows; the full sum over every m gives the same float
+    for n in (1, 2, 3, 17, 59, 700, 5000):
+        for alpha in (0.999, 0.5, 0.01, 1e-4):
+            card = log_cardinality(n, alpha)
+            ln_v = math.log(card.values_per_entry)
+            tail = math.fsum(math.exp((m - n) * n * ln_v) for m in range(1, n + 1))
+            assert card.exact_log == n * n * ln_v + math.log(tail)
+    # so a huge n costs a few terms, not n of them
+    started = time.perf_counter()
+    card = log_cardinality(10**9, 0.5)
+    assert time.perf_counter() - started < 1.0
+    assert card.exact_log == 10**18 * math.log(card.values_per_entry)
 
 def test_cardinality_bound_formula():
     card = log_cardinality(5, 0.04)
