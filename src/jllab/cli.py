@@ -10,11 +10,12 @@ tails     Monte Carlo tail suite (norm, chaos, joint) to CSV
 frontier  distortion-vs-m sweep with random and optimized maps to CSV
 net       quantization grid report, or quantize a map onto the grid
 
-Exit codes: 0 success, 1 usage or file-format error, 2 failed audit,
-3 numerical failure.  Every run is controlled by an explicit --seed;
-report files embed the full configuration, and re-running a command with
-identical arguments reproduces each output byte for byte (timings are
-opt-in via --timings for that reason).
+Exit codes: 0 success, 1 usage or file-format error (a flag the run would
+ignore included), 2 failed audit, 3 numerical failure (a NaN or infinity
+bound for a JSON or CSV output included).  Every run is controlled by an
+explicit --seed; report files embed the full configuration, and
+re-running a command with identical arguments reproduces each output
+byte for byte (timings are opt-in via --timings for that reason).
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ from .embeddings import (
 from .net import covering_radius_for, log_cardinality, net_params, quantize
 from .pointset import (
     MAX_TOTAL_COORDS,
+    PointSet,
     SizeError,
+    _json_fields,
     gaussian_vectors,
     hard_instance,
     read_pointset,
@@ -76,24 +79,33 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def _cell(v) -> str:
     if v is None:
         return ""
     if isinstance(v, bool):
         return str(v).lower()
-    if isinstance(v, int):
-        return str(v)
     if isinstance(v, float):
-        return _fmt(v)
+        if not math.isfinite(v):
+            raise ArithmeticError(f"non-finite value {v} in the CSV output")
+        return format(v, ".17g")
     return str(v)
 
 
+def _json(payload: dict, **layout) -> str:
+    # RFC 8259 JSON has no NaN or infinity, so such a value is a numerical
+    # failure (exit 3) before anything is written
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False, **layout)
+    except ValueError as exc:
+        raise ArithmeticError(f"non-finite value in the JSON output ({exc})") from None
+
+
+def _status(payload: dict) -> None:
+    print(_json(payload))
+
+
 def _config_line(config: dict) -> str:
-    return "# config " + json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return "# config " + _json(config, separators=(",", ":"))
 
 
 def _write_csv(path: str, config: dict, header: list[str], rows: list[list]) -> None:
@@ -104,10 +116,10 @@ def _write_csv(path: str, config: dict, header: list[str], rows: list[list]) -> 
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _json(payload, indent=2) + "\n"
     if out:
         Path(out).write_bytes(text.encode("ascii"))
-        print(json.dumps({"written": out}, sort_keys=True))
+        _status({"written": out})
     else:
         sys.stdout.write(text)
 
@@ -129,7 +141,30 @@ def _parse_grid(text: str, conv, flag: str) -> list:
         raise _UsageError(f"{flag} must be a comma-separated list, got {text!r}") from None
 
 
-def _default_k(n: int, gamma: float) -> int:
+def _set_and_dim(args: argparse.Namespace) -> tuple[PointSet | None, int]:
+    # the set named by --set and its dimension, which --n may repeat but not
+    # contradict; without --set, no set and the dimension --n
+    if args.set:
+        X = read_pointset(args.set)
+        if args.n is not None and args.n != X.dim:
+            raise _UsageError(f"--n {args.n} disagrees with the set dimension {X.dim}")
+        return X, X.dim
+    if args.n is None:
+        raise _UsageError("provide --set or --n")
+    if args.n < 1:
+        raise _UsageError(f"--n must be at least 1, got {args.n}")
+    return None, args.n
+
+
+def _refuse_count_flags(args: argparse.Namespace, context: str) -> None:
+    # --k and --gamma size a generated hard or gaussian set and nothing else
+    for flag, value in (("--k", args.k), ("--gamma", args.gamma)):
+        if value is not None:
+            raise _UsageError(f"{flag} does not apply {context}")
+
+
+def _default_k(n: int, gamma: float | None) -> int:
+    gamma = 0.0 if gamma is None else gamma
     if not math.isfinite(gamma):
         raise _UsageError(f"--gamma must be finite, got {gamma}")
     # compared in logarithms, so n^(2+gamma) is formed only when it is small
@@ -159,8 +194,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     seed = _seed_arg(args.seed)
     if args.n < 1:
         raise _UsageError(f"--n must be at least 1, got {args.n}")
-    if args.kind in ("basis", "simplex") and args.k is not None:
-        raise _UsageError(f"--k does not apply to kind {args.kind!r}")
+    if args.kind in ("basis", "simplex"):
+        _refuse_count_flags(args, f"to kind {args.kind!r}")
     k = None
     if args.kind in ("hard", "gaussian"):
         k = args.k if args.k is not None else _default_k(args.n, args.gamma)
@@ -184,18 +219,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
         "binary": args.binary,
         "out": args.out,
     }
-    print(json.dumps({"config": config, "n_points": len(ps)}, sort_keys=True))
+    _status({"config": config, "n_points": len(ps)})
     return 0
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
     seed = _seed_arg(args.seed)
-    X = read_pointset(args.set) if args.set else None
-    n = X.dim if X is not None else args.n
-    if n is None:
-        raise _UsageError("provide --set or --n")
-    if X is not None and args.n is not None and args.n != X.dim:
-        raise _UsageError(f"--n {args.n} disagrees with the set dimension {X.dim}")
+    X, n = _set_and_dim(args)
     method = args.method
     info = None
     if method == "identity":
@@ -213,14 +243,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     else:
         if X is None or args.m is None:
             raise _UsageError("--set and --m are required for --method optimize")
-        opts = OptimizerOptions(
-            max_iters=args.max_iters,
-            step_init=args.step_init,
-            step_shrink=args.step_shrink,
-            tol=args.tol,
-            smoothing=args.smoothing,
-            seed=seed,
-        )
+        opts = OptimizerOptions(max_iters=args.max_iters, seed=seed)
         A, info = optimize_map(X, args.m, opts, return_info=True)
     write_map(args.out, A)
     config = {
@@ -234,14 +257,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
     }
     status = {"config": config}
     if info is not None:
-        status["iterations"] = info.iterations
-        status["converged"] = info.converged
-        status["init_distortion"] = info.init_distortion
-        status["final_distortion"] = info.final_distortion
-        status["stop_reason"] = info.stop_reason
-        status["accepted"] = info.accepted
-        status["backtracks"] = info.backtracks
-    print(json.dumps(status, sort_keys=True))
+        status |= {k: v for k, v in _json_fields(info).items() if k != "objective_history"}
+    _status(status)
     return 0
 
 
@@ -337,7 +354,7 @@ def cmd_tails(args: argparse.Namespace) -> int:
                  est.stderr, None]
             )
     _write_csv(args.out, config, header, rows)
-    print(json.dumps({"config": config, "rows": len(rows)}, sort_keys=True))
+    _status({"config": config, "rows": len(rows)})
     return 0
 
 
@@ -346,20 +363,12 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     if args.maps_per_m < 0:
         raise _UsageError(f"--maps-per-m must be nonnegative, got {args.maps_per_m}")
     if args.set:
-        if args.k is not None:
-            raise _UsageError("--k does not apply with --set")
-        X = read_pointset(args.set)
-        if args.n is not None and args.n != X.dim:
-            raise _UsageError(f"--n {args.n} disagrees with the set dimension {X.dim}")
-        k = None
-    else:
-        if args.n is None:
-            raise _UsageError("provide --set or --n")
-        if args.n < 1:
-            raise _UsageError(f"--n must be at least 1, got {args.n}")
-        k = args.k if args.k is not None else _default_k(args.n, args.gamma)
-        X = hard_instance(args.n, k, seed.child(0))
-    n = X.dim
+        _refuse_count_flags(args, "with --set")
+    X, n = _set_and_dim(args)
+    k = None
+    if X is None:
+        k = args.k if args.k is not None else _default_k(n, args.gamma)
+        X = hard_instance(n, k, seed.child(0))
     m_grid = (
         sorted(set(_parse_grid(args.m_grid, int, "--m-grid")))
         if args.m_grid
@@ -402,13 +411,11 @@ def cmd_frontier(args: argparse.Namespace) -> int:
             padded[: prev.m] = prev.entries
             init = LinearMap(padded)
         opts = OptimizerOptions(max_iters=args.max_iters, seed=seed.child(1))
-        A_opt, _ = optimize_map(X, m, opts, init=init, return_info=True)
-        eps_opt = distortion(A_opt, X).eps_max
+        # the run record's final distortion is the distortion of A_opt on X
+        A_opt, info = optimize_map(X, m, opts, init=init, return_info=True)
+        eps_opt = info.final_distortion
         prev = A_opt
-        if best_rand is not None and eps_rand is not None and eps_rand < eps_opt:
-            best = best_rand
-        else:
-            best = A_opt
+        best = best_rand if best_rand is not None and eps_rand < eps_opt else A_opt
         rank_lb = spectral_certificate(best).rank_lb
         row: list = [m, eps_rand, eps_opt, rank_lb]
         if args.timings:
@@ -420,13 +427,12 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         # the paper's m(n, eps) as measured: the first grid m whose column reaches eps
         return next((r[0] for r in rows if r[col] is not None and r[col] <= args.eps), None)
 
-    status = {
+    _status({
         "config": config,
         "rows": len(rows),
         "first_m_eps_random_best": first_m(1),
         "first_m_eps_opt": first_m(2),
-    }
-    print(json.dumps(status, sort_keys=True))
+    })
     return 0
 
 
@@ -437,6 +443,8 @@ def cmd_net(args: argparse.Namespace) -> int:
         raise _UsageError("provide only one of --alpha and --exponent")
     if args.quantize:
         A = read_map(args.quantize)
+        if args.n is not None and args.n != A.n:
+            raise _UsageError(f"--n {args.n} disagrees with the map's column count {A.n}")
         n = A.n
     else:
         if args.n is None:
@@ -451,32 +459,18 @@ def cmd_net(args: argparse.Namespace) -> int:
         "quantize": args.quantize,
         "out": args.out,
     }
-    if args.quantize:
-        if not args.out:
-            raise _UsageError("--out is required with --quantize")
-        Q = quantize(A, alpha)
-        write_map(args.out, Q)
-        diff = A.entries - Q.entries
-        err_sq = float(np.einsum("ij,ij->", diff, diff))
-        print(
-            json.dumps(
-                {
-                    "config": config,
-                    "params": net_params(n, alpha).to_json(),
-                    "error_frob_sq": err_sq,
-                    "budget": alpha / 100.0,
-                    "within_budget": err_sq <= alpha / 100.0,
-                },
-                sort_keys=True,
-            )
-        )
+    if args.quantize and not args.out:
+        raise _UsageError("--out is required with --quantize")
+    report = {"config": config, "params": net_params(n, alpha).to_json()}
+    if not args.quantize:
+        _emit_json(report | {"cardinality": log_cardinality(n, alpha).to_json()}, args.out)
         return 0
-    payload = {
-        "config": config,
-        "params": net_params(n, alpha).to_json(),
-        "cardinality": log_cardinality(n, alpha).to_json(),
-    }
-    _emit_json(payload, args.out)
+    Q = quantize(A, alpha)
+    write_map(args.out, Q)
+    diff = A.entries - Q.entries
+    err_sq = float(np.einsum("ij,ij->", diff, diff))
+    budget = alpha / 100.0
+    _status(report | {"error_frob_sq": err_sq, "budget": budget, "within_budget": err_sq <= budget})
     return 0
 
 
@@ -492,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("hard", "basis", "simplex", "gaussian"), default="hard")
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
     p.add_argument("--k", type=int, default=None, help="gaussian point count (default n^(2+gamma))")
-    p.add_argument("--gamma", type=float, default=0.0, help="exponent offset for the default k")
+    p.add_argument("--gamma", type=float, default=None, help="exponent offset for the default k (default 0)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--binary", action="store_true", help="write the binary format")
     p.add_argument("--out", required=True)
@@ -505,10 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="target dimension")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--step-init", type=float, default=1.0)
-    p.add_argument("--step-shrink", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--smoothing", type=float, default=0.1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_embed)
 
@@ -543,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=0.0)
+    p.add_argument("--gamma", type=float, default=None, help="exponent offset for the default k (default 0)")
     p.add_argument("--eps", type=float, default=0.25, help="target distortion; stdout reports the first m reaching it")
     p.add_argument("--m-grid", default="", help="comma list; default powers of two up to n")
     p.add_argument("--maps-per-m", type=int, default=10)

@@ -106,8 +106,10 @@ def log_cardinality(n: int, alpha: float) -> NetCardinality:
 
     The exact count is sum over m of V^(m n) where V is the number of grid
     values per entry; summed stably in log space.  ``bound_log`` is the
-    closed form ln(n) + n^2 ln(40 n / sqrt(alpha)), which dominates the
-    exact count up to one factor of 2.
+    closed form ln(n) + n^2 ln(40 n / sqrt(alpha) + 1), an upper bound on
+    ``exact_log`` for every n: V = 2 floor(20 n / sqrt(alpha)) + 1 is at
+    most 40 n / sqrt(alpha) + 1, and the sum has n terms of at most
+    V^(n^2) each.
     """
     params = net_params(n, alpha)
     V = 2 * params.index_range + 1
@@ -118,7 +120,7 @@ def log_cardinality(n: int, alpha: float) -> NetCardinality:
     terms = (math.exp((m - n) * n * ln_v) for m in range(n, 0, -1))
     tail = math.fsum(itertools.takewhile(bool, terms))
     exact_log = n * n * ln_v + math.log(tail)
-    bound_log = math.log(n) + n * n * math.log(40.0 * n / math.sqrt(alpha))
+    bound_log = math.log(n) + n * n * math.log(40.0 * n / math.sqrt(alpha) + 1.0)
     return NetCardinality(
         n=n, alpha=alpha, values_per_entry=V, exact_log=exact_log, bound_log=bound_log
     )

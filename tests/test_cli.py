@@ -15,7 +15,7 @@ from jllab.concentration import (
     norm_tail_estimate,
     norm_tail_oracle,
 )
-from jllab.embeddings import read_map, write_map, gaussian_map
+from jllab.embeddings import LinearMap, read_map, write_map, gaussian_map
 from jllab.pointset import PointSet, read_pointset, write_pointset
 from jllab.seeds import Seed
 
@@ -102,6 +102,21 @@ def test_malformed_pointset_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "line" in err
+
+
+@pytest.mark.parametrize(
+    "kind, extra, message",
+    [
+        ("basis", ["--gamma", "7"], "--gamma does not apply to kind 'basis'"),
+        ("simplex", ["--k", "5"], "--k does not apply to kind 'simplex'"),
+    ],
+)
+def test_gen_refuses_count_flags_for_fixed_sets(tmp_path, capsys, kind, extra, message):
+    out = tmp_path / "set.jlps"
+    code, _, err = run(["gen", "--kind", kind, "--n", "3", "--out", str(out)] + extra, capsys)
+    assert code == 1
+    assert message in err
+    assert not out.exists()
 
 
 def test_gen_hard_layout(tmp_path, capsys):
@@ -432,6 +447,7 @@ def test_frontier_csv(tmp_path, capsys):
         (["--k", "7"], "--k does not apply with --set"),
         (["--n", "99"], "--n 99 disagrees with the set dimension 4"),
         (["--maps-per-m", "-3"], "--maps-per-m must be nonnegative, got -3"),
+        (["--gamma", "5"], "--gamma does not apply with --set"),
     ],
 )
 def test_frontier_refuses_ignored_or_invalid_flags(tmp_path, capsys, extra, message):
@@ -442,6 +458,52 @@ def test_frontier_refuses_ignored_or_invalid_flags(tmp_path, capsys, extra, mess
     assert code == 1
     assert message in err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["embed", "--method", "identity", "--set", "{set}"], "--n 99 disagrees with the set dimension 4"),
+        (["net", "--alpha", "0.25", "--quantize", "{map}"], "--n 99 disagrees with the map's column count 4"),
+    ],
+)
+def test_n_must_match_the_input_dimension(tmp_path, capsys, argv, message):
+    ps, mp, out = tmp_path / "set.jlps", tmp_path / "a.jlmap", tmp_path / "out.jlmap"
+    run(["gen", "--kind", "basis", "--n", "4", "--out", str(ps)], capsys)
+    write_map(mp, gaussian_map(2, 4, 1))
+    argv = [a.format(set=ps, map=mp) for a in argv]
+    code, _, err = run(argv + ["--n", "99", "--out", str(out)], capsys)
+    assert code == 1
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--map", "{map}", "--set", "{set}"],
+        ["certify", "--map", "{map}", "--set", "{set}", "--mode", "pairwise", "--out", "{dir}/cert.json"],
+        ["audit", "--map", "{map}", "--set", "{set}", "--eps", "0.5", "--out", "{dir}/audit.json"],
+        ["embed", "--method", "optimize", "--set", "{set}", "--m", "1", "--max-iters", "20",
+         "--out", "{dir}/opt.jlmap"],
+        ["frontier", "--set", "{set}", "--maps-per-m", "2", "--max-iters", "20", "--out", "{dir}/front.csv"],
+    ],
+    ids=["certify", "certify-pairwise", "audit", "embed", "frontier"],
+)
+def test_nonfinite_output_exits_three(tmp_path, capsys, argv):
+    # the squared norm of (1e200, 1) overflows, so its ratio, and every
+    # distortion of the set, is NaN; RFC 8259 JSON and the CSV cells have no
+    # spelling for it
+    ps, mp = tmp_path / "s.jlps", tmp_path / "a.jlmap"
+    write_pointset(ps, PointSet(2, np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 1.0]]), ("gaussian",) * 3))
+    write_map(mp, LinearMap(np.array([[1.0, 0.5]])))
+    argv = [a.format(set=ps, map=mp, dir=tmp_path) for a in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert "numerical failure: non-finite value" in err
+    assert out == ""
+    assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob("*.csv"))
+
 
 def test_frontier_timings_column_opt_in(tmp_path, capsys):
     out_csv = tmp_path / "front.csv"

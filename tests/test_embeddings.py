@@ -317,6 +317,8 @@ def test_optimizer_matches_reference_loop_bitwise(m, with_init):
         assert getattr(info, field) == getattr(ref_info, field), field
     for field in ("init_distortion", "final_distortion"):
         assert getattr(info, field).hex() == getattr(ref_info, field).hex(), field
+    # the run record's distortion is the map's: `jllab frontier` reports it as eps_opt
+    assert info.final_distortion.hex() == distortion(A, X).eps_max.hex()
     assert [v.hex() for v in info.objective_history] == [v.hex() for v in ref_info.objective_history]
 
 

@@ -147,7 +147,12 @@ def test_cardinality_bound_dominates():
     for n in (1, 2, 3, 8, 32, 64):
         for k in (1, 4, 10, 20):
             card = log_cardinality(n, 2.0**-k)
-            assert card.exact_log <= card.bound_log + math.log(2.0)
+            assert card.exact_log <= card.bound_log
+    # V = 2 floor(20 n / sqrt(alpha)) + 1 overshoots 40 n / sqrt(alpha) by up
+    # to 1, which adds about n sqrt(alpha) / 40 nats at large n
+    for n in (387, 1000, 10**6):
+        card = log_cardinality(n, 0.5)
+        assert card.exact_log <= card.bound_log
 
 
 def test_cardinality_sum_stops_at_underflow():
@@ -167,7 +172,7 @@ def test_cardinality_sum_stops_at_underflow():
 
 def test_cardinality_bound_formula():
     card = log_cardinality(5, 0.04)
-    want = math.log(5) + 25 * math.log(40.0 * 5 / 0.2)
+    want = math.log(5) + 25 * math.log(40.0 * 5 / 0.2 + 1.0)
     assert card.bound_log == pytest.approx(want, rel=1e-15)
     data = card.to_json()
     assert list(data.items()) == [
