@@ -259,15 +259,12 @@ def _compact(ratios: np.ndarray, skipped: list[int]) -> np.ndarray:
 
 def pair_from_flat(N: int, flat: int) -> tuple[int, int]:
     """Invert the lexicographic pair enumeration used by pairwise mode."""
-    if not 0 <= flat < N * (N - 1) // 2:
+    total = N * (N - 1) // 2
+    if not 0 <= flat < total:
         raise ValueError(f"flat index {flat} out of range for N={N}")
-    i = 0
-    block = N - 1
-    while flat >= block:
-        flat -= block
-        i += 1
-        block -= 1
-    return i, i + 1 + flat
+    # counted from the last pair, rows N - 2, N - 3, ... hold 1, 2, ... pairs
+    i = N - 2 - (math.isqrt(8 * (total - flat - 1) + 1) - 1) // 2
+    return i, flat - (i * (2 * N - i - 1) // 2 - i - 1)
 
 
 def spectral_certificate(A: LinearMap) -> SpectralCertificate:

@@ -13,9 +13,12 @@ net       quantization grid report, or quantize a map onto the grid
 Exit codes: 0 success, 1 usage or file-format error (a flag the run would
 ignore included), 2 failed audit, 3 numerical failure (a NaN or infinity
 bound for a JSON or CSV output included).  Every run is controlled by an
-explicit --seed; report files embed the full configuration, and
-re-running a command with identical arguments reproduces each output
-byte for byte (timings are opt-in via --timings for that reason).
+explicit --seed.  Each output records the run's config by one rule: every
+parsed flag, with the values the run resolved from them (a default k,
+the map's shape, parsed grids) in their place, so a flag is recorded
+from the moment it exists.  Re-running a command with identical
+arguments reproduces each output byte for byte (timings are opt-in via
+--timings for that reason).
 """
 
 from __future__ import annotations
@@ -156,6 +159,12 @@ def _set_and_dim(args: argparse.Namespace) -> tuple[PointSet | None, int]:
     return None, args.n
 
 
+def _config(args: argparse.Namespace, **resolved) -> dict:
+    # the run record: every parsed flag, with the values the run resolved
+    # from them in their place
+    return {k: v for k, v in vars(args).items() if k != "func"} | resolved
+
+
 def _refuse_count_flags(args: argparse.Namespace, context: str) -> None:
     # --k and --gamma size a generated hard or gaussian set and nothing else
     for flag, value in (("--k", args.k), ("--gamma", args.gamma)):
@@ -163,8 +172,15 @@ def _refuse_count_flags(args: argparse.Namespace, context: str) -> None:
             raise _UsageError(f"{flag} does not apply {context}")
 
 
-def _default_k(n: int, gamma: float | None) -> int:
-    gamma = 0.0 if gamma is None else gamma
+def _resolve_k(args: argparse.Namespace, n: int) -> int:
+    # the size of a generated set: --k, or n^(2+gamma) without it
+    if args.k is not None:
+        if args.gamma is not None:
+            raise _UsageError("--gamma does not apply with --k")
+        if args.k < 0:
+            raise _UsageError(f"--k must be nonnegative, got {args.k}")
+        return args.k
+    gamma = 0.0 if args.gamma is None else args.gamma
     if not math.isfinite(gamma):
         raise _UsageError(f"--gamma must be finite, got {gamma}")
     # compared in logarithms, so n^(2+gamma) is formed only when it is small
@@ -196,11 +212,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise _UsageError(f"--n must be at least 1, got {args.n}")
     if args.kind in ("basis", "simplex"):
         _refuse_count_flags(args, f"to kind {args.kind!r}")
-    k = None
-    if args.kind in ("hard", "gaussian"):
-        k = args.k if args.k is not None else _default_k(args.n, args.gamma)
-        if k < 0:
-            raise _UsageError(f"--k must be nonnegative, got {k}")
+    k = _resolve_k(args, args.n) if args.kind in ("hard", "gaussian") else None
     if args.kind == "hard":
         ps = hard_instance(args.n, k, seed)
     elif args.kind == "gaussian":
@@ -210,16 +222,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         ps = simplex(args.n)
     write_pointset(args.out, ps, binary=args.binary)
-    config = {
-        "command": "gen",
-        "kind": args.kind,
-        "n": args.n,
-        "k": k,
-        "seed": args.seed,
-        "binary": args.binary,
-        "out": args.out,
-    }
-    _status({"config": config, "n_points": len(ps)})
+    _status({"config": _config(args, k=k), "n_points": len(ps)})
     return 0
 
 
@@ -246,16 +249,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         opts = OptimizerOptions(max_iters=args.max_iters, seed=seed)
         A, info = optimize_map(X, args.m, opts, return_info=True)
     write_map(args.out, A)
-    config = {
-        "command": "embed",
-        "method": method,
-        "set": args.set,
-        "m": A.m,
-        "n": A.n,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    status = {"config": config}
+    status = {"config": _config(args, m=A.m, n=A.n)}
     if info is not None:
         status |= {k: v for k, v in _json_fields(info).items() if k != "objective_history"}
     _status(status)
@@ -265,15 +259,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     A = read_map(args.map)
     cert = spectral_certificate(A)
-    config = {
-        "command": "certify",
-        "map": args.map,
-        "set": args.set,
-        "mode": args.mode,
-        "out": args.out,
-    }
     payload = {
-        "config": config,
+        "config": _config(args),
         "m": A.m,
         "n": A.n,
         "certificate": cert.to_json(),
@@ -290,14 +277,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     A = read_map(args.map)
     X = read_pointset(args.set)
     report = audit_embedding(A, X, args.eps)
-    config = {
-        "command": "audit",
-        "map": args.map,
-        "set": args.set,
-        "eps": args.eps,
-        "out": args.out,
-    }
-    payload = {"config": config, "audit": report.to_json(), "ok": report.ok}
+    payload = {"config": _config(args), "audit": report.to_json(), "ok": report.ok}
     _emit_json(payload, args.out)
     return 0 if report.ok else 2
 
@@ -311,48 +291,26 @@ def cmd_tails(args: argparse.Namespace) -> int:
         raise _UsageError(f"--m must be at least 1, got {m}")
     t_grid = _parse_grid(args.t_grid, float, "--t-grid")
     delta_grid = _parse_grid(args.delta_grid, float, "--delta-grid")
-    config = {
-        "command": "tails",
-        "n": args.n,
-        "m": m,
-        "t_grid": t_grid,
-        "delta_grid": delta_grid,
-        "c": args.c,
-        "c1": args.c1,
-        "c2": args.c2,
-        "trials": args.trials,
-        "seed": args.seed,
-        "out": args.out,
-    }
+    config = _config(args, m=m, t_grid=t_grid, delta_grid=delta_grid)
     header = ["op", "n", "m", "t_or_delta", "c", "threshold", "trials", "hits", "p_hat", "stderr", "oracle"]
     rows: list[list] = []
     if t_grid or delta_grid:
-        # the map is m x n and its spectral certificate forms the n x n Gram matrix
-        if max(m, args.n) * args.n > MAX_TOTAL_COORDS:
-            raise SizeError(
-                f"tails at n={args.n}, m={m} needs a {m}x{args.n} map and a "
-                f"{args.n}x{args.n} Gram matrix, over the {MAX_TOTAL_COORDS} coordinate limit"
-            )
+        # gaussian_map and spectral_certificate refuse an m x n map or an
+        # n x n Gram matrix over the coordinate limit before anything is drawn
         A = gaussian_map(m, args.n, seed.child(0))
         cert = spectral_certificate(A)
         norm = _norm_tail_grid(args.n, t_grid, args.c, args.trials, seed.child(1))
-        for t, est in zip(t_grid, norm):
-            rows.append(
-                ["norm", args.n, None, t, args.c, est.threshold, est.trials, est.hits, est.p_hat,
-                 est.stderr, norm_tail_oracle(args.n, t, args.c)]
-            )
         chaos = _chaos_tail_grid(A, t_grid, args.c, args.trials, seed.child(2), cert)
-        for t, est in zip(t_grid, chaos):
-            rows.append(
-                ["chaos", args.n, m, t, args.c, est.threshold, est.trials, est.hits, est.p_hat,
-                 est.stderr, None]
-            )
         joint = _joint_event_grid(A, delta_grid, args.c1, args.c2, args.trials, seed.child(3), cert)
-        for d, est in zip(delta_grid, joint):
-            rows.append(
-                ["joint", args.n, m, d, args.c1, est.threshold, est.trials, est.hits, est.p_hat,
-                 est.stderr, None]
-            )
+        for op, rows_m, grid, c, estimates in (
+            ("norm", None, t_grid, args.c, norm),
+            ("chaos", m, t_grid, args.c, chaos),
+            ("joint", m, delta_grid, args.c1, joint),
+        ):
+            for x, est in zip(grid, estimates):
+                oracle = norm_tail_oracle(args.n, x, c) if op == "norm" else None
+                rows.append([op, args.n, rows_m, x, c, est.threshold, est.trials, est.hits, est.p_hat,
+                             est.stderr, oracle])
     _write_csv(args.out, config, header, rows)
     _status({"config": config, "rows": len(rows)})
     return 0
@@ -367,7 +325,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     X, n = _set_and_dim(args)
     k = None
     if X is None:
-        k = args.k if args.k is not None else _default_k(n, args.gamma)
+        k = _resolve_k(args, n)
         X = hard_instance(n, k, seed.child(0))
     m_grid = (
         sorted(set(_parse_grid(args.m_grid, int, "--m-grid")))
@@ -377,19 +335,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     for m in m_grid:
         if not 1 <= m <= n:
             raise _UsageError(f"--m-grid values must lie in [1, {n}], got {m}")
-    config = {
-        "command": "frontier",
-        "set": args.set,
-        "n": n,
-        "k": k,
-        "eps": args.eps,
-        "m_grid": m_grid,
-        "maps_per_m": args.maps_per_m,
-        "max_iters": args.max_iters,
-        "seed": args.seed,
-        "timings": args.timings,
-        "out": args.out,
-    }
+    config = _config(args, n=n, k=k, m_grid=m_grid)
     header = ["m", "eps_random_best", "eps_opt", "rank_lb_of_best"]
     if args.timings:
         header.append("seconds")
@@ -451,17 +397,9 @@ def cmd_net(args: argparse.Namespace) -> int:
             raise _UsageError("provide --n (or --quantize with a map)")
         n = args.n
     alpha = args.alpha if args.alpha is not None else covering_radius_for(n, args.exponent)
-    config = {
-        "command": "net",
-        "n": n,
-        "alpha": alpha,
-        "exponent": args.exponent,
-        "quantize": args.quantize,
-        "out": args.out,
-    }
     if args.quantize and not args.out:
         raise _UsageError("--out is required with --quantize")
-    report = {"config": config, "params": net_params(n, alpha).to_json()}
+    report = {"config": _config(args, n=n, alpha=alpha), "params": net_params(n, alpha).to_json()}
     if not args.quantize:
         _emit_json(report | {"cardinality": log_cardinality(n, alpha).to_json()}, args.out)
         return 0

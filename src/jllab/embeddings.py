@@ -5,6 +5,8 @@ A `LinearMap` wraps an ``(m, n)`` float64 matrix acting on row vectors of a
 gaussian baseline with entry variance ``1/m`` (so squared norms are
 preserved in expectation), an uncentered PCA projection, and a local
 optimizer that descends a smoothed version of the worst-case distortion.
+Each constructor refuses a map (or, in `pca_map`, an n x n factor) over
+`MAX_TOTAL_COORDS` entries with `SizeError` before allocating it.
 
 Maps serialize to a text format with header ``jlmap v1 m=<m> n=<n>`` and
 one comma-separated row per output coordinate, 17 significant digits.
@@ -23,7 +25,7 @@ from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
-from .pointset import PointSet, _format_rows, _read_rows
+from .pointset import MAX_TOTAL_COORDS, PointSet, SizeError, _format_rows, _read_rows
 from .seeds import Seed, as_seed
 
 _T = TypeVar("_T")
@@ -59,9 +61,15 @@ class LinearMap:
         return points @ self.entries.T
 
 
+def _check_map_size(m: int, n: int) -> None:
+    if m * n > MAX_TOTAL_COORDS:
+        raise SizeError(f"a {m}x{n} map has {m * n} entries, over the {MAX_TOTAL_COORDS} coordinate limit")
+
+
 def identity_map(n: int) -> LinearMap:
     if n < 1:
         raise ValueError(f"dimension must be at least 1, got {n}")
+    _check_map_size(n, n)
     return LinearMap(np.eye(n))
 
 
@@ -73,6 +81,7 @@ def gaussian_map(m: int, n: int, seed: int | Seed) -> LinearMap:
     """
     if m < 1 or n < 1:
         raise ValueError(f"map shape must be positive, got ({m}, {n})")
+    _check_map_size(m, n)
     gen = as_seed(seed).child(0).generator()
     return LinearMap(gen.standard_normal((m, n)) / math.sqrt(m))
 
@@ -89,10 +98,14 @@ def pca_map(X: PointSet, m: int) -> LinearMap:
     P = X.points
     if len(X) == 0 or not P.any():
         warnings.warn("degenerate point set (all zero); using leading coordinate directions")
-        return LinearMap(np.eye(X.dim)[:m])
+        _check_map_size(m, X.dim)
+        return LinearMap(np.eye(m, X.dim))
     # the thin SVD has min(N, n) right singular rows; only a set with
     # fewer than m points needs the full n x n factor
-    _, _, vt = np.linalg.svd(P, full_matrices=len(X) < m)
+    full = len(X) < m
+    if full:
+        _check_map_size(X.dim, X.dim)
+    _, _, vt = np.linalg.svd(P, full_matrices=full)
     return LinearMap(vt[:m])
 
 
@@ -227,6 +240,7 @@ def optimize_map(
         raise ValueError("cannot optimize over an empty point set")
     if not 1 <= m <= X.dim:
         raise ValueError(f"need 1 <= m <= {X.dim}, got m={m}")
+    _check_map_size(m, X.dim)
     P = X.points
     sqn = _rowsq(P)
     zero = np.where(sqn == 0.0)[0]

@@ -102,6 +102,22 @@ def test_distortion_pairwise_duplicate_points_skipped():
     assert pair_from_flat(3, 2) == (1, 2)
 
 
+def test_pair_from_flat_inverts_the_pair_order():
+    # every flat index of np.triu_indices order at small N
+    for N in range(2, 120):
+        i, j = np.triu_indices(N, 1)
+        assert [pair_from_flat(N, f) for f in range(len(i))] == list(zip(i.tolist(), j.tolist()))
+    # exact round trips where a float square root would round wrong
+    for N in (14142, 10**7, 10**9, 10**12):
+        total = N * (N - 1) // 2
+        for flat in (0, 1, N - 2, N - 1, total // 3, total // 2, total - 3, total - 2, total - 1):
+            i, j = pair_from_flat(N, flat)
+            assert 0 <= i < j < N
+            assert i * (2 * N - i - 1) // 2 + j - i - 1 == flat
+    with pytest.raises(ValueError):
+        pair_from_flat(3, 3)
+
+
 def _pairwise_oracle(A, P):
     # all pairs at once, in lexicographic (i, j) order, with the same
     # subtraction and row sums as the streamed pass

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from jllab.concentration import (
     norm_tail_estimate,
     norm_tail_oracle,
 )
-from jllab.embeddings import LinearMap, read_map, write_map, gaussian_map
-from jllab.pointset import PointSet, read_pointset, write_pointset
+from jllab.embeddings import LinearMap, read_map, write_map, gaussian_map, identity_map, pca_map
+from jllab.pointset import PointSet, SizeError, read_pointset, write_pointset
 from jllab.seeds import Seed
 
 
@@ -109,6 +110,7 @@ def test_malformed_pointset_exits_one(tmp_path, capsys):
     [
         ("basis", ["--gamma", "7"], "--gamma does not apply to kind 'basis'"),
         ("simplex", ["--k", "5"], "--k does not apply to kind 'simplex'"),
+        ("hard", ["--k", "2", "--gamma", "9"], "--gamma does not apply with --k"),
     ],
 )
 def test_gen_refuses_count_flags_for_fixed_sets(tmp_path, capsys, kind, extra, message):
@@ -444,17 +446,18 @@ def test_frontier_csv(tmp_path, capsys):
 @pytest.mark.parametrize(
     "extra, message",
     [
-        (["--k", "7"], "--k does not apply with --set"),
-        (["--n", "99"], "--n 99 disagrees with the set dimension 4"),
-        (["--maps-per-m", "-3"], "--maps-per-m must be nonnegative, got -3"),
-        (["--gamma", "5"], "--gamma does not apply with --set"),
+        (["--set", "{set}", "--k", "7"], "--k does not apply with --set"),
+        (["--set", "{set}", "--n", "99"], "--n 99 disagrees with the set dimension 4"),
+        (["--set", "{set}", "--maps-per-m", "-3"], "--maps-per-m must be nonnegative, got -3"),
+        (["--set", "{set}", "--gamma", "5"], "--gamma does not apply with --set"),
+        (["--n", "3", "--k", "2", "--gamma", "9", "--max-iters", "5"], "--gamma does not apply with --k"),
     ],
 )
 def test_frontier_refuses_ignored_or_invalid_flags(tmp_path, capsys, extra, message):
     ps = tmp_path / "set.jlps"
     out_csv = tmp_path / "front.csv"
     run(["gen", "--kind", "hard", "--n", "4", "--k", "3", "--out", str(ps)], capsys)
-    code, _, err = run(["frontier", "--set", str(ps), "--out", str(out_csv)] + extra, capsys)
+    code, _, err = run(["frontier", "--out", str(out_csv)] + [a.format(set=ps) for a in extra], capsys)
     assert code == 1
     assert message in err
     assert not out_csv.exists()
@@ -503,6 +506,74 @@ def test_nonfinite_output_exits_three(tmp_path, capsys, argv):
     assert "numerical failure: non-finite value" in err
     assert out == ""
     assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob("*.csv"))
+
+
+CONFIG_RULE_ARGVS = [
+    ["gen", "--kind", "hard", "--n", "3", "--k", "2", "--out", "{dir}/g.jlps"],
+    ["embed", "--method", "optimize", "--set", "{set}", "--m", "2", "--max-iters", "30",
+     "--out", "{dir}/a.jlmap"],
+    ["certify", "--map", "{map}", "--set", "{set}", "--out", "{dir}/cert.json"],
+    ["audit", "--map", "{map}", "--set", "{set}", "--eps", "0.5", "--out", "{dir}/audit.json"],
+    ["tails", "--n", "4", "--t-grid", "1", "--trials", "1000", "--out", "{dir}/tails.csv"],
+    ["frontier", "--set", "{set}", "--maps-per-m", "1", "--max-iters", "5", "--out", "{dir}/front.csv"],
+    ["net", "--n", "3", "--alpha", "0.25", "--out", "{dir}/net.json"],
+]
+
+
+# the flags each subcommand records as the values its run resolved
+RESOLVED = {"gen": {"k"}, "embed": {"m", "n"}, "tails": {"m", "t_grid", "delta_grid"},
+            "frontier": {"n", "k", "m_grid"}, "net": {"n", "alpha"}}
+
+
+@pytest.mark.parametrize("argv", CONFIG_RULE_ARGVS, ids=[a[0] for a in CONFIG_RULE_ARGVS])
+def test_config_records_every_flag(tmp_path, capsys, argv):
+    # each output's config has one key per parsed flag, and no other, in the
+    # status line, the CSV "# config" line and the JSON report alike; a flag
+    # the run did not resolve is recorded as given (embed's --max-iters 30)
+    ps, mp = tmp_path / "set.jlps", tmp_path / "in.jlmap"
+    run(["gen", "--kind", "basis", "--n", "4", "--out", str(ps)], capsys)
+    write_map(mp, gaussian_map(2, 4, 1))
+    argv = [a.format(set=ps, map=mp, dir=tmp_path) for a in argv]
+    code, out, _ = run(argv, capsys)
+    assert code in (0, 2)
+    status = json.loads(out)
+    configs = [json.loads(Path(status["written"]).read_text())["config"]] if "written" in status else []
+    configs += [status["config"]] if "config" in status else []
+    configs += [json.loads(f.read_text().splitlines()[0][len("# config "):]) for f in tmp_path.glob("*.csv")]
+    flags = vars(jllab.cli.build_parser().parse_args(argv))
+    del flags["func"]
+    given = {k: v for k, v in flags.items() if k not in RESOLVED.get(argv[0], ())}
+    assert configs
+    for config in configs:
+        assert set(config) == set(flags)
+        assert {k: config[k] for k in given} == given
+    assert all(config == configs[0] for config in configs)
+
+
+def test_embed_over_size_limit_exits_one(tmp_path, capsys):
+    # an identity of 3163 columns or a 4000 x 4000 gaussian map is over the
+    # coordinate limit; the constructors refuse it before allocating
+    out = tmp_path / "a.jlmap"
+    for argv in (["--method", "identity", "--n", "3163"], ["--method", "gaussian", "--n", "4000", "--m", "4000"]):
+        tracemalloc.start()
+        try:
+            code, stdout, err = run(["embed", *argv, "--out", str(out)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "over the 10000000 coordinate limit" in err
+        assert stdout == ""
+        assert not out.exists()
+        assert peak < 16 << 20
+    with pytest.raises(SizeError):
+        identity_map(3163)
+    # fewer points than m needs the full 3163 x 3163 SVD factor, and an
+    # all-zero set falls back to an m x n block of the identity
+    with pytest.raises(SizeError):
+        pca_map(PointSet(3163, np.ones((3, 3163)), ("gaussian",) * 3), 4)
+    with pytest.warns(UserWarning, match="degenerate"), pytest.raises(SizeError):
+        pca_map(PointSet(5000, np.zeros((1, 5000)), ("gaussian",)), 2001)
 
 
 def test_frontier_timings_column_opt_in(tmp_path, capsys):
