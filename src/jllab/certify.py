@@ -37,12 +37,20 @@ _RANK_SLACK = 1e-9
 
 _JSON_RATIO_CAP = 100_000
 
-# pair budget of pairwise distortion: the returned ratios alone take
-# 8 bytes per pair, so 10**8 pairs is 800 MB; N = 14142 points fit under it
+# pair budget of pairwise distortion, N = 14142 points.  The library route's
+# ratios take 8 bytes per pair, 800 MB at the limit; the CLI's max-only
+# route stores none, and its budget is time: at the limit it took 1-2 s on
+# 2 cores, and about 10 s when every pair ties and it makes a full pass
 MAX_PAIRS = 10**8
 # points per tile of a pairwise row; smaller tiles lose the pool's gain
 # to the interpreter lock, larger ones grow each worker's scratch
 _PAIR_TILE = 1024
+# points per side of a Gram tile of the max-only pairwise screen
+_SCREEN_TILE = 192
+# squared norms the screen's relative error bound covers (see `distortion`)
+_SCREEN_RANGE = (2.0**-960, 2.0**959)
+_U = 2.0**-53  # unit roundoff of float64
+_SLACK = 8 * _U  # relative room for the rounding of the deviation bounds
 
 
 class AuditError(ValueError):
@@ -70,17 +78,23 @@ class DistortionReport:
     skipped: tuple[int, ...] = ()
 
     def to_json(self) -> dict:
-        ratios = None
-        if self.ratios.size <= _JSON_RATIO_CAP:
-            ratios = [float(v) for v in self.ratios]
-        return {
-            "mode": self.mode,
-            "eps_max": self.eps_max,
-            "violating_index": self.violating_index,
-            "n_ratios": int(self.ratios.size),
-            "ratios": ratios,
-            "skipped": list(self.skipped),
-        }
+        return _report_json(
+            self.mode, self.eps_max, self.violating_index, self.ratios.size, self.skipped, self.ratios
+        )
+
+
+def _report_json(mode, eps_max, violating, n_ratios, skipped, ratios=None) -> dict:
+    # the JSON of a distortion report, for `DistortionReport.to_json` and the
+    # max-only pairwise route alike: the ratios while there are at most
+    # _JSON_RATIO_CAP of them, else null
+    return {
+        "mode": mode,
+        "eps_max": eps_max,
+        "violating_index": violating,
+        "n_ratios": int(n_ratios),
+        "ratios": [float(v) for v in ratios] if n_ratios <= _JSON_RATIO_CAP else None,
+        "skipped": list(skipped),
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +140,15 @@ class AuditReport:
     to_json = _json_fields
 
 
-def _normalize_mode(mode: str) -> str:
+def _checked_mode(A: LinearMap, X: PointSet, mode: str) -> str:
+    # the canonical mode name, once A and X are known to fit together
     if mode in (MODE_NORM, "norm"):
-        return MODE_NORM
-    if mode == MODE_PAIRWISE:
-        return MODE_PAIRWISE
-    raise ValueError(f"mode must be '{MODE_NORM}' or '{MODE_PAIRWISE}', got {mode!r}")
+        mode = MODE_NORM
+    elif mode != MODE_PAIRWISE:
+        raise ValueError(f"mode must be '{MODE_NORM}' or '{MODE_PAIRWISE}', got {mode!r}")
+    if A.n != X.dim:
+        raise ValueError(f"map has {A.n} columns but the set has dimension {X.dim}")
+    return mode
 
 
 def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionReport:
@@ -148,17 +165,58 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     of 1024 points.  A tile costs one subtraction of the stacked rows
     [x | Ax] into the worker's scratch, two row sums and one division
     written straight into the ratios at the pairs' flat indices.  Each
-    row keeps its worst pair; the main thread merges the rows in row
-    order by the rule of one argmax over every kept pair (the first NaN,
-    else the first maximum), then squeezes the skipped pairs' slots out
-    of the ratios in place.  The report is bitwise the same for any
-    worker count.  Memory is the returned ratios (8 bytes per pair), the
-    N (n + m) stacked rows and O(workers * 1024 * (n + m)) scratch.  Norm
-    mode stays serial.
+    worker keeps its worst pair, and the workers' pairs merge by the same
+    rule: the first NaN, else the largest |ratio - 1|, the lowest flat
+    index on ties.  The skipped pairs' slots are then squeezed out of the
+    ratios in place.  The report is bitwise the same for any worker count.
+    Memory is the returned ratios (8 bytes per pair), the N (n + m)
+    stacked rows and O(workers * 1024 * (n + m)) scratch.  Norm mode stays
+    serial.
+
+    The CLI's pairwise ``certify``, when the JSON would drop the ratios
+    (more than 100,000 pairs), takes a private max-only route instead.  It
+    stores no ratio and reports the same ``eps_max``, ``violating_index``,
+    ``n_ratios`` and ``skipped`` bit for bit.  Stage 1 screens the pairs of
+    each pair of 192-point tiles by GEMMs; BLAS may thread them.  On one
+    side with k coordinates (k = n for x, k = m for Ax), with
+    D = ‖x - y‖², S = ‖x‖² + ‖y‖² and E = c S, c = 12 (k + 4) u,
+    u = 2^-53:
+
+    - the rows [x, (1 + c)‖x‖², 1 + c] and [-2y, 1, ‖y‖²] give hi ≈ D + E,
+      and [-2c ‖x‖², -2c] and [1, ‖y‖²] give -2E, so lo = hi - 2E;
+    - Higham's bound |fl(Σ) - Σ| ≤ γ_j Σ|terms|, γ_j = ju / (1 - ju), holds
+      for any summation order, FMA included (Accuracy and Stability of
+      Numerical Algorithms, §3.1).  It puts hi and lo within (3k + 7) u S
+      of D ± E, and the exact kernel's D^ (one subtraction per coordinate,
+      then the row sum) within γ_(k+3) D ≤ (2k + 6) u S of D, to first order
+      in ku (ku < 2e-9 under MAX_TOTAL_COORDS);
+    - so lo ≤ D^ ≤ hi, with (7k + 35) u S to spare, which covers the
+      rounding of the divisions q_lo = fl(a_lo / b_hi) and
+      q_hi = fl(a_hi / max(b_lo, 0)) (a on Ax, b on x).  These bracket the
+      kernel's quotient r = fl(a^ / b^), and its deviation
+      fl(|fl(r - 1)|) lies in
+
+          [(1 - 8u) max(q_lo - 1, 1 - q_hi), (1 + 8u) max(q_hi - 1, 1 - q_lo)],
+
+      the 8u covering the rounding of the bounds' own subtractions.
+
+    A pair is kept when its upper bound reaches the largest lower bound or
+    exact deviation seen so far, or when it cannot be bounded: b_lo ≤ 0
+    (its distance may be 0, and q_hi is then infinite), or squared norms
+    that may put S outside the guarded range [2^-960, 2^960] (both under
+    2^-960, or one over 2^959 or not finite).  Above that range the
+    kernel's differences may overflow while both norms are finite; below
+    it, products underflow and carry only absolute error.  Stage 2
+    recomputes the kept pairs of each tile, row by row in flat-index
+    order, with the exact kernel above, and picks the worst pair by the
+    same rule, so BLAS rounding and the thread count never reach the
+    report.  Memory is the stacked rows, their GEMM copies (N (n + m + 4)
+    values) and 4 * 192² scratch values.  Once the kept pairs outnumber
+    both 192² and one in eight of the pairs screened (ties, as under the
+    identity map, where every pair is kept), the route runs the pooled
+    pass above instead, with its ratios in per-worker scratch.
     """
-    mode = _normalize_mode(mode)
-    if A.n != X.dim:
-        raise ValueError(f"map has {A.n} columns but the set has dimension {X.dim}")
+    mode = _checked_mode(A, X, mode)
     if mode == MODE_PAIRWISE:
         return _pairwise_distortion(A, X.points)
     before, after = _rowsq(X.points), _rowsq(A.apply(X.points))
@@ -178,65 +236,128 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     )
 
 
-def _pairwise_distortion(A: LinearMap, P: np.ndarray) -> DistortionReport:
+def _distortion_json(A: LinearMap, X: PointSet, mode: str) -> dict:
+    # distortion(A, X, mode).to_json(), by the max-only pairwise route when
+    # the JSON drops the ratios; a set whose skipped pairs bring n_ratios
+    # back under the cap is measured again by the full pass for its ratios
+    N = len(X)
+    if _checked_mode(A, X, mode) == MODE_PAIRWISE and N * (N - 1) // 2 > _JSON_RATIO_CAP:
+        eps_max, violating, skipped = _pairwise_worst(A, X.points)
+        n_ratios = N * (N - 1) // 2 - len(skipped)
+        if n_ratios > _JSON_RATIO_CAP:
+            return _report_json(MODE_PAIRWISE, eps_max, violating, n_ratios, skipped)
+    return distortion(A, X, mode).to_json()
+
+
+def _stacked(A: LinearMap, P: np.ndarray) -> np.ndarray:
+    # Z = [P | P Aᵀ], so one subtraction serves both sides of a pair; a set
+    # over MAX_PAIRS is refused before anything is allocated
     N, n = P.shape
     total = N * (N - 1) // 2
     if total > MAX_PAIRS:
         raise SizeError(
             f"pairwise distortion of {N} points has {total} pairs, over the {MAX_PAIRS} pair limit"
         )
-    Z = np.empty((N, n + A.m))  # [P | P Aᵀ], so one subtraction serves both sides
+    Z = np.empty((N, n + A.m))
     Z[:, :n] = P
     np.matmul(P, A.entries.T, out=Z[:, n:])
-    ratios = np.empty(total)
-    rows = max(N - 1, 0)
-    row_dev = np.full(rows, -np.inf)  # per row: worst |ratio - 1| and its flat index
-    row_flat = np.full(rows, -1, dtype=np.int64)
+    return Z
+
+
+def _row_base(N: int, i: int) -> int:
+    # the flat index of pair (i, j) is _row_base(N, i) + j
+    return i * (2 * N - i - 1) // 2 - i - 1
+
+
+class _PairScan:
+    # one worker's exact pass over pairs (i, j), i < j, of Z = [P | P Aᵀ]:
+    # the one ratio kernel of both pairwise routes, the worst pair seen so
+    # far and the flat indices of the zero-distance pairs
+
+    def __init__(self, Z: np.ndarray, n: int, tile: int) -> None:
+        self.Z, self.n = Z, n
+        self.buf = np.empty((tile, Z.shape[1]))
+        self.before, self.after, self.dev, self.ratios = np.empty((4, tile))
+        self.worst, self.worst_flat = -np.inf, -1
+        self.skipped: list[int] = []
+
+    def pairs(self, i: int, js: range | np.ndarray, out: np.ndarray | None = None) -> None:
+        # the pairs (i, j) for the ascending columns js, a range or an index
+        # array; their ratios go to ``out``, else to scratch
+        Z, n, base = self.Z, self.n, _row_base(len(self.Z), i)
+        t = len(js)
+        d = self.buf[:t]
+        if isinstance(js, range):
+            np.subtract(Z[js.start : js.stop], Z[i], out=d)
+        else:
+            np.subtract(np.take(Z, js, axis=0, out=d), Z[i], out=d)
+        b = np.einsum("ij,ij->i", d[:, :n], d[:, :n], out=self.before[:t])
+        a = np.einsum("ij,ij->i", d[:, n:], d[:, n:], out=self.after[:t])
+        r = self.ratios[:t] if out is None else out
+        dv = self.dev[:t]
+        if b.min() > 0.0:
+            np.divide(a, b, out=r)
+            np.abs(np.subtract(r, 1.0, out=dv), out=dv)
+        else:
+            # zero-distance pairs carry no constraint: their ratio slots are
+            # left unwritten
+            keep = b > 0.0
+            np.divide(a, b, out=r, where=keep)
+            np.abs(np.subtract(r, 1.0, out=dv, where=keep), out=dv, where=keep)
+            dv[~keep] = -np.inf
+            self.skipped.extend(base + int(js[k]) for k in np.flatnonzero(~keep))
+        k = int(np.argmax(dv))  # the first NaN, else the first maximum
+        if dv[k] != -np.inf:
+            self.offer(float(dv[k]), base + int(js[k]))
+
+    def offer(self, dev: float, flat: int) -> None:
+        # the rule of one argmax over every pair in flat order, whatever
+        # order the pairs come in: a NaN beats any number, a larger deviation
+        # a smaller one, and on ties the lower flat index wins
+        if self.worst_flat >= 0:
+            if (dev != dev) != (self.worst != self.worst):
+                if dev == dev:
+                    return
+            elif not (dev > self.worst or (not dev < self.worst and flat < self.worst_flat)):
+                return
+        self.worst, self.worst_flat = dev, flat
+
+
+def _merge(scans: list[_PairScan]) -> tuple[float, int | None, list[int]]:
+    # eps_max, violating_index and the sorted skipped pairs of the workers' scans
+    first = scans[0]
+    for scan in scans[1:]:
+        if scan.worst_flat >= 0:
+            first.offer(scan.worst, scan.worst_flat)
+    skipped = sorted(f for scan in scans for f in scan.skipped)
+    if first.worst_flat < 0:
+        return 0.0, None, skipped
+    return float(first.worst), first.worst_flat, skipped
+
+
+def _scan_all(Z: np.ndarray, n: int, ratios: np.ndarray | None = None) -> list[_PairScan]:
+    # the exact kernel over every pair, on the pool; each ratio goes to its
+    # flat index in ``ratios`` when that is given
+    N = len(Z)
     tile = min(_PAIR_TILE, N)
 
-    def run(first: int, stride: int) -> list[int]:
-        # rows first, first + stride, ...; returns their skipped flat indices
-        # this worker's scratch: a tile of differences and three row vectors
-        buf, (before, after, dev) = np.empty((tile, Z.shape[1])), np.empty((3, tile))
-        skipped: list[int] = []
-        for i in range(first, rows, stride):
-            base = i * (2 * N - i - 1) // 2 - i - 1  # flat index of (i, j) is base + j
-            best, best_flat = -np.inf, -1
+    def run(first: int, stride: int) -> _PairScan:
+        scan = _PairScan(Z, n, tile)
+        for i in range(first, N - 1, stride):
+            base = _row_base(N, i)
             for j0 in range(i + 1, N, tile):
                 j1 = min(j0 + tile, N)
-                t, f0 = j1 - j0, base + j0
-                d = buf[:t]
-                np.subtract(Z[j0:j1], Z[i], out=d)
-                b = np.einsum("ij,ij->i", d[:, :n], d[:, :n], out=before[:t])
-                a = np.einsum("ij,ij->i", d[:, n:], d[:, n:], out=after[:t])
-                r = ratios[f0 : f0 + t]
-                dv = dev[:t]
-                if b.min() > 0.0:
-                    np.divide(a, b, out=r)
-                    np.abs(np.subtract(r, 1.0, out=dv), out=dv)
-                else:
-                    # zero-distance pairs carry no constraint: their slots
-                    # are left unwritten and squeezed out at the end
-                    keep = b > 0.0
-                    np.divide(a, b, out=r, where=keep)
-                    np.abs(np.subtract(r, 1.0, out=dv, where=keep), out=dv, where=keep)
-                    dv[~keep] = -np.inf
-                    skipped.extend(f0 + int(k) for k in np.flatnonzero(~keep))
-                k = int(np.argmax(dv))
-                if dv[k] == -np.inf:
-                    continue  # every pair of the tile was skipped
-                # as one argmax over the row: the first NaN, else the first maximum
-                if best_flat < 0 or (best == best and not dv[k] <= best):
-                    best, best_flat = float(dv[k]), f0 + k
-            row_dev[i], row_flat[i] = best, best_flat
-        return skipped
+                scan.pairs(i, range(j0, j1), None if ratios is None else ratios[base + j0 : base + j1])
+        return scan
 
-    skipped = sorted(f for part in _run_strided(rows, run) for f in part)
-    eps_max, violating = 0.0, None
-    if rows:
-        k = int(np.argmax(row_dev))  # rows with no kept pair hold -inf and -1
-        if row_flat[k] >= 0:
-            eps_max, violating = float(row_dev[k]), int(row_flat[k])
+    return _run_strided(max(N - 1, 0), run)
+
+
+def _pairwise_distortion(A: LinearMap, P: np.ndarray) -> DistortionReport:
+    N, n = P.shape
+    Z = _stacked(A, P)
+    ratios = np.empty(N * (N - 1) // 2)
+    eps_max, violating, skipped = _merge(_scan_all(Z, n, ratios))
     return DistortionReport(
         mode=MODE_PAIRWISE,
         ratios=_compact(ratios, skipped),
@@ -244,6 +365,91 @@ def _pairwise_distortion(A: LinearMap, P: np.ndarray) -> DistortionReport:
         violating_index=violating,
         skipped=tuple(skipped),
     )
+
+
+def _pairwise_worst(A: LinearMap, P: np.ndarray) -> tuple[float, int | None, list[int]]:
+    # the max-only route of `distortion`'s docstring: eps_max,
+    # violating_index and the skipped pairs, with no ratio stored
+    N, n = P.shape
+    Z = _stacked(A, P)
+    T = _SCREEN_TILE
+    upper = np.triu(np.ones((T, T), dtype=bool), 1)  # j > i in a diagonal block
+    sides = []
+    for M in (Z[:, :n], Z[:, n:]):
+        sq = _rowsq(M)
+        # the rows [-2y, 1, ‖y‖²] of the screen's GEMMs (see `distortion`)
+        right = np.empty((N, M.shape[1] + 2))
+        np.multiply(M, -2.0, out=right[:, :-2])
+        right[:, -2], right[:, -1] = 1.0, sq
+        # a pair is guarded when both squared norms are under the range, or
+        # one is over it or not finite; per tile, whether any point is
+        small, big = sq < _SCREEN_RANGE[0], ~(sq <= _SCREEN_RANGE[1])
+        tiles = [(small[t : t + T].any(), big[t : t + T].any()) for t in range(0, N, T)]
+        sides.append((M, sq, right, 12 * (M.shape[1] + 4) * _U, small, big, tiles))
+    scan = _PairScan(Z, n, T)
+    work, flags = np.empty((4, T * T)), np.empty(T * T, dtype=bool)
+    floor = -np.inf  # a lower bound on eps_max
+    screened = kept = 0
+    with np.errstate(all="ignore"):
+        for i0 in range(0, N, T):
+            I = slice(i0, min(i0 + T, N))
+            ones = np.ones(I.stop - i0)
+            lefts = [
+                (np.column_stack([M[I], (1.0 + c) * sq[I], (1.0 + c) * ones]),
+                 np.column_stack([-2.0 * c * sq[I], -2.0 * c * ones]))
+                for M, sq, _, c, *_ in sides
+            ]
+            for j0 in range(i0, N, T):
+                J = slice(j0, min(j0 + T, N))
+                shape = (I.stop - i0, J.stop - j0)
+                blo, bhi, alo, ahi = (w[: shape[0] * shape[1]].reshape(shape) for w in work)
+                guarded = None
+                for (_, _, right, _, small, big, tiles), (left, left_e), lo, hi in zip(
+                    sides, lefts, (blo, alo), (bhi, ahi)
+                ):
+                    # lo <= D^ <= hi, from hi ≈ D + E and -2E, one GEMM each
+                    np.matmul(left, right[J].T, out=hi)
+                    np.matmul(left_e, right[J, -2:].T, out=lo)
+                    lo += hi
+                    (small_i, big_i), (small_j, big_j) = tiles[i0 // T], tiles[j0 // T]
+                    if (small_i and small_j) or big_i or big_j:
+                        g = np.logical_and.outer(small[I], small[J])
+                        g |= big[I, None] | big[None, J]
+                        guarded = g if guarded is None else guarded | g
+                # a_hi > 0 on every unguarded pair, so b_lo <= 0 makes q_hi infinite
+                np.maximum(blo, 0.0, out=blo)
+                qhi, qlo = np.divide(ahi, blo, out=ahi), np.divide(alo, bhi, out=alo)
+                # the block's largest lower bound on the deviation, over its
+                # unguarded pairs
+                trusted = True if guarded is None else ~guarded
+                block_lo = max(
+                    np.fmax.reduce(qlo, axis=None, initial=-np.inf, where=trusted) - 1.0,
+                    1.0 - np.fmin.reduce(qhi, axis=None, initial=np.inf, where=trusted),
+                )
+                floor = max(floor, block_lo * (1.0 - _SLACK))
+                # each pair's upper bound, before the slack
+                dev = np.subtract(qhi, 1.0, out=ahi)
+                np.maximum(dev, np.subtract(1.0, qlo, out=alo), out=dev)
+                keep = np.less(dev, floor * (1.0 - _SLACK), out=flags[: dev.size].reshape(shape))
+                np.logical_not(keep, out=keep)
+                if guarded is not None:
+                    keep |= guarded
+                if i0 == j0:
+                    keep &= upper[: shape[0], : shape[1]]
+                rows, cols = np.divmod(np.flatnonzero(keep), shape[1])
+                screened += shape[0] * shape[1] if i0 != j0 else shape[0] * (shape[0] - 1) // 2
+                kept += rows.size
+                if kept > max(screened // 8, T * T):
+                    # many ties, as under the identity map: the pooled full
+                    # pass is faster than a recompute of nearly every pair
+                    return _merge(_scan_all(Z, n))
+                cuts = np.flatnonzero(np.diff(rows)) + 1
+                for r, cs in zip(np.split(rows, cuts), np.split(cols, cuts)):
+                    if r.size:
+                        scan.pairs(i0 + int(r[0]), j0 + cs)
+                # an exact deviation bounds eps_max from below too; a NaN wins
+                floor = max(floor, scan.worst if scan.worst == scan.worst else np.inf)
+    return _merge([scan])
 
 
 def _compact(ratios: np.ndarray, skipped: list[int]) -> np.ndarray:
@@ -264,7 +470,7 @@ def pair_from_flat(N: int, flat: int) -> tuple[int, int]:
         raise ValueError(f"flat index {flat} out of range for N={N}")
     # counted from the last pair, rows N - 2, N - 3, ... hold 1, 2, ... pairs
     i = N - 2 - (math.isqrt(8 * (total - flat - 1) + 1) - 1) // 2
-    return i, flat - (i * (2 * N - i - 1) // 2 - i - 1)
+    return i, flat - _row_base(N, i)
 
 
 def spectral_certificate(A: LinearMap) -> SpectralCertificate:

@@ -12,13 +12,15 @@ net       quantization grid report, or quantize a map onto the grid
 
 Exit codes: 0 success, 1 usage or file-format error (a flag the run would
 ignore included), 2 failed audit, 3 numerical failure (a NaN or infinity
-bound for a JSON or CSV output included).  Every run is controlled by an
-explicit --seed.  Each output records the run's config by one rule: every
-parsed flag, with the values the run resolved from them (a default k,
-the map's shape, parsed grids) in their place, so a flag is recorded
-from the moment it exists.  Re-running a command with identical
-arguments reproduces each output byte for byte (timings are opt-in via
---timings for that reason).
+bound for a JSON or CSV output included).  A library warning prints as
+one "jllab: warning: ..." line on stderr and changes neither the exit
+code nor the outputs.  Every run is controlled by an explicit --seed.
+Each output records the run's config by one rule: every parsed flag,
+with the values the run resolved from them (a default k, the map's
+shape, parsed grids) in their place, so a flag is recorded from the
+moment it exists.  Re-running a command with identical arguments
+reproduces each output byte for byte (timings are opt-in via --timings
+for that reason).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +39,7 @@ from .certify import (
     MODE_NORM,
     MODE_PAIRWISE,
     AuditError,
+    _distortion_json,
     audit_embedding,
     distortion,
     spectral_certificate,
@@ -268,7 +272,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     }
     if args.set:
         X = read_pointset(args.set)
-        payload["distortion"] = distortion(A, X, args.mode).to_json()
+        payload["distortion"] = _distortion_json(A, X, args.mode)
     _emit_json(payload, args.out)
     return 0
 
@@ -492,6 +496,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # a library warning is one line, as the CLI's other reports are
+    print(f"jllab: warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -503,7 +512,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except _UsageError as exc:
         print(f"jllab: error: {exc}", file=sys.stderr)
         return 1

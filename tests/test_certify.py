@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jllab.certify as certify
 from jllab.certify import (
     MAX_PAIRS,
     AuditError,
+    _pairwise_worst,
     audit_embedding,
     distortion,
     pair_from_flat,
@@ -223,6 +225,175 @@ def test_distortion_pairwise_memory_is_the_ratios():
     pairs = N * (N - 1) // 2
     assert rep.ratios.size == pairs
     assert peak < 12 * pairs
+
+
+# ---------------------------------------------------------------------------
+# the max-only pairwise route: a Gram-tile screen, then the exact kernel
+
+
+def _assert_worst_matches(A, Y):
+    # the max-only route reports distortion()'s eps_max, violating_index,
+    # n_ratios and skipped bit for bit
+    with np.errstate(all="ignore"):
+        rep = distortion(A, Y, "pairwise")
+        eps_max, violating, skipped = _pairwise_worst(A, Y.points)
+    N = len(Y)
+    assert np.float64(eps_max).tobytes() == np.float64(rep.eps_max).tobytes()
+    assert violating == rep.violating_index
+    assert N * (N - 1) // 2 - len(skipped) == rep.ratios.size
+    assert tuple(skipped) == rep.skipped
+    return rep
+
+
+@pytest.fixture
+def screened(monkeypatch):
+    # the pairs the screen sends to the exact kernel; the full-pass fallback
+    # of the max-only route fails the test, so the screen itself is tested
+    kept = set()
+    pairs, scan_all = certify._PairScan.pairs, certify._scan_all
+
+    def spy(self, i, js, out=None):
+        if not isinstance(js, range):
+            kept.update((i, int(j)) for j in js)
+        return pairs(self, i, js, out)
+
+    def no_fallback(Z, n, ratios=None):
+        assert ratios is not None, "the screen fell back to the full pass"
+        return scan_all(Z, n, ratios)
+
+    monkeypatch.setattr(certify._PairScan, "pairs", spy)
+    monkeypatch.setattr(certify, "_scan_all", no_fallback)
+    return kept
+
+
+def _gaussian_set(points):
+    return PointSet(points.shape[1], points, ("gaussian",) * len(points))
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_pairwise_worst_matches_distortion_on_the_pool_sets(monkeypatch, cores):
+    # the sets of test_distortion_pairwise_pool_matches_all_pairs_bitwise;
+    # every ratio of the line ties, so the route takes its full-pass fallback
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    X = hard_instance(5, 60, 2)
+    P = X.points.copy()
+    P[40] = P[17]
+    Q = gaussian_vectors(3, 2 * 1024 + 37, 11).points.copy()
+    Q[1500] = Q[3]
+    grid = np.array([[x, y] for x in range(4) for y in range(3)], dtype=float)
+    line = np.arange(len(Q), dtype=float)[:, None]
+    cases = (
+        (gaussian_map(3, 5, 4), PointSet(5, P, X.roles)),
+        (gaussian_map(2, 3, 12), _gaussian_set(Q)),
+        (LinearMap(np.diag([2.0, 1.0])), _gaussian_set(grid)),
+        (LinearMap(np.array([[2.0]])), _gaussian_set(line)),
+    )
+    for A, Y in cases:
+        _assert_worst_matches(A, Y)
+
+
+@pytest.mark.parametrize("tile", [16, 192])
+def test_pairwise_worst_near_duplicates_fall_back_to_the_kernel(monkeypatch, screened, tile):
+    # twelve points a few ulps apart at the offset 1e8: the Gram estimate of
+    # their distances cancels to noise, so every such pair goes to the
+    # exact kernel, whose image differences are rounding noise too
+    monkeypatch.setattr(certify, "_SCREEN_TILE", tile)
+    rng = Seed(21).generator()
+    P = rng.standard_normal((300, 4))
+    cluster = np.full((12, 4), 1e8)
+    cluster[:, 0] += np.arange(12) * np.spacing(1e8)
+    P[100:112] = cluster
+    rep = _assert_worst_matches(gaussian_map(3, 4, 22), _gaussian_set(P))
+    assert {(i, j) for i in range(100, 112) for j in range(i + 1, 112)} <= screened
+    assert pair_from_flat(300, rep.violating_index)[0] >= 100  # the noise is the worst pair
+    assert len(screened) < 1000  # of 44850 pairs
+
+
+@pytest.mark.parametrize("tile", [16, 192])
+def test_pairwise_worst_exact_duplicates(monkeypatch, screened, tile):
+    monkeypatch.setattr(certify, "_SCREEN_TILE", tile)
+    P = gaussian_vectors(5, 300, 23).points.copy()
+    P[50] = P[250] = P[7]
+    P[299] = P[100]
+    rep = _assert_worst_matches(gaussian_map(3, 5, 24), _gaussian_set(P))
+    assert [pair_from_flat(300, f) for f in rep.skipped] == [(7, 50), (7, 250), (50, 250), (100, 299)]
+
+
+@pytest.mark.parametrize("tile", [16, 192])
+def test_pairwise_worst_ties_span_tiles(monkeypatch, screened, tile):
+    # under diag(2, 1) the 2850 horizontal pairs of a 20 x 15 grid tie at
+    # the worst ratio 4, in every tile; the first, (0, 15), is reported
+    monkeypatch.setattr(certify, "_SCREEN_TILE", tile)
+    grid = np.array([[x, y] for x in range(20) for y in range(15)], dtype=float)
+    rep = _assert_worst_matches(LinearMap(np.diag([2.0, 1.0])), _gaussian_set(grid))
+    assert (rep.eps_max, pair_from_flat(300, rep.violating_index)) == (3.0, (0, 15))
+    # only (0, 300) and (1, 2) are horizontal; the tile of (1, 2) is screened
+    # first, yet (0, 300) has the lower flat index
+    rng = Seed(28).generator()
+    P = np.column_stack([rng.standard_normal(400), 10.0 + 0.37 * np.arange(400)])
+    P[[0, 300, 1, 2]] = [[0.0, 0.0], [1.0, 0.0], [5.0, 1.0], [6.0, 1.0]]
+    rep = _assert_worst_matches(LinearMap(np.diag([2.0, 1.0])), _gaussian_set(P))
+    assert (rep.eps_max, pair_from_flat(400, rep.violating_index)) == (3.0, (0, 300))
+
+
+@pytest.mark.parametrize("tile", [16, 192])
+def test_pairwise_worst_first_nan(monkeypatch, screened, tile):
+    # the squared norm of (1e200, 1) overflows, so its pairs' ratios are NaN;
+    # the first of them, (0, 120), is reported
+    monkeypatch.setattr(certify, "_SCREEN_TILE", tile)
+    P = gaussian_vectors(2, 200, 25).points.copy()
+    P[120] = [1e200, 1.0]
+    rep = _assert_worst_matches(LinearMap(np.array([[1.0, 0.5]])), _gaussian_set(P))
+    assert math.isnan(rep.eps_max)
+    assert pair_from_flat(200, rep.violating_index) == (0, 120)
+
+
+@pytest.mark.parametrize("tile", [16, 192])
+def test_pairwise_worst_subnormal_differences(monkeypatch, screened, tile):
+    # differences whose squares are subnormal or underflow to 0, and points
+    # whose squared norms underflow
+    monkeypatch.setattr(certify, "_SCREEN_TILE", tile)
+    P = gaussian_vectors(2, 100, 26).points.copy()
+    P[10:16] = [[1.0, 0.0], [1.0, 5e-324], [1.0, 1e-160], [1e-170, 0.0], [2e-170, 0.0], [0.0, 3e-170]]
+    P[60] = [1.0, 1e-161]
+    _assert_worst_matches(gaussian_map(2, 2, 27), _gaussian_set(P))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_pairwise_worst_matches_distortion_property(data):
+    # small random sets with points scaled across the double range and
+    # duplicated, at several tile sizes
+    N, n, m = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    rng = Seed(data.draw(st.integers(0, 2**32 - 1))).generator()
+    scales = [1e-300, 1e-160, 1e-8, 1.0, 1e8, 1e160, 1e300]
+    P = rng.standard_normal((N, n)) * np.array(data.draw(st.lists(st.sampled_from(scales), min_size=N, max_size=N)))[:, None]
+    for a, b in data.draw(st.lists(st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)), max_size=6)):
+        P[a] = P[b]
+    A = LinearMap(rng.standard_normal((m, n)) * data.draw(st.sampled_from([1e-100, 1.0, 1e100])))
+    tile = certify._SCREEN_TILE
+    certify._SCREEN_TILE = data.draw(st.sampled_from([2, 5, 16, 192]))
+    try:
+        _assert_worst_matches(A, _gaussian_set(P))
+    finally:
+        certify._SCREEN_TILE = tile
+
+
+def test_pairwise_worst_memory_is_under_a_byte_per_pair():
+    # the library route's 8 bytes per pair are gone: the stacked rows, the
+    # screen's Gram tiles and the kernel's scratch stay under 1 byte per pair
+    N = 2000
+    X = gaussian_vectors(8, N, 3)
+    A = gaussian_map(4, 8, 5)
+    tracemalloc.start()
+    try:
+        eps_max, violating, skipped = _pairwise_worst(A, X.points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N * (N - 1) // 2
+    rep = distortion(A, X, "pairwise")
+    assert (eps_max, violating, skipped) == (rep.eps_max, rep.violating_index, [])
 
 
 def test_distortion_mode_and_shape_validation():

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import jllab.certify
 import jllab.cli
 import jllab.concentration
+from jllab.certify import distortion
 from jllab.cli import main
 from jllab.concentration import (
     chaos_tail_estimate,
@@ -17,7 +19,7 @@ from jllab.concentration import (
     norm_tail_oracle,
 )
 from jllab.embeddings import LinearMap, read_map, write_map, gaussian_map, identity_map, pca_map
-from jllab.pointset import PointSet, SizeError, read_pointset, write_pointset
+from jllab.pointset import PointSet, SizeError, gaussian_vectors, read_pointset, write_pointset
 from jllab.seeds import Seed
 
 
@@ -172,8 +174,10 @@ def test_certify_with_distortion(tmp_path, capsys):
 
 
 def test_certify_over_pair_budget_exits_one(tmp_path, capsys):
-    # 14143 points have 100005153 pairs, over the 10**8 pair budget; the
-    # refusal comes before the 800 MB of ratios
+    # 14143 points have 100005153 pairs, over the 10**8 pair budget.  The
+    # CLI's max-only route stores no ratio; its budget is time, 1-2 s at
+    # the limit on 2 cores and about 10 s when every pair ties.  The
+    # refusal comes before anything the size of the set's pairs
     ps = tmp_path / "line.jlps"
     mp = tmp_path / "id.jlmap"
     out = tmp_path / "cert.json"
@@ -190,6 +194,41 @@ def test_certify_over_pair_budget_exits_one(tmp_path, capsys):
     assert "100005153 pairs, over the 100000000 pair limit" in err
     assert not out.exists()
     assert peak < 16 << 20
+
+
+@pytest.mark.parametrize(
+    "N, copies, max_only, ratios",
+    [(447, 0, False, True), (460, 0, True, False), (449, 44, True, True)],
+    ids=["at-cap", "over-cap", "duplicates-under-cap"],
+)
+def test_certify_pairwise_json_is_the_library_route(tmp_path, capsys, monkeypatch, N, copies, max_only, ratios):
+    # 447 points have 99681 pairs, at most the 100000 ratios the JSON writes;
+    # 460 have 105570 and take the max-only route; 449 points with 44 copies
+    # of one have 100576 pairs, and their 946 zero-distance pairs bring
+    # n_ratios to 99630, so the ratios are written after all.  Each run's
+    # JSON is the bytes of the library route, and a rerun's too
+    P = gaussian_vectors(3, N, 31).points.copy()
+    P[5 : 10 * copies : 10] = P[5]
+    ps, mp = tmp_path / "set.jlps", tmp_path / "a.jlmap"
+    write_pointset(ps, PointSet(3, P, ("gaussian",) * N))
+    write_map(mp, gaussian_map(2, 3, 32))
+    calls = []
+    worst = jllab.certify._pairwise_worst
+    monkeypatch.setattr(jllab.certify, "_pairwise_worst", lambda A, P: calls.append(1) or worst(A, P))
+
+    def certify(out):
+        argv = ["certify", "--map", str(mp), "--set", str(ps), "--mode", "pairwise", "--out", str(out)]
+        code, _, err = run(argv, capsys)
+        assert code == 0, err
+        return out.read_bytes()
+
+    first, again = certify(tmp_path / "cert.json"), certify(tmp_path / "cert.json")
+    assert len(calls) == (2 if max_only else 0)
+    monkeypatch.setattr(jllab.cli, "_distortion_json", lambda A, X, mode: distortion(A, X, mode).to_json())
+    assert first == again == certify(tmp_path / "cert.json")
+    d = json.loads(first)["distortion"]
+    assert d["n_ratios"] == N * (N - 1) // 2 - copies * (copies - 1) // 2
+    assert (d["ratios"] is not None) == ratios
 
 
 def test_certify_gram_over_size_limit_exits_one(tmp_path, capsys):
@@ -574,6 +613,22 @@ def test_embed_over_size_limit_exits_one(tmp_path, capsys):
         pca_map(PointSet(3163, np.ones((3, 3163)), ("gaussian",) * 3), 4)
     with pytest.warns(UserWarning, match="degenerate"), pytest.raises(SizeError):
         pca_map(PointSet(5000, np.zeros((1, 5000)), ("gaussian",)), 2001)
+
+
+def test_library_warnings_print_one_line(tmp_path, capsys):
+    # a library UserWarning reaches stderr as one "jllab: warning:" line,
+    # without the file, line number and source line of Python's format;
+    # the exit code and the output are those of a run without it
+    code, out, err = run(["net", "--n", "8", "--exponent", "1.0"], capsys)
+    assert code == 0
+    assert err == "jllab: warning: alpha = 100 n^(-2C) = 1.5625 at n=8, C=1.0; clamping below 1\n"
+    assert json.loads(out)["params"]["alpha"] == 0.999999999
+    ps, mp = tmp_path / "zero.jlps", tmp_path / "a.jlmap"
+    write_pointset(ps, PointSet(3, np.zeros((2, 3)), ("gaussian",) * 2))
+    code, out, err = run(["embed", "--method", "pca", "--set", str(ps), "--m", "2", "--out", str(mp)], capsys)
+    assert code == 0
+    assert err == "jllab: warning: degenerate point set (all zero); using leading coordinate directions\n"
+    assert np.array_equal(read_map(mp).entries, np.eye(2, 3))
 
 
 def test_frontier_timings_column_opt_in(tmp_path, capsys):
