@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -480,6 +481,45 @@ def test_frontier_csv(tmp_path, capsys):
     for col, eps in (("eps_random_best", eps_rand), ("eps_opt", eps_opt)):
         assert status[f"first_m_{col}"] == next((m for m, e in zip(ms, eps) if e <= 0.25), None)
     assert status["first_m_eps_opt"] is not None
+
+
+def test_frontier_warm_start_moves_new_rows(tmp_path, capsys):
+    # zero rows padded onto the previous optimum get no gradient, so every m
+    # below n reported the m = 1 optimum; seeded rows let each m improve
+    out_csv = tmp_path / "front.csv"
+    code, _, _ = run(
+        ["frontier", "--n", "8", "--k", "16", "--m-grid", "1,2,4", "--maps-per-m", "1",
+         "--max-iters", "200", "--seed", "5", "--out", str(out_csv)],
+        capsys,
+    )
+    assert code == 0
+    eps_opt = [float(r[2]) for r in (ln.split(",") for ln in out_csv.read_text().splitlines()[2:])]
+    assert eps_opt[2] < eps_opt[1] < eps_opt[0]
+
+
+def test_frontier_keeps_padded_previous_optimum_as_floor(tmp_path, capsys, monkeypatch):
+    # an optimizer that returns a worse map than the zero-padded previous
+    # optimum loses to it, so eps_opt never increases with m
+    ps, out_csv = tmp_path / "h.jlps", tmp_path / "front.csv"
+    run(["gen", "--kind", "hard", "--n", "6", "--k", "8", "--seed", "2", "--out", str(ps)], capsys)
+    optimize = jllab.cli.optimize_map
+
+    def worse_at_m3(X, m, opts, init=None, return_info=False):
+        A, info = optimize(X, m, opts, init=init, return_info=True)
+        if m < 3:
+            return A, info
+        bad = LinearMap(10.0 * A.entries)
+        return bad, replace(info, final_distortion=distortion(bad, X).eps_max)
+
+    monkeypatch.setattr(jllab.cli, "optimize_map", worse_at_m3)
+    code, _, _ = run(["frontier", "--set", str(ps), "--m-grid", "2,3", "--maps-per-m", "0",
+                      "--max-iters", "50", "--out", str(out_csv)], capsys)
+    assert code == 0
+    rows = [ln.split(",") for ln in out_csv.read_text().splitlines()[2:]]
+    X = read_pointset(ps)
+    A2, _ = optimize(X, 2, jllab.cli.OptimizerOptions(max_iters=50, seed=Seed(0).child(1)), return_info=True)
+    padded = LinearMap(np.vstack([A2.entries, np.zeros((1, 6))]))
+    assert float(rows[1][2]) == distortion(padded, X).eps_max
 
 
 @pytest.mark.parametrize(
