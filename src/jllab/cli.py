@@ -340,7 +340,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         if not 1 <= m <= n:
             raise _UsageError(f"--m-grid values must lie in [1, {n}], got {m}")
     config = _config(args, n=n, k=k, m_grid=m_grid)
-    header = ["m", "eps_random_best", "eps_opt", "rank_lb_of_best"]
+    header = ["m", "eps_random_best", "eps_opt", "rank_lb_of_best", "iters", "stop"]
     if args.timings:
         header.append("seconds")
     map_seed = seed.child(2)
@@ -379,7 +379,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         prev = A_opt
         best = best_rand if best_rand is not None and eps_rand < eps_opt else A_opt
         rank_lb = spectral_certificate(best).rank_lb
-        row: list = [m, eps_rand, eps_opt, rank_lb]
+        row: list = [m, eps_rand, eps_opt, rank_lb, info.iterations, info.stop_reason]
         if args.timings:
             row.append(time.perf_counter() - started)
         rows.append(row)

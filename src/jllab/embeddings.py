@@ -141,8 +141,9 @@ class OptimizerOptions:
 class OptimizeInfo:
     """Diagnostics from one `optimize_map` run.
 
-    ``objective_history`` records the smoothed objective at every accepted
-    step; it is non-increasing.  ``stop_reason`` is ``"dist_floor"``,
+    ``objective_history`` records the smoothed objective at the start and
+    after every accepted step, refresh and temperature change (see
+    `optimize_map`); it is non-increasing.  ``stop_reason`` is ``"dist_floor"``,
     ``"tau_floor"`` or ``"max_iters"`` (see `optimize_map`), and
     ``converged`` is False iff it is ``"max_iters"``.  ``accepted`` and
     ``backtracks`` count the accepted and the rejected trial steps.
@@ -160,6 +161,8 @@ class OptimizeInfo:
 
 _DIST_FLOOR = 1e-13
 _STEP_FLOOR = 1e-18
+_REFRESH = 32  # accepted ray steps between direct images of the iterate
+_TINY = np.finfo(np.float64).tiny
 
 
 def _rowsq(M: np.ndarray) -> np.ndarray:
@@ -184,6 +187,32 @@ def _smooth(r: np.ndarray, tau: float) -> _Smoothing:
     weights = np.exp((d - top) / tau)
     total = weights.sum()
     return _Smoothing(float(top + tau * np.log(total)), float(top), weights, float(total), residual)
+
+
+def _norm_scaled(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the points and their squared norms; a point whose squared norm is 0,
+    # subnormal or inf is first scaled by the power of two that puts its
+    # largest coordinate in [1/2, 1).  Its ratios do not change, the scaling
+    # is exact but for coordinates under 2^-1022 of the largest (too small to
+    # move the squared norm), and every other point keeps its bits
+    sqn = _rowsq(P)
+    out = np.flatnonzero(~((sqn >= _TINY) & (sqn < np.inf)))
+    if out.size:
+        big = np.abs(P[out]).max(axis=1)
+        zero = out[big == 0.0]
+        if zero.size:
+            raise ValueError(f"point {zero[0]} has zero norm; norm ratios are undefined for it")
+        P = P.copy()
+        P[out] = np.ldexp(P[out], -np.frexp(big)[1][:, None])
+        sqn[out] = _rowsq(P[out])
+    return P, sqn
+
+
+def _ray(Yt: np.ndarray, G: np.ndarray, Pt: np.ndarray, sqn: np.ndarray) -> tuple[np.ndarray, ...]:
+    # an optimizer iteration's one product Z = G Pᵀ and the column sums
+    # b = 2⟨Ax, Gx⟩/‖x‖², c = ‖Gx‖²/‖x‖² that price its ray A - sG
+    Z = G @ Pt
+    return Z, 2.0 * np.einsum("ij,ij->j", Yt, Z) / sqn, np.einsum("ij,ij->j", Z, Z) / sqn
 
 
 def _run_strided(tasks: int, run: Callable[[int, int], _T]) -> list[_T]:
@@ -213,20 +242,33 @@ def optimize_map(
     The objective is a log-sum-exp smoothing of max_i |‖Ax_i‖²/‖x_i‖² - 1|
     at a temperature that starts at ``opts.smoothing`` and anneals toward
     zero.  Steps are accept-only backtracking descent, and the returned map
-    is the iterate with the smallest true distortion seen anywhere in the
-    run, so the result never does worse than its initialization.  Starting
-    candidates are the PCA projection and, if given, ``init`` (same shape).
+    is the iterate with the smallest distortion seen anywhere in the run,
+    never worse than its initialization.  Starting candidates are the PCA
+    projection and, if given, ``init`` (same shape).
 
-    Every evaluated map E (each starting candidate and each trial step,
-    accepted or rejected) costs one image of the points, held as
-    Yt = E Pᵀ (m x N) against a contiguous Pᵀ taken once per call, and one
-    smoothing pass over its norm ratios.  That pass gives the objective,
-    the true distortion max|r - 1| and the log-sum-exp weights with their
-    sum; an accepted map keeps them, so its gradient 2 (Yt ∘ coef) P needs
-    no second pass, and a temperature change re-smooths the cached ratios.
-    At m = 1 the image is taken as P e instead: numpy runs both forms
-    through GEMV, and only P e rounds as the N x m image P Eᵀ did, so the
-    output is the same bits for every m.
+    Trial steps are priced along the gradient ray.  On A - sG a point's
+    squared image norm is ‖Ax‖² - 2s⟨Ax, Gx⟩ + s²‖Gx‖², so one product per
+    iteration, Z = G Pᵀ (m x N, against a contiguous Pᵀ taken once per
+    call), gives every trial's ratios in O(N) as r + s (s c - b), with
+    b = 2⟨Ax, Gx⟩/‖x‖² and c = ‖Gx‖²/‖x‖² as column sums.  Each trial then
+    costs one smoothing pass, which gives the objective, the distortion
+    max|r - 1| and the log-sum-exp weights; an accepted step keeps them
+    for its gradient 2 (Yt ∘ coef) P and updates A -= sG, Yt -= sZ.
+
+    Direct images are taken as `distortion` takes them, Y = P Eᵀ (N x m)
+    with row sums, so a direct max|r - 1| is ``distortion(E, X).eps_max``
+    bit for bit; the loop holds Y transposed.  There is one for each
+    starting candidate, one every 32 accepted steps (the running Yt and
+    ratios are refreshed from A, which bounds their drift) and one for the
+    returned map: ``final_distortion`` is its distortion, and when that
+    would exceed the best starting candidate's, the run returns that
+    candidate.  Rounding no longer has to follow an older layout, so the
+    per-evaluation copy of Yt and the m = 1 GEMV branch that kept old bits
+    are gone.
+
+    A point whose squared norm is 0, subnormal or infinite is first scaled
+    by a power of two, which leaves its ratios unchanged; every other point
+    keeps its bits.  An exactly zero point raises ValueError.
 
     Running out of ``max_iters`` is not an error; request the run record
     with ``return_info=True`` to see the iteration count, the accepted and
@@ -241,21 +283,12 @@ def optimize_map(
     if not 1 <= m <= X.dim:
         raise ValueError(f"need 1 <= m <= {X.dim}, got m={m}")
     _check_map_size(m, X.dim)
-    P = X.points
-    sqn = _rowsq(P)
-    zero = np.where(sqn == 0.0)[0]
-    if zero.size:
-        raise ValueError(f"point {zero[0]} has zero norm; norm ratios are undefined for it")
-
+    P, sqn = _norm_scaled(X.points)
     Pt = np.ascontiguousarray(P.T)
 
-    def image(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the one product per evaluated map, Yt = E Pᵀ (m x N); the ratios
-        # take a contiguous Yt.T, as _rowsq on the transposed view rounds
-        # differently once m >= 3; at m = 1 numpy runs E Pᵀ through GEMV
-        # in the other orientation, and only P e keeps the bits of P Eᵀ
-        Yt = (P @ E[0])[None, :] if len(E) == 1 else E @ Pt
-        return Yt, _rowsq(np.ascontiguousarray(Yt.T)) / sqn
+    def direct(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        Y = P @ E.T
+        return np.ascontiguousarray(Y.T), _rowsq(Y) / sqn
 
     candidates = [pca_map(X, m).entries]
     if init is not None:
@@ -264,13 +297,14 @@ def optimize_map(
         candidates.append(init.entries)
     tau = opts.smoothing
     tau_floor = 1e-12
-    images = [image(E) for E in candidates]
+    images = [direct(E) for E in candidates]
     passes = [_smooth(r, tau) for _, r in images]
     best = int(np.argmin([s.top for s in passes]))
-    A = candidates[best].copy()
+    start = candidates[best].copy()
+    A = start.copy()
     Yt, r = images[best]
     sm = passes[best]
-    best_E, best_dist = A.copy(), sm.top
+    best_E, best_dist = start, sm.top
     init_dist = best_dist
 
     history = [sm.objective]
@@ -286,25 +320,30 @@ def optimize_map(
         if float(np.einsum("ij,ij->", G, G)) == 0.0:
             # flat objective: random direction from the options seed
             G = kick.standard_normal(A.shape)
+        Z, b, c = _ray(Yt, G, Pt, sqn)
         moved = False
-        prev_f = sm.objective
+        prev_f = history[-1]
         while step > _STEP_FLOOR:
-            cand = A - step * G
-            Yc, rc = image(cand)
+            rc = r + step * (step * c - b)
             sc = _smooth(rc, tau)
-            if sc.objective < sm.objective:
-                A, Yt, r, sm = cand, Yc, rc, sc
+            if sc.objective < history[-1]:
+                A -= step * G
+                Yt -= step * Z
+                r, sm = rc, sc
                 history.append(sm.objective)
                 if sm.top < best_dist:
-                    best_dist = sm.top
-                    best_E = cand.copy()
-                step = min(step * 2.0, 1e9)
+                    best_dist, best_E = sm.top, A.copy()
                 accepted += 1
+                if accepted % _REFRESH == 0:
+                    Yt, r = direct(A)
+                    sm = _smooth(r, tau)
+                    history.append(min(sm.objective, history[-1]))
+                step = min(step * 2.0, 1e9)
                 moved = True
                 break
             backtracks += 1
             step *= opts.step_shrink
-        if not moved or prev_f - sm.objective <= opts.tol * max(1.0, abs(sm.objective)):
+        if not moved or prev_f - history[-1] <= opts.tol * max(1.0, abs(history[-1])):
             stall += 1
         else:
             stall = 0
@@ -319,6 +358,9 @@ def optimize_map(
             stall = 0
     if best_dist <= _DIST_FLOOR:
         stop_reason = "dist_floor"
+    final = float(np.abs(direct(best_E)[1] - 1.0).max())
+    if final > init_dist:
+        best_E, final = start, init_dist
 
     result = LinearMap(best_E)
     if not return_info:
@@ -327,7 +369,7 @@ def optimize_map(
         iterations=iters,
         converged=stop_reason != "max_iters",
         init_distortion=init_dist,
-        final_distortion=best_dist,
+        final_distortion=final,
         objective_history=tuple(history),
         stop_reason=stop_reason,
         accepted=accepted,

@@ -228,11 +228,14 @@ def test_7_frontier_sanity(tmp_path, capsys):
     easy = jl.PointSet(64, coeff @ basis8.T, ("gaussian",) * 4160)
     jl.write_pointset(str(easy_ps), easy, binary=True)
 
+    sweep_s = []
     for ps, out in ((hard_ps, hard_csv), (easy_ps, easy_csv)):
+        started = time.perf_counter()
         assert cli_main(
             ["frontier", "--set", str(ps), "--m-grid", m_grid, "--maps-per-m", "10",
              "--eps", "0.25", "--seed", "5", "--out", str(out)]
         ) == 0
+        sweep_s.append(time.perf_counter() - started)
     capsys.readouterr()
 
     hard_rows = _frontier_rows(hard_csv)
@@ -262,7 +265,9 @@ def test_7_frontier_sanity(tmp_path, capsys):
         "7/8 frontier sanity",
         ok,
         f"eps_opt(m=64)={hard_opt[-1]:.2e}, monotone={monotone_ok}, "
-        f"m_hard={m_hard}, m_easy={m_easy}, pca_eps={pca_eps:.2e}",
+        f"m_hard={m_hard}, m_easy={m_easy}, pca_eps={pca_eps:.2e}; "
+        f"hard sweep {sweep_s[0]:.1f}s (target 15s), stop "
+        + " ".join(f"{r['m']}:{r['stop']}" for r in hard_rows),
         elapsed,
         600.0,
     )

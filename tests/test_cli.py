@@ -483,6 +483,23 @@ def test_frontier_csv(tmp_path, capsys):
     assert status["first_m_eps_opt"] is not None
 
 
+def test_frontier_csv_records_why_each_m_stopped(tmp_path, capsys):
+    # deterministic run-record columns before the opt-in seconds: m < n
+    # runs out of its 40 iterations, m = n reaches the distortion floor
+    out_csv = tmp_path / "front.csv"
+    code, _, _ = run(
+        ["frontier", "--n", "8", "--k", "4", "--m-grid", "2,4,8", "--maps-per-m", "1",
+         "--max-iters", "40", "--seed", "5", "--timings", "--out", str(out_csv)],
+        capsys,
+    )
+    assert code == 0
+    lines = out_csv.read_text().splitlines()
+    assert lines[1] == "m,eps_random_best,eps_opt,rank_lb_of_best,iters,stop,seconds"
+    rows = [ln.split(",") for ln in lines[2:]]
+    assert [(r[4], r[5]) for r in rows[:2]] == [("40", "max_iters")] * 2
+    assert rows[2][5] == "dist_floor" and int(rows[2][4]) < 40
+
+
 def test_frontier_warm_start_moves_new_rows(tmp_path, capsys):
     # zero rows padded onto the previous optimum get no gradient, so every m
     # below n reported the m = 1 optimum; seeded rows let each m improve
@@ -566,16 +583,14 @@ def test_n_must_match_the_input_dimension(tmp_path, capsys, argv, message):
         ["certify", "--map", "{map}", "--set", "{set}"],
         ["certify", "--map", "{map}", "--set", "{set}", "--mode", "pairwise", "--out", "{dir}/cert.json"],
         ["audit", "--map", "{map}", "--set", "{set}", "--eps", "0.5", "--out", "{dir}/audit.json"],
-        ["embed", "--method", "optimize", "--set", "{set}", "--m", "1", "--max-iters", "20",
-         "--out", "{dir}/opt.jlmap"],
         ["frontier", "--set", "{set}", "--maps-per-m", "2", "--max-iters", "20", "--out", "{dir}/front.csv"],
     ],
-    ids=["certify", "certify-pairwise", "audit", "embed", "frontier"],
+    ids=["certify", "certify-pairwise", "audit", "frontier"],
 )
 def test_nonfinite_output_exits_three(tmp_path, capsys, argv):
     # the squared norm of (1e200, 1) overflows, so its ratio, and every
-    # distortion of the set, is NaN; RFC 8259 JSON and the CSV cells have no
-    # spelling for it
+    # distortion `distortion` reports for the set, is NaN; RFC 8259 JSON
+    # and the CSV cells have no spelling for it
     ps, mp = tmp_path / "s.jlps", tmp_path / "a.jlmap"
     write_pointset(ps, PointSet(2, np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 1.0]]), ("gaussian",) * 3))
     write_map(mp, LinearMap(np.array([[1.0, 0.5]])))
@@ -585,6 +600,20 @@ def test_nonfinite_output_exits_three(tmp_path, capsys, argv):
     assert "numerical failure: non-finite value" in err
     assert out == ""
     assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob("*.csv"))
+
+
+def test_embed_optimize_rescues_overflowing_norm(tmp_path, capsys):
+    # the optimizer scales (1e200, 1) by a power of two before it squares
+    # it, so the set that gives NaN distortions above embeds with exit 0
+    ps, mp = tmp_path / "s.jlps", tmp_path / "opt.jlmap"
+    write_pointset(ps, PointSet(2, np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 1.0]]), ("gaussian",) * 3))
+    code, out, _ = run(["embed", "--method", "optimize", "--set", str(ps), "--m", "1",
+                        "--max-iters", "20", "--out", str(mp)], capsys)
+    assert code == 0
+    status = json.loads(out)
+    assert status["init_distortion"] == 1.0
+    assert 0.0 <= status["final_distortion"] < 1.0
+    assert read_map(mp).entries.shape == (1, 2)
 
 
 CONFIG_RULE_ARGVS = [

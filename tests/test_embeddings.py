@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,28 +177,66 @@ def test_optimize_budget_flag():
 
 
 def test_optimizer_one_image_per_evaluation(monkeypatch):
-    # one _rowsq for the set's norms, then one image per starting
-    # candidate and per trial step, accepted or rejected
-    calls = []
-    rowsq = embeddings._rowsq
+    # one _rowsq for the set's norms, then one direct image per starting
+    # candidate, per 32 accepted steps and for the returned map; every
+    # iteration takes one Z = G Pᵀ, and trial steps take no image
+    calls, rays = [], []
+    rowsq, ray = embeddings._rowsq, embeddings._ray
 
     def counted(M):
         calls.append(M.shape)
         return rowsq(M)
 
+    def counted_ray(*args):
+        rays.append(args[1].shape)
+        return ray(*args)
+
     monkeypatch.setattr(embeddings, "_rowsq", counted)
+    monkeypatch.setattr(embeddings, "_ray", counted_ray)
     X = hard_instance(8, 40, 3)
     init = gaussian_map(4, 8, 2)
     _, info = optimize_map(X, 4, OptimizerOptions(max_iters=200), init=init, return_info=True)
     assert info.iterations == 200
-    assert info.accepted >= 1 and info.backtracks >= 1
-    assert len(calls) == 1 + 2 + info.accepted + info.backtracks
+    assert info.accepted >= 2 * embeddings._REFRESH and info.backtracks >= 1
+    assert len(calls) == 1 + 2 + info.accepted // embeddings._REFRESH + 1
+    assert calls[1:] == [(40 + 8, 4)] * (len(calls) - 1)
+    assert rays == [(4, 8)] * info.iterations
+
+
+def test_optimizer_ray_drift_is_bounded_by_refreshes(monkeypatch):
+    # just before each refresh, the ratios carried along the accepted ray
+    # steps lie within 1e-12 relative of the direct image of the same map
+    events = []
+    rowsq, smooth = embeddings._rowsq, embeddings._smooth
+
+    def direct(M):
+        events.append(("direct", None))
+        return rowsq(M)
+
+    def smoothed(r, tau):
+        events.append(("smooth", r))
+        return smooth(r, tau)
+
+    monkeypatch.setattr(embeddings, "_rowsq", direct)
+    monkeypatch.setattr(embeddings, "_smooth", smoothed)
+    X = hard_instance(16, 64, 1)
+    _, info = optimize_map(X, 8, OptimizerOptions(max_iters=300), init=gaussian_map(8, 16, 2),
+                           return_info=True)
+    # the set's norms and the two starting candidates come first, the
+    # returned map's image last; between them, each refresh's image
+    # follows its accepted trial's smoothing and precedes its own
+    refreshes = [i for i, (kind, _) in enumerate(events) if kind == "direct"][3:-1]
+    assert len(refreshes) == info.accepted // embeddings._REFRESH >= 5
+    for i in refreshes:
+        ray, exact = events[i - 1][1], events[i + 1][1]
+        assert np.all(np.abs(ray - exact) <= 1e-12 * np.abs(exact))
 
 
 def test_optimizer_one_smoothing_per_evaluation(monkeypatch):
-    # one log-sum-exp pass per starting candidate, per trial step and per
-    # temperature change; an accepted step's pass also serves the next
-    # gradient, and the history grows once per accepted step or tau change
+    # one log-sum-exp pass per starting candidate, per trial step, per
+    # refresh and per temperature change; an accepted step's pass also
+    # serves the next gradient, and the history grows once per accepted
+    # step, refresh or tau change
     calls = []
     smooth = embeddings._smooth
 
@@ -216,14 +255,18 @@ def test_optimizer_one_smoothing_per_evaluation(monkeypatch):
 
 
 def _reference_optimize(X, m, opts, init):
-    # the optimizer loop written out in its N x m layout: image P Eᵀ, the
-    # weights re-derived from the ratios, gradient 2 (Y ∘ coef)ᵀ P
+    # the optimizer loop written out in its ray form: a direct image P Eᵀ
+    # for each starting candidate, every 32 accepted steps and for the
+    # returned map; in between, the weights re-derived from the ratios,
+    # gradient 2 (Yt ∘ coef) P, one Z = G Pᵀ per iteration, and each trial
+    # step's ratios r + s (s c - b) in closed form
     P = X.points
     sqn = np.einsum("ij,ij->i", P, P)
+    Pt = np.ascontiguousarray(P.T)
 
     def image(E):
         Y = P @ E.T
-        return Y, np.einsum("ij,ij->i", Y, Y) / sqn
+        return np.ascontiguousarray(Y.T), np.einsum("ij,ij->i", Y, Y) / sqn
 
     def true_dist(r):
         return float(np.abs(r - 1.0).max())
@@ -239,13 +282,13 @@ def _reference_optimize(X, m, opts, init):
     images = [image(E) for E in candidates]
     dists = [true_dist(r) for _, r in images]
     best = int(np.argmin(dists))
-    A = candidates[best].copy()
-    Y, r = images[best]
-    best_E, best_dist = A.copy(), dists[best]
+    start = candidates[best]
+    A = start.copy()
+    Yt, r = images[best]
+    best_E, best_dist = start, dists[best]
     init_dist = best_dist
     tau = opts.smoothing
-    fA = smoothed(r, tau)
-    history = [fA]
+    history = [smoothed(r, tau)]
     step = opts.step_init
     iters = accepted = backtracks = stall = 0
     stop_reason = "max_iters"
@@ -254,46 +297,53 @@ def _reference_optimize(X, m, opts, init):
         iters += 1
         d = np.abs(r - 1.0)
         w = np.exp((d - d.max()) / tau)
-        w /= w.sum()
-        coef = w * np.sign(r - 1.0) / sqn
-        G = 2.0 * ((Y * coef[:, None]).T @ P)
+        coef = w / w.sum() * np.sign(r - 1.0) / sqn
+        G = 2.0 * ((Yt * coef) @ P)
         if float(np.einsum("ij,ij->", G, G)) == 0.0:
             G = kick.standard_normal(A.shape)
+        Z = G @ Pt
+        b = 2.0 * np.einsum("ij,ij->j", Yt, Z) / sqn
+        c = np.einsum("ij,ij->j", Z, Z) / sqn
         moved = False
-        prev_f = fA
+        prev_f = history[-1]
         while step > 1e-18:
-            cand = A - step * G
-            Yc, rc = image(cand)
+            rc = r + step * (step * c - b)
             fc = smoothed(rc, tau)
-            if fc < fA:
-                A, Y, r, fA = cand, Yc, rc, fc
-                history.append(fA)
-                dc = true_dist(rc)
-                if dc < best_dist:
-                    best_dist, best_E = dc, cand.copy()
-                step = min(step * 2.0, 1e9)
+            if fc < history[-1]:
+                A -= step * G
+                Yt -= step * Z
+                r = rc
+                history.append(fc)
+                if true_dist(rc) < best_dist:
+                    best_dist, best_E = true_dist(rc), A.copy()
                 accepted += 1
+                if accepted % 32 == 0:
+                    Yt, r = image(A)
+                    history.append(min(smoothed(r, tau), history[-1]))
+                step = min(step * 2.0, 1e9)
                 moved = True
                 break
             backtracks += 1
             step *= opts.step_shrink
-        stall = stall + 1 if not moved or prev_f - fA <= opts.tol * max(1.0, abs(fA)) else 0
+        stall = stall + 1 if not moved or prev_f - history[-1] <= opts.tol * max(1.0, abs(history[-1])) else 0
         if stall >= 2:
             if tau <= 1e-12:
                 stop_reason = "tau_floor"
                 break
             tau = max(tau * 0.25, 1e-12)
-            fA = smoothed(r, tau)
-            history.append(min(fA, history[-1]))
+            history.append(min(smoothed(r, tau), history[-1]))
             step = max(step, 1e-6 * opts.step_init)
             stall = 0
     if best_dist <= 1e-13:
         stop_reason = "dist_floor"
+    final = true_dist(image(best_E)[1])
+    if final > init_dist:
+        best_E, final = start, init_dist
     info = embeddings.OptimizeInfo(
         iterations=iters,
         converged=stop_reason != "max_iters",
         init_distortion=init_dist,
-        final_distortion=best_dist,
+        final_distortion=final,
         objective_history=tuple(history),
         stop_reason=stop_reason,
         accepted=accepted,
@@ -305,8 +355,8 @@ def _reference_optimize(X, m, opts, init):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
 @pytest.mark.parametrize("with_init", [False, True])
 def test_optimizer_matches_reference_loop_bitwise(m, with_init):
-    # the m x N image E Pᵀ and the cached smoothing pass must reproduce the
-    # N x m loop bit for bit on whatever BLAS runs the suite
+    # the ray-priced loop must reproduce its written-out form bit for bit
+    # on whatever BLAS runs the suite
     X = hard_instance(8, 40, 3)
     init = gaussian_map(m, 8, 2) if with_init else None
     opts = OptimizerOptions(max_iters=200)
@@ -334,6 +384,52 @@ def test_optimizer_stop_reasons():
     assert capped.stop_reason == "max_iters" and not capped.converged
     _, exact = optimize_map(hard_instance(6, 20, 4), 6, return_info=True)
     assert exact.stop_reason == "dist_floor" and exact.converged
+
+
+def test_optimizer_returns_start_when_ray_overstates_progress(monkeypatch):
+    # a ray that claims the first step lands every ratio on 1 makes that
+    # step the best iterate; its direct image shows it is worse than the
+    # PCA start, so the start comes back with its own distortion
+    ray = embeddings._ray
+
+    def overstated(Yt, G, Pt, sqn):
+        Z, _, c = ray(Yt, G, Pt, sqn)
+        return Z, (np.einsum("ij,ij->j", Yt, Yt) / sqn - 1.0) / 1e6, 0.0 * c
+
+    monkeypatch.setattr(embeddings, "_ray", overstated)
+    X = hard_instance(6, 20, 4)
+    A, info = optimize_map(X, 3, OptimizerOptions(max_iters=5, step_init=1e6), return_info=True)
+    assert info.accepted == 1 and info.stop_reason == "dist_floor"
+    assert A.entries.tobytes() == pca_map(X, 3).entries.tobytes()
+    assert info.final_distortion == info.init_distortion == distortion(A, X).eps_max
+
+
+@pytest.mark.parametrize("third", [(1e-170, 0.0), (1e200, 1.0)], ids=["underflow", "overflow"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_optimizer_ratios_survive_norm_underflow_and_overflow(third, m):
+    # the third point's squared norm underflows to 0 or overflows to inf;
+    # scaled by a power of two it keeps its ratios, so the run's distortions
+    # match exact rational arithmetic on the returned map
+    P = np.array([[1.0, 0.0], [0.0, 1.0], third])
+    scaled, sqn = embeddings._norm_scaled(P)
+    assert scaled[:2].tobytes() == P[:2].tobytes()
+    assert np.array_equal(scaled[2], np.ldexp(P[2], -np.frexp(np.abs(P[2]).max())[1]))
+    assert np.isfinite(sqn).all() and (sqn >= 0.25).all()
+    X = PointSet(2, P, ("gaussian",) * 3)
+    A, info = optimize_map(X, m, OptimizerOptions(max_iters=300), return_info=True)
+
+    def exact(E):
+        rows = [[Fraction(v) for v in row] for row in E]
+        worst = Fraction(0)
+        for x in P:
+            x = [Fraction(v) for v in x]
+            img = sum(sum(a * b for a, b in zip(row, x)) ** 2 for row in rows)
+            worst = max(worst, abs(img / sum(v * v for v in x) - 1))
+        return float(worst)
+
+    assert info.final_distortion <= 1e-9
+    assert abs(info.final_distortion - exact(A.entries)) <= 8 * 2.0**-52
+    assert abs(info.init_distortion - exact(pca_map(X, m).entries)) <= 8 * 2.0**-52
 
 
 def test_optimize_rejects_zero_vectors():
