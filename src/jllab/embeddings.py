@@ -183,18 +183,18 @@ def _smooth(r: np.ndarray, tau: float) -> _Smoothing:
     # optimizer's objective, distortion and gradient weights all read it
     residual = r - 1.0
     d = np.abs(residual)
-    top = d.max()
+    top = float(d.max())
     weights = np.exp((d - top) / tau)
-    total = weights.sum()
-    return _Smoothing(float(top + tau * np.log(total)), float(top), weights, float(total), residual)
+    total = float(weights.sum())
+    return _Smoothing(top + tau * math.log(total), top, weights, total, residual)
 
 
 def _norm_scaled(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the points and their squared norms; a point whose squared norm is 0,
     # subnormal or inf is first scaled by the power of two that puts its
     # largest coordinate in [1/2, 1).  Its ratios do not change, the scaling
-    # is exact but for coordinates under 2^-1022 of the largest (too small to
-    # move the squared norm), and every other point keeps its bits
+    # is exact but for coordinates under 2^-1021 times the largest (too small
+    # to move the squared norm), and every other point keeps its bits
     sqn = _rowsq(P)
     out = np.flatnonzero(~((sqn >= _TINY) & (sqn < np.inf)))
     if out.size:
@@ -208,11 +208,11 @@ def _norm_scaled(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return P, sqn
 
 
-def _ray(Yt: np.ndarray, G: np.ndarray, Pt: np.ndarray, sqn: np.ndarray) -> tuple[np.ndarray, ...]:
+def _ray(Yt: np.ndarray, G: np.ndarray, Pt: np.ndarray, isqn: np.ndarray) -> tuple[np.ndarray, ...]:
     # an optimizer iteration's one product Z = G Pᵀ and the column sums
     # b = 2⟨Ax, Gx⟩/‖x‖², c = ‖Gx‖²/‖x‖² that price its ray A - sG
     Z = G @ Pt
-    return Z, 2.0 * np.einsum("ij,ij->j", Yt, Z) / sqn, np.einsum("ij,ij->j", Z, Z) / sqn
+    return Z, np.einsum("ij,ij->j", Yt, Z) * (2.0 * isqn), np.einsum("ij,ij->j", Z, Z) * isqn
 
 
 def _run_strided(tasks: int, run: Callable[[int, int], _T]) -> list[_T]:
@@ -285,6 +285,7 @@ def optimize_map(
     _check_map_size(m, X.dim)
     P, sqn = _norm_scaled(X.points)
     Pt = np.ascontiguousarray(P.T)
+    isqn = 1.0 / sqn
 
     def direct(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Y = P @ E.T
@@ -315,12 +316,12 @@ def optimize_map(
     kick = opts.seed.child(0).generator()
     while iters < opts.max_iters and best_dist > _DIST_FLOOR:
         iters += 1
-        coef = sm.weights / sm.total * np.sign(sm.residual) / sqn
-        G = 2.0 * ((Yt * coef) @ P)
-        if float(np.einsum("ij,ij->", G, G)) == 0.0:
+        G = (Yt * (np.sign(sm.residual) * sm.weights * isqn)) @ P
+        G *= 2.0 / sm.total
+        if np.vdot(G, G) == 0.0:
             # flat objective: random direction from the options seed
             G = kick.standard_normal(A.shape)
-        Z, b, c = _ray(Yt, G, Pt, sqn)
+        Z, b, c = _ray(Yt, G, Pt, isqn)
         moved = False
         prev_f = history[-1]
         while step > _STEP_FLOOR:

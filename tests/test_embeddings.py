@@ -262,6 +262,7 @@ def _reference_optimize(X, m, opts, init):
     # step's ratios r + s (s c - b) in closed form
     P = X.points
     sqn = np.einsum("ij,ij->i", P, P)
+    isqn = 1.0 / sqn
     Pt = np.ascontiguousarray(P.T)
 
     def image(E):
@@ -273,8 +274,8 @@ def _reference_optimize(X, m, opts, init):
 
     def smoothed(r, tau):
         d = np.abs(r - 1.0)
-        top = d.max()
-        return float(top + tau * np.log(np.exp((d - top) / tau).sum()))
+        top = float(d.max())
+        return top + tau * math.log(float(np.exp((d - top) / tau).sum()))
 
     candidates = [pca_map(X, m).entries]
     if init is not None:
@@ -296,14 +297,14 @@ def _reference_optimize(X, m, opts, init):
     while iters < opts.max_iters and best_dist > 1e-13:
         iters += 1
         d = np.abs(r - 1.0)
-        w = np.exp((d - d.max()) / tau)
-        coef = w / w.sum() * np.sign(r - 1.0) / sqn
-        G = 2.0 * ((Yt * coef) @ P)
-        if float(np.einsum("ij,ij->", G, G)) == 0.0:
+        w = np.exp((d - float(d.max())) / tau)
+        G = (Yt * (np.sign(r - 1.0) * w * isqn)) @ P
+        G *= 2.0 / float(w.sum())
+        if np.vdot(G, G) == 0.0:
             G = kick.standard_normal(A.shape)
         Z = G @ Pt
-        b = 2.0 * np.einsum("ij,ij->j", Yt, Z) / sqn
-        c = np.einsum("ij,ij->j", Z, Z) / sqn
+        b = np.einsum("ij,ij->j", Yt, Z) * (2.0 * isqn)
+        c = np.einsum("ij,ij->j", Z, Z) * isqn
         moved = False
         prev_f = history[-1]
         while step > 1e-18:
@@ -392,9 +393,9 @@ def test_optimizer_returns_start_when_ray_overstates_progress(monkeypatch):
     # PCA start, so the start comes back with its own distortion
     ray = embeddings._ray
 
-    def overstated(Yt, G, Pt, sqn):
-        Z, _, c = ray(Yt, G, Pt, sqn)
-        return Z, (np.einsum("ij,ij->j", Yt, Yt) / sqn - 1.0) / 1e6, 0.0 * c
+    def overstated(Yt, G, Pt, isqn):
+        Z, _, c = ray(Yt, G, Pt, isqn)
+        return Z, (np.einsum("ij,ij->j", Yt, Yt) * isqn - 1.0) / 1e6, 0.0 * c
 
     monkeypatch.setattr(embeddings, "_ray", overstated)
     X = hard_instance(6, 20, 4)
