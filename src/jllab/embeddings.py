@@ -253,7 +253,8 @@ def optimize_map(
     b = 2⟨Ax, Gx⟩/‖x‖² and c = ‖Gx‖²/‖x‖² as column sums.  Each trial then
     costs one smoothing pass, which gives the objective, the distortion
     max|r - 1| and the log-sum-exp weights; an accepted step keeps them
-    for its gradient 2 (Yt ∘ coef) P and updates A -= sG, Yt -= sZ.
+    for its gradient 2 (Yt ∘ coef) P and updates A -= sG, Yt -= sZ in
+    place.
 
     Direct images are taken as `distortion` takes them, Y = P Eᵀ (N x m)
     with row sums, so a direct max|r - 1| is ``distortion(E, X).eps_max``
@@ -328,8 +329,10 @@ def optimize_map(
             rc = r + step * (step * c - b)
             sc = _smooth(rc, tau)
             if sc.objective < history[-1]:
-                A -= step * G
-                Yt -= step * Z
+                G *= step
+                A -= G
+                Z *= step
+                Yt -= Z
                 r, sm = rc, sc
                 history.append(sm.objective)
                 if sm.top < best_dist:
