@@ -315,8 +315,9 @@ def _reference_optimize(X, m, opts, init):
                 Yt -= step * Z
                 r = rc
                 history.append(fc)
-                if true_dist(rc) < best_dist:
-                    best_dist, best_E = true_dist(rc), A.copy()
+                dc = true_dist(rc)
+                if dc < best_dist:
+                    best_dist, best_E = dc, A.copy()
                 accepted += 1
                 if accepted % 32 == 0:
                     Yt, r = image(A)
