@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import LinearMap, _rowsq, _run_strided
+from .embeddings import LinearMap, _norm_scaled, _rowsq, _run_strided
 from .pointset import MAX_TOTAL_COORDS, PointSet, SizeError, _json_fields, _unit_rows
 
 MODE_NORM = "norm-preservation"
@@ -159,6 +159,13 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     raises `SizeError` before it allocates anything when that count
     exceeds `MAX_PAIRS`.
 
+    In norm mode a point whose squared norm is 0, subnormal or infinite is
+    first scaled by a power of two, as `optimize_map` scales it, which
+    leaves its ratio unchanged; every other point keeps its bits, and
+    ``skipped`` lists exactly the zero points.  Pairwise mode does not
+    rescale: a pair whose squared distance underflows to 0 is skipped, and
+    one whose squared distance overflows gets a NaN ratio.
+
     Pairwise mode runs on a bounded thread pool of min(available cores,
     N - 1, 8) workers, inline when that is at most 1.  Worker w of W takes
     the rows i = w, w + W, ... and each row's pairs (i, j), j > i, in tiles
@@ -219,7 +226,8 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     mode = _checked_mode(A, X, mode)
     if mode == MODE_PAIRWISE:
         return _pairwise_distortion(A, X.points)
-    before, after = _rowsq(X.points), _rowsq(A.apply(X.points))
+    P, before = _norm_scaled(X.points)
+    after = _rowsq(A.apply(P))
     keep = before > 0.0
     ratios = after[keep] / before[keep]
     eps_max, violating = 0.0, None
@@ -481,7 +489,9 @@ def spectral_certificate(A: LinearMap) -> SpectralCertificate:
     error cannot contaminate it.  Eigenvalues are returned descending with
     negative rounding noise clipped to zero.  The n x n Gram matrix must
     stay within `MAX_TOTAL_COORDS` entries (n <= 3162); a wider map raises
-    `SizeError` before anything is allocated.
+    `SizeError` before anything is allocated.  A trace, squared trace or
+    squared Frobenius norm that overflows raises `ArithmeticError` naming
+    it, before the eigensolver and the rank bound run.
     """
     if A.n * A.n > MAX_TOTAL_COORDS:
         raise SizeError(
@@ -489,9 +499,13 @@ def spectral_certificate(A: LinearMap) -> SpectralCertificate:
             f"over the {MAX_TOTAL_COORDS} coordinate limit"
         )
     E = A.entries
-    gram = E.T @ E
-    trace = float(np.einsum("ij,ij->", E, E))
-    frob_sq = float(np.einsum("ij,ij->", gram, gram))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = E.T @ E
+        trace = float(np.einsum("ij,ij->", E, E))
+        frob_sq = float(np.einsum("ij,ij->", gram, gram))
+    for name, v in (("trace", trace), ("squared trace", trace * trace), ("squared Frobenius norm", frob_sq)):
+        if not math.isfinite(v):
+            raise ArithmeticError(f"the {name} of A^T A overflows for a {A.m}x{A.n} map")
     try:
         lam = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
-from .pointset import MAX_TOTAL_COORDS, PointSet, SizeError, _format_rows, _read_rows
+from .pointset import MAX_TOTAL_COORDS, PointSet, SizeError, _format_rows, _read_rows, _text_lines
 from .seeds import Seed, as_seed
 
 _T = TypeVar("_T")
@@ -190,18 +190,17 @@ def _smooth(r: np.ndarray, tau: float) -> _Smoothing:
 
 
 def _norm_scaled(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the points and their squared norms; a point whose squared norm is 0,
-    # subnormal or inf is first scaled by the power of two that puts its
-    # largest coordinate in [1/2, 1).  Its ratios do not change, the scaling
-    # is exact but for coordinates under 2^-1021 times the largest (too small
-    # to move the squared norm), and every other point keeps its bits
+    # the points and their squared norms, shared by the optimizer and
+    # `distortion`; a point whose squared norm is 0, subnormal or inf is
+    # first scaled by the power of two that puts its largest coordinate in
+    # [1/2, 1).  Its ratios do not change, the scaling is exact but for
+    # coordinates under 2^-1021 times the largest (too small to move the
+    # squared norm), and every other point keeps its bits.  A squared norm
+    # of 0 is then left only by an exactly zero point
     sqn = _rowsq(P)
     out = np.flatnonzero(~((sqn >= _TINY) & (sqn < np.inf)))
     if out.size:
         big = np.abs(P[out]).max(axis=1)
-        zero = out[big == 0.0]
-        if zero.size:
-            raise ValueError(f"point {zero[0]} has zero norm; norm ratios are undefined for it")
         P = P.copy()
         P[out] = np.ldexp(P[out], -np.frexp(big)[1][:, None])
         sqn[out] = _rowsq(P[out])
@@ -285,6 +284,9 @@ def optimize_map(
         raise ValueError(f"need 1 <= m <= {X.dim}, got m={m}")
     _check_map_size(m, X.dim)
     P, sqn = _norm_scaled(X.points)
+    zero = np.flatnonzero(sqn == 0.0)
+    if zero.size:
+        raise ValueError(f"point {zero[0]} has zero norm; norm ratios are undefined for it")
     Pt = np.ascontiguousarray(P.T)
     isqn = 1.0 / sqn
 
@@ -391,7 +393,7 @@ def write_map(path: str | Path, A: LinearMap) -> None:
 def read_map(path: str | Path) -> LinearMap:
     """Read a map written by `write_map`."""
     path = Path(path)
-    lines = path.read_bytes().decode("ascii").splitlines()
+    lines = _text_lines(path.read_bytes(), path)
     if not lines:
         raise ValueError(f"{path}: empty file")
     match = _MAP_HEADER.match(lines[0])

@@ -23,7 +23,12 @@ share one row grammar, written by `_format_rows` and read by `_read_rows`.
 The reader checks the header's sizes against the rows themselves (the
 line count, then every row's width) before it allocates the array, so the
 array takes at most 8 bytes per byte of the file, whatever the header
-claims.
+claims.  It then converts all rows in one bulk call, `numpy.loadtxt`,
+which parses each field with ``PyOS_string_to_double``, the routine behind
+``float()``, so every value has the bits ``float()`` gives it.  Rows the
+bulk call refuses or reads differently from ``float()`` go through a
+per-row ``float()`` loop, the error path, which names the 1-based line of
+a malformed value.  Both readers refuse a byte outside ASCII with its line.
 """
 
 from __future__ import annotations
@@ -180,6 +185,21 @@ def _read_rows(lines: list[str], first: int, count: int, width: int, path: Path)
         found = row.count(",") + 1
         if found != width:
             raise ValueError(f"{path}: line {first + i + 1}: expected {width} values, found {found}")
+    # one bulk conversion.  loadtxt parses each field with
+    # PyOS_string_to_double, the routine behind float(), so the values are
+    # the same bits.  Where it parts from float() the rows go to the per-row
+    # loop below, the error path: it refuses some values float() takes
+    # ("1_0"), skips blank rows (a result of the wrong shape), warns when
+    # every row is blank, and strips a "\x1f" around a field, which float()
+    # refuses.
+    if any(rows) and not any("\x1f" in row for row in rows):
+        try:
+            out = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if out.shape == (count, width):
+                return out
     out = np.empty((count, width))
     for i, row in enumerate(rows):
         try:
@@ -231,8 +251,18 @@ def _read_binary(blob: bytes, path: Path) -> PointSet:
     return PointSet(int(n), pts.reshape(int(count), int(n)).copy(), roles)
 
 
+def _text_lines(blob: bytes, path: Path) -> list[str]:
+    # the lines of a text point set or map; a byte outside ASCII is refused
+    # with the 1-based line it sits on, counted as splitlines counts
+    try:
+        return blob.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        line = len((blob[: exc.start].decode("ascii") + "x").splitlines())
+        raise ValueError(f"{path}: line {line}: non-ASCII byte") from None
+
+
 def _read_text(blob: bytes, path: Path) -> PointSet:
-    lines = blob.decode("ascii").splitlines()
+    lines = _text_lines(blob, path)
     if not lines:
         raise ValueError(f"{path}: empty file")
     m = _TEXT_HEADER.match(lines[0])

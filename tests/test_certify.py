@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,6 +72,30 @@ def test_distortion_skips_zero_vectors_with_note():
     assert rep.skipped == (0,)
     assert rep.ratios.shape == (3,)
     assert rep.eps_max == 0.0
+
+
+@pytest.mark.parametrize(
+    "third, row", [((1e-170, 0.0), (2.0, 0.0)), ((1e200, 1.0), (1.0, 0.0))], ids=["underflow", "overflow"]
+)
+def test_distortion_norm_ratios_survive_underflow_and_overflow(third, row):
+    # the third point's squared norm underflows to 0 or overflows to inf;
+    # its ratio is still the exact rational one, rounded, and only the
+    # exactly zero fourth point is skipped
+    P = np.array([[1.0, 0.0], [0.0, 1.0], third, [0.0, 0.0]])
+    A = LinearMap(np.array([row]))
+    rep = distortion(A, PointSet(2, P, ("gaussian",) * 4))
+    exact = []
+    for x in P[:3]:
+        x = [Fraction(v) for v in x]
+        img = sum(Fraction(a) * v for a, v in zip(row, x))
+        exact.append(img * img / sum(v * v for v in x))
+    assert rep.ratios.tolist() == [float(r) for r in exact]
+    assert rep.eps_max == float(max(abs(r - 1) for r in exact))
+    assert rep.violating_index == (0 if third[0] < 1 else 1)
+    assert rep.skipped == (3,)
+    # the other points keep the bits of the unscaled computation
+    plain = distortion(A, PointSet(2, P[:2], ("gaussian",) * 2))
+    assert rep.ratios[:2].tobytes() == plain.ratios.tobytes()
 
 
 def test_distortion_permutation_invariant():
@@ -478,6 +503,17 @@ def test_rank_lb_zero_map():
     cert = spectral_certificate(LinearMap(np.zeros((3, 4))))
     assert cert.rank_lb == 0
     assert rank_lower_bound(cert) == 0
+
+
+@pytest.mark.parametrize(
+    "entries, name",
+    [([[1e200, 0.0]], "the trace"), ([[1e100, 1e100], [1e100, 1e100]], "the squared trace")],
+)
+def test_certificate_refuses_an_overflowing_trace(entries, name):
+    # a trace of inf (or one whose square is) would reach the rank bound as
+    # int(ceil(inf * inf / inf)); it is refused first, by name
+    with pytest.raises(ArithmeticError, match=f"^{name} of A\\^T A overflows for a"):
+        spectral_certificate(LinearMap(np.array(entries)))
 
 
 def test_rank_lb_rank_one():

@@ -1,6 +1,7 @@
 """End-to-end command line checks: exit codes, file outputs, determinism."""
 
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -577,29 +578,74 @@ def test_n_must_match_the_input_dimension(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["certify", "--map", "{map}", "--set", "{set}"],
-        ["certify", "--map", "{map}", "--set", "{set}", "--mode", "pairwise", "--out", "{dir}/cert.json"],
-        ["audit", "--map", "{map}", "--set", "{set}", "--eps", "0.5", "--out", "{dir}/audit.json"],
-        ["frontier", "--set", "{set}", "--maps-per-m", "2", "--max-iters", "20", "--out", "{dir}/front.csv"],
-    ],
-    ids=["certify", "certify-pairwise", "audit", "frontier"],
-)
-def test_nonfinite_output_exits_three(tmp_path, capsys, argv):
-    # the squared norm of (1e200, 1) overflows, so its ratio, and every
-    # distortion `distortion` reports for the set, is NaN; RFC 8259 JSON
-    # and the CSV cells have no spelling for it
+def _overflow_inputs(tmp_path):
+    # the squared norm of (1e200, 1) overflows to inf
     ps, mp = tmp_path / "s.jlps", tmp_path / "a.jlmap"
     write_pointset(ps, PointSet(2, np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 1.0]]), ("gaussian",) * 3))
     write_map(mp, LinearMap(np.array([[1.0, 0.5]])))
+    return ps, mp
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--map", "{map}", "--set", "{set}", "--mode", "pairwise", "--out", "{dir}/cert.json"],
+        ["audit", "--map", "{map}", "--set", "{set}", "--eps", "0.5", "--out", "{dir}/audit.json"],
+    ],
+    ids=["certify-pairwise", "audit"],
+)
+def test_nonfinite_output_exits_three(tmp_path, capsys, argv):
+    # the squared distances from (1e200, 1) overflow, so their pairwise
+    # ratios are NaN, and so does its image's squared norm, so the audit's
+    # witness deviation is infinite; RFC 8259 JSON has no spelling for either
+    ps, mp = _overflow_inputs(tmp_path)
     argv = [a.format(set=ps, map=mp, dir=tmp_path) for a in argv]
     code, out, err = run(argv, capsys)
     assert code == 3
     assert "numerical failure: non-finite value" in err
     assert out == ""
     assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--map", "{map}", "--set", "{set}", "--out", "{dir}/cert.json"],
+        ["frontier", "--set", "{set}", "--maps-per-m", "2", "--max-iters", "20", "--out", "{dir}/front.csv"],
+    ],
+    ids=["certify", "frontier"],
+)
+def test_overflowing_norm_gives_finite_output(tmp_path, capsys, argv):
+    # norm mode and the optimizer scale (1e200, 1) by a power of two before
+    # they square it, so its ratio is finite and correct
+    ps, mp = _overflow_inputs(tmp_path)
+    argv = [a.format(set=ps, map=mp, dir=tmp_path) for a in argv]
+    code, _, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    if argv[0] == "certify":
+        report = json.loads((tmp_path / "cert.json").read_text())["distortion"]
+        # (1e200 + 1/2)² / (1e400 + 1) is 1 + 1e-200 + ..., which rounds to 1
+        assert report["ratios"] == [1.0, 0.25, 1.0]
+        assert report["eps_max"] == 0.75 and report["violating_index"] == 1
+    else:
+        lines = (tmp_path / "front.csv").read_text().splitlines()
+        assert lines[1].startswith("m,eps_random_best,eps_opt,")
+        rows = [ln.split(",") for ln in lines[2:]]
+        assert [r[0] for r in rows] == ["1", "2"]
+        assert all(math.isfinite(float(v)) for r in rows for v in r[1:3])
+        assert float(rows[-1][2]) <= 1e-6
+
+
+def test_certify_overflowing_map_exits_three(tmp_path, capsys):
+    # a map entry of 1e200 makes the trace of AᵀA inf; the certificate
+    # names it instead of reaching int(ceil(inf * inf / inf))
+    ps, mp, out_json = tmp_path / "b.jlps", tmp_path / "a.jlmap", tmp_path / "cert.json"
+    run(["gen", "--kind", "basis", "--n", "2", "--out", str(ps)], capsys)
+    mp.write_text("jlmap v1 m=1 n=2\n1e200,0\n")
+    code, out, err = run(["certify", "--map", str(mp), "--set", str(ps), "--out", str(out_json)], capsys)
+    assert code == 3
+    assert err == "jllab: numerical failure: the trace of A^T A overflows for a 1x2 map\n"
+    assert out == "" and not out_json.exists()
 
 
 def test_embed_optimize_rescues_overflowing_norm(tmp_path, capsys):

@@ -431,6 +431,8 @@ def test_optimizer_ratios_survive_norm_underflow_and_overflow(third, m):
 
     assert info.final_distortion <= 1e-9
     assert abs(info.final_distortion - exact(A.entries)) <= 8 * 2.0**-52
+    # `distortion` scales the point by the same rule, so it reads the same bits
+    assert info.final_distortion == distortion(A, X).eps_max
     assert abs(info.init_distortion - exact(pca_map(X, m).entries)) <= 8 * 2.0**-52
 
 

@@ -1,17 +1,22 @@
 """Point set construction, validation, and serialization."""
 
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jllab.cli import main
-from jllab.embeddings import LinearMap, write_map
+from jllab.embeddings import LinearMap, read_map, write_map
 from jllab.pointset import (
     MAX_TOTAL_COORDS,
     PointSet,
     SizeError,
     _format_rows,
+    _read_rows,
     gaussian_vectors,
     hard_instance,
     read_pointset,
@@ -189,3 +194,78 @@ def test_truncated_binary_rejected(tmp_path):
     path.write_bytes(blob[:-5])
     with pytest.raises(ValueError, match="bytes"):
         read_pointset(path)
+
+
+_ROWS = st.integers(1, 4).flatmap(
+    lambda w: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=w, max_size=w),
+        min_size=1,
+        max_size=8,
+    )
+)
+
+
+@settings(deadline=None)
+@given(_ROWS, st.sampled_from(["%.17g", "%r"]))
+@example([[5e-324, -5e-324, 0.0, -0.0], [1.7976931348623157e308, -2.2250738585072014e-308, 1e-310, 0.1]], "%.17g")
+@example([[5e-324, -5e-324, 0.0, -0.0], [1.7976931348623157e308, -2.2250738585072014e-308, 1e-310, 0.1]], "%r")
+def test_bulk_parse_matches_float_per_value(rows, fmt):
+    # the one bulk conversion gives the bits float() gives, value by value
+    lines = ["header"] + [",".join(fmt % v for v in row) for row in rows]
+    got = _read_rows(lines, 1, len(rows), len(rows[0]), Path("p.jlps"))
+    want = np.array([[float(f) for f in line.split(",")] for line in lines[1:]])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_reader_takes_what_float_takes(tmp_path):
+    # the bulk conversion refuses "1_0" and the per-row loop takes it
+    path = tmp_path / "us.jlps"
+    path.write_text("jlps v1 n=2 N=2\n1_0,2\n3,4\nroles=gaussian,gaussian\n")
+    assert read_pointset(path).points.tolist() == [[10.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("jlps v1 n=1 N=3\n1\n\n2\nroles=gaussian,gaussian,gaussian\n", 3),
+        ("jlps v1 n=1 N=2\n\n\nroles=gaussian,gaussian\n", 2),
+        ("jlps v1 n=2 N=3\n1,2\n3,x\n5,6\nroles=gaussian,gaussian,gaussian\n", 3),
+        ("jlps v1 n=2 N=2\n1,2\n\x1f3,4\nroles=gaussian,gaussian\n", 3),
+        ("jlmap v1 m=3 n=1\n1\n\n2\n", 3),
+    ],
+    ids=["blank-row", "all-blank", "malformed", "unit-separator", "map-blank-row"],
+)
+def test_malformed_rows_keep_their_messages(tmp_path, text, line):
+    # blank rows (which the bulk conversion skips), a bad value and a "\x1f"
+    # (which the bulk conversion strips, and float() refuses) all go to the
+    # per-row loop, and no numpy warning escapes
+    path = tmp_path / ("bad.jlmap" if text.startswith("jlmap") else "bad.jlps")
+    path.write_text(text)
+    reader = read_map if text.startswith("jlmap") else read_pointset
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            reader(path)
+    assert str(info.value) == f"{path}: line {line}: malformed value"
+
+
+@pytest.mark.parametrize(
+    "blob, line",
+    [
+        (b"jlps v1 n=2 N=2\r\n1,0\r\n0,\xc3\nroles=basis,basis\n", 3),
+        (b"\xc3jlps v1 n=2 N=1\n1,0\nroles=basis\n", 1),
+        (b"jlmap v1 m=1 n=2\n1,\xc3\n", 2),
+        (b"jlmap v1 m=1 n=2\n1,0\n\xc3", 3),
+    ],
+    ids=["set-crlf", "set-header", "map", "map-last-line"],
+)
+def test_non_ascii_byte_names_the_line(tmp_path, capsys, blob, line):
+    is_map = blob.startswith(b"jlmap")
+    path = tmp_path / ("bad.jlmap" if is_map else "bad.jlps")
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as info:
+        (read_map if is_map else read_pointset)(path)
+    assert str(info.value) == f"{path}: line {line}: non-ASCII byte"
+    argv = ["certify", "--map", str(path)] if is_map else ["embed", "--method", "pca", "--set", str(path), "--m", "1"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"jllab: error: {path}: line {line}: non-ASCII byte\n"
