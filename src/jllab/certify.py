@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import LinearMap, _norm_scaled, _rowsq, _run_strided
+from .embeddings import _TINY, LinearMap, _norm_scaled, _rowsq, _run_strided
 from .pointset import MAX_TOTAL_COORDS, PointSet, SizeError, _json_fields, _unit_rows
 
 MODE_NORM = "norm-preservation"
@@ -486,34 +486,62 @@ def spectral_certificate(A: LinearMap) -> SpectralCertificate:
 
     The trace is computed directly from the entries (sum over basis
     directions of ‖Ae_i‖²) rather than from the spectrum, so eigensolver
-    error cannot contaminate it.  Eigenvalues are returned descending with
-    negative rounding noise clipped to zero.  The n x n Gram matrix must
-    stay within `MAX_TOTAL_COORDS` entries (n <= 3162); a wider map raises
-    `SizeError` before anything is allocated.  A trace, squared trace or
-    squared Frobenius norm that overflows raises `ArithmeticError` naming
-    it, before the eigensolver and the rank bound run.
+    error cannot contaminate it.  The eigensolver runs on the smaller Gram
+    matrix, A A^T when m < n and A^T A otherwise; the two share their
+    nonzero spectrum, and ``frob_sq`` is taken from the one formed (the
+    same value in exact arithmetic).  Eigenvalues are returned descending
+    with negative rounding noise clipped to zero, n of them: when m < n the
+    last n - m are exact zeros.  The spectrum of A^T A has n entries, so n
+    must stay within sqrt(`MAX_TOTAL_COORDS`) (n <= 3162); a wider map
+    raises `SizeError` before anything is allocated.  A trace, squared
+    trace or squared Frobenius norm that overflows raises `ArithmeticError`
+    naming it, before the eigensolver and the rank bound run.
+
+    A nonzero map whose trace or ``frob_sq`` is 0 or subnormal is first
+    scaled by the power of two that puts its largest entry in [1/2, 1).
+    The rank bound is scale-invariant and comes from the scaled map; the
+    trace, ``frob_sq`` and eigenvalues are scaled back and may still round
+    to 0.  Every other map keeps its bits.
     """
     if A.n * A.n > MAX_TOTAL_COORDS:
         raise SizeError(
             f"spectral certificate of a {A.m}x{A.n} map needs a {A.n}x{A.n} Gram matrix, "
             f"over the {MAX_TOTAL_COORDS} coordinate limit"
         )
-    E = A.entries
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = E.T @ E
-        trace = float(np.einsum("ij,ij->", E, E))
-        frob_sq = float(np.einsum("ij,ij->", gram, gram))
+    gram, trace, frob_sq, e = _gram_data(A.entries)
     for name, v in (("trace", trace), ("squared trace", trace * trace), ("squared Frobenius norm", frob_sq)):
         if not math.isfinite(v):
             raise ArithmeticError(f"the {name} of A^T A overflows for a {A.m}x{A.n} map")
     try:
         lam = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"eigensolver failed on a {A.n}x{A.n} Gram matrix: {exc}") from exc
-    lam = np.maximum(lam[::-1], 0.0)
+        k = len(gram)
+        raise np.linalg.LinAlgError(f"eigensolver failed on a {k}x{k} Gram matrix: {exc}") from exc
+    lam = np.concatenate([np.maximum(lam[::-1], 0.0), np.zeros(A.n - len(lam))])
     return SpectralCertificate(
-        trace=trace, frob_sq=frob_sq, eigenvalues=lam, rank_lb=_cs_rank_lb(trace, frob_sq)
+        trace=math.ldexp(trace, 2 * e),
+        frob_sq=math.ldexp(frob_sq, 4 * e),
+        eigenvalues=np.ldexp(lam, 2 * e),
+        rank_lb=_cs_rank_lb(trace, frob_sq),
     )
+
+
+def _gram_data(E: np.ndarray) -> tuple[np.ndarray, float, float, int]:
+    # the smaller Gram matrix of 2^-e E (E E^T when m < n, else E^T E), its
+    # trace as the entry sum, its squared Frobenius norm and e.  e = 0 unless
+    # E is nonzero and its trace or squared Frobenius norm is 0 or subnormal;
+    # then 2^-e puts E's largest entry in [1/2, 1).  That entry is under
+    # 2^-255 then, so e < 0 and the scaling is exact
+    def sums(E: np.ndarray) -> tuple[np.ndarray, float, float]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = E @ E.T if E.shape[0] < E.shape[1] else E.T @ E
+            return gram, float(np.einsum("ij,ij->", E, E)), float(np.einsum("ij,ij->", gram, gram))
+
+    gram, trace, frob_sq = sums(E)
+    if not min(trace, frob_sq) < _TINY or not E.any():
+        return gram, trace, frob_sq, 0
+    e = int(np.frexp(np.abs(E).max())[1])
+    return *sums(np.ldexp(E, -e)), e
 
 
 def _cs_rank_lb(trace: float, frob_sq: float) -> int:
@@ -546,11 +574,17 @@ def witness_search(A: LinearMap, V: PointSet) -> tuple[np.ndarray, float]:
 
 def _max_deviation(A: LinearMap, V: PointSet, cert: SpectralCertificate) -> tuple[int, float]:
     # index and value of the largest |‖Av‖² - trace| / frob over V, from
-    # A's certificate; ties break toward the lowest index
-    frob = math.sqrt(cert.frob_sq)
+    # A's certificate; ties break toward the lowest index.  The deviation is
+    # scale-invariant, so when the certificate's sums are 0 or subnormal it
+    # is taken on the map `spectral_certificate` scaled for its rank bound
+    E, trace, frob_sq = A.entries, cert.trace, cert.frob_sq
+    if min(trace, frob_sq) < _TINY:
+        _, trace, frob_sq, e = _gram_data(E)
+        E = np.ldexp(E, -e)
+    frob = math.sqrt(frob_sq)
     if frob == 0.0:
         raise ValueError("zero map: witness deviation is undefined")
-    dev = np.abs(_rowsq(A.apply(V.points)) - cert.trace) / frob
+    dev = np.abs(_rowsq(V.points @ E.T) - trace) / frob
     j = int(np.argmax(dev))
     return j, float(dev[j])
 

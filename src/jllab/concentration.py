@@ -28,8 +28,9 @@ The norm sample's chunks run on a bounded thread pool of min(available
 cores, chunks, 8) workers, each with its own buffer and its own slice of
 the output, so the result does not depend on the worker count.  The
 estimators that multiply each chunk by a matrix run their chunks inline:
-the BLAS call already spreads over the cores, and a pool adds one BLAS
-buffer and one chunk buffer per concurrent worker for no speed.
+the BLAS call already spreads over the cores, and its idle worker threads
+keep spinning after each product, so pooled draws beside them gain
+nothing (see `_sample`).
 
 Each estimator evaluates a whole grid of thresholds on one sample, and the
 public single-threshold estimators are the grid forms at a one-element
@@ -42,6 +43,18 @@ and `calibrate_constants` all count through those methods, so an estimate
 and the calibration validated against it cannot drift apart.  The strict
 count dev > threshold of the norm, chaos and symmetric-form tails is one
 helper, and the chaos and symmetric-form thresholds one formula.
+
+The module keeps one such record, the most recent, keyed by the map's
+shape, a blake2b digest of its entries, ``trials`` and the seed value.
+`chaos_tail_estimate` and `joint_event_rate` look it up before they take
+the certificate or draw, so a loop of single calls over t or delta at
+one (map, trials, seed) costs one certificate and one draw, as the grid
+form does.  That is the traffic of the held-out checks after a
+calibration: several thresholds back to back on one sample.  A miss
+drops the old record before it draws, so no call holds two samples; the
+record holds its one sample (two floats per trial) until the next miss.
+It is read and replaced as one tuple, so concurrent callers each get
+their own key's sample.
 """
 
 from __future__ import annotations
@@ -234,9 +247,13 @@ def _sample(
     # the one chunk loop: chunk c (trials c*CHUNK_TRIALS, ...) is drawn from
     # seed.child(c) into a reused buffer g, and rows(g) is its (width, len(g))
     # block of the (width, trials) result.  pool=False runs inline for rows
-    # that call BLAS: pooling map_samples was bit-identical and no faster, but
-    # raised the tails workload's peak RSS from 82 to 109-113 MiB (one BLAS
-    # buffer and one chunk buffer per concurrent caller)
+    # that call BLAS.  After each threaded product OpenBLAS's idle worker
+    # spins and holds the second core, so a pool beside it draws on one core:
+    # on 2 cores (OpenBLAS 0.3.31), pooled norm draws at n = 64 and 20000
+    # trials took 22.7 ms right after a 512 x 512 GEMM, against 12.5 ms after
+    # 0.2 s idle and 22.9 ms serial.  Pooled map_samples were bit-identical
+    # but slower on the tails workload, and raised its peak RSS from 82 to
+    # 109-125 MiB (one BLAS buffer and one chunk buffer per concurrent caller)
     _validate_mc(n, trials)
     s = as_seed(seed)
     out = np.empty((width, trials))
@@ -310,7 +327,7 @@ def chaos_tail_estimate(
     At A = identity the event coincides with the norm tail at the matched
     threshold, and the shared sampling makes the counts identical.
     """
-    return _chaos_tail_grid(A, [t], c, trials, seed, spectral_certificate(A))[0]
+    return _chaos_tail_grid(A, [t], c, trials, seed)[0]
 
 
 def _chaos_tail_grid(
@@ -319,9 +336,9 @@ def _chaos_tail_grid(
     c: float,
     trials: int,
     seed: int | Seed,
-    cert: SpectralCertificate,
+    cert: SpectralCertificate | None = None,
 ) -> list[TailEstimate]:
-    """`chaos_tail_estimate` at every t of ``ts`` on one map sample; ``cert`` is A's."""
+    """`chaos_tail_estimate` at every t of ``ts`` on one map sample; ``cert``, if given, is A's."""
     if not ts:
         return []
     _check_ts(ts)
@@ -366,7 +383,7 @@ def joint_event_rate(
     (non-strict), the norm side asks ‖g‖² <= n + c2 sqrt(n ln(1/delta)).
     The reported threshold is the form-side one.
     """
-    return _joint_event_grid(A, [delta], c1, c2, trials, seed, spectral_certificate(A))[0]
+    return _joint_event_grid(A, [delta], c1, c2, trials, seed)[0]
 
 
 def _joint_event_grid(
@@ -376,9 +393,9 @@ def _joint_event_grid(
     c2: float,
     trials: int,
     seed: int | Seed,
-    cert: SpectralCertificate,
+    cert: SpectralCertificate | None = None,
 ) -> list[TailEstimate]:
-    """`joint_event_rate` at every delta of ``deltas`` on one map sample; ``cert`` is A's."""
+    """`joint_event_rate` at every delta of ``deltas`` on one map sample; ``cert``, if given, is A's."""
     if not deltas:
         return []
     _check_deltas(deltas)
@@ -421,14 +438,36 @@ class _FormSample:
         return self.n + c2 * math.sqrt(self.n * math.log(1.0 / delta))
 
 
+# the most recent map sample as one (key, _FormSample) tuple, or None; see
+# `_form_sample`
+_record: tuple[tuple, _FormSample] | None = None
+
+
 def _form_sample(
-    A: LinearMap, trials: int, seed: int | Seed, cert: SpectralCertificate
+    A: LinearMap, trials: int, seed: int | Seed, cert: SpectralCertificate | None = None
 ) -> _FormSample:
-    # ``cert`` is A's spectral certificate
+    # A's map sample: the record's when it holds the same (A, trials, seed),
+    # else drawn and recorded (see the module docstring).  ``cert`` is A's
+    # spectral certificate, taken here when it is None and the record misses.
+    # The digest catches a change to A in place without keeping a copy of A.
+    # hashlib is imported here: it loads OpenSSL, which would add about 6 ms
+    # to every `import jllab`
+    import hashlib
+
+    global _record
+    key = (A.entries.shape, hashlib.blake2b(A.entries).digest(), trials, as_seed(seed).value)
+    record = _record
+    if record is not None and record[0] == key:
+        return record[1]
+    _record = None
+    if cert is None:
+        cert = spectral_certificate(A)
     if cert.frob_sq == 0.0:
         raise ValueError("zero map: the deviation event is degenerate")
     img, nrm = map_samples(A, trials, seed)
-    return _FormSample(n=A.n, cert=cert, dev=np.abs(img - cert.trace), normsq=nrm)
+    sample = _FormSample(n=A.n, cert=cert, dev=np.abs(img - cert.trace), normsq=nrm)
+    _record = (key, sample)
+    return sample
 
 
 # ---------------------------------------------------------------------------

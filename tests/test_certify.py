@@ -530,6 +530,59 @@ def test_rank_lb_bounded_by_nonzero_count(seed):
     assert 1 <= cert.rank_lb <= nnz <= min(A.m, A.n)
 
 
+@pytest.mark.parametrize("m, n", [(3, 11), (6, 6), (11, 3), (40, 90)])
+def test_certificate_on_the_smaller_gram_matches_the_n_by_n_route(m, n):
+    # the n x n route: eigvalsh(EᵀE), its trace and Frobenius norm, the rank
+    # bound and the nonzero count taken from them
+    E = gaussian_map(m, n, Seed(70 + m)).entries
+    gram = E.T @ E
+    lam = np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0)
+    frob_sq = float(np.einsum("ij,ij->", gram, gram))
+    cert = spectral_certificate(LinearMap(E))
+    assert cert.eigenvalues.shape == (n,)
+    assert np.abs(cert.eigenvalues - lam).max() <= 1e-12 * lam[0]
+    assert cert.frob_sq == pytest.approx(frob_sq, rel=1e-13, abs=0.0)
+    assert cert.trace == float(np.einsum("ij,ij->", E, E))
+    if m < n:
+        assert (cert.eigenvalues[m:] == 0.0).all()
+    assert cert.rank_lb == math.ceil(cert.trace**2 / frob_sq - 1e-9)
+    assert cert.nonzero_count() == int(np.count_nonzero(lam > 1e-10 * lam[0])) == min(m, n)
+
+
+def test_certificate_of_a_wide_map_still_refuses_the_size():
+    # the spectrum of AᵀA has n entries, so n stays within sqrt(MAX_TOTAL_COORDS)
+    with pytest.raises(SizeError, match="100000x100000 Gram matrix"):
+        spectral_certificate(LinearMap(np.full((1, 100_000), 0.5)))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[1e-100, 0.0]], [[1e-200, 0.0]], [[1e-170, 3e-170, 0.0], [2e-170, -5e-171, 7e-170]]],
+    ids=["1e-100", "1e-200", "2x3"],
+)
+def test_certificate_of_an_underflowing_map(entries):
+    # trace, frob_sq and the rank bound against exact rational arithmetic;
+    # the sums are reported on the map's own scale (rounding to 0 if they
+    # must), the rank bound and the witness come from the rescaled map
+    A = LinearMap(np.array(entries))
+    E = [[Fraction(v) for v in row] for row in A.entries.tolist()]
+    gram = [[sum(r[i] * r[j] for r in E) for j in range(A.n)] for i in range(A.n)]
+    trace = sum(v * v for r in E for v in r)
+    frob_sq = sum(v * v for r in gram for v in r)
+    cert = spectral_certificate(A)
+    assert cert.trace == float(trace)
+    assert cert.frob_sq == float(frob_sq)
+    assert cert.rank_lb == math.ceil(trace * trace / frob_sq) == min(A.m, A.n)
+    # squared witness deviations (‖Ae_j‖² - tr)² / ‖AᵀA‖_F² over the basis
+    devs_sq = [(gram[j][j] - trace) ** 2 / frob_sq for j in range(A.n)]
+    j = max(range(A.n), key=lambda i: devs_sq[i])
+    v, dev = witness_search(A, standard_basis(A.n))
+    assert np.array_equal(v, np.eye(A.n)[j])
+    assert dev == pytest.approx(math.sqrt(devs_sq[j]), rel=1e-12)
+    report = audit_embedding(A, standard_basis(A.n), 0.5)
+    assert report.rank_lb == cert.rank_lb and report.witness_deviation == dev
+
+
 def test_eigenvalues_descending_nonnegative():
     A = _random_map(404)
     lam = spectral_certificate(A).eigenvalues

@@ -648,6 +648,20 @@ def test_certify_overflowing_map_exits_three(tmp_path, capsys):
     assert out == "" and not out_json.exists()
 
 
+def test_audit_of_an_underflowing_map_has_a_finite_witness(tmp_path, capsys):
+    # AᵀA of [[1e-200, 0]] underflows to 0; the certificate rescales the map
+    # for its rank bound and witness, so the audit fails its trace window
+    # (exit 2) instead of refusing a zero map (exit 1)
+    ps, mp, out_json = tmp_path / "b.jlps", tmp_path / "a.jlmap", tmp_path / "audit.json"
+    run(["gen", "--kind", "basis", "--n", "2", "--out", str(ps)], capsys)
+    mp.write_text("jlmap v1 m=1 n=2\n1e-200,0\n")
+    code, _, err = run(["audit", "--map", str(mp), "--set", str(ps), "--eps", "0.5", "--out", str(out_json)], capsys)
+    assert code == 2 and err == ""
+    report = json.loads(out_json.read_text())["audit"]
+    assert report["rank_lb"] == 1 and report["witness_deviation"] == 1.0
+    assert report["trace"] == 0.0 and report["frob_sq"] == 0.0
+
+
 def test_embed_optimize_rescues_overflowing_norm(tmp_path, capsys):
     # the optimizer scales (1e200, 1) by a power of two before it squares
     # it, so the set that gives NaN distortions above embeds with exit 0

@@ -2,10 +2,13 @@
 
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import jllab.concentration as concentration
 from jllab.concentration import (
     CHUNK_TRIALS,
     CalibrationConstants,
@@ -278,6 +281,113 @@ def test_joint_event_monotone_in_c1():
     A = gaussian_map(4, 8, 5)
     rates = [joint_event_rate(A, 0.05, c1, 2.0, 5000, 7).p_hat for c1 in (0.25, 0.5, 1.0, 2.0)]
     assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the map-sample record
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    # counts the certificates and map draws the estimators make, starting
+    # from an empty record
+    calls = {"map_samples": 0, "spectral_certificate": 0}
+
+    def counted(name):
+        fn = getattr(concentration, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(concentration, name, counted(name))
+    monkeypatch.setattr(concentration, "_record", None)
+    return calls
+
+
+def test_record_hit_equals_a_fresh_draw(counts, monkeypatch):
+    A, trials, seed = gaussian_map(6, 12, 3), 5000, Seed(8)
+    chaos_tail_estimate(A, 1.0, 0.5, trials, seed)
+    hits = [chaos_tail_estimate(A, 2.0, 0.5, trials, seed), joint_event_rate(A, 0.05, 0.5, 1.0, trials, seed)]
+    assert counts["map_samples"] == 1
+    fresh = []
+    for estimate in (lambda: chaos_tail_estimate(A, 2.0, 0.5, trials, seed),
+                     lambda: joint_event_rate(A, 0.05, 0.5, 1.0, trials, seed)):
+        monkeypatch.setattr(concentration, "_record", None)
+        fresh.append(estimate())
+    assert counts["map_samples"] == 3
+    # every field is finite and no zero is negative, so equal means bit-equal
+    assert hits == fresh
+
+
+def test_record_serves_a_loop_over_t_with_one_draw(counts):
+    A = gaussian_map(4, 9, 1)
+    ests = [chaos_tail_estimate(A, t, 0.5, 3000, Seed(2)) for t in (1.0, 2.0, 3.0)]
+    assert counts == {"map_samples": 1, "spectral_certificate": 1}
+    assert ests == concentration._chaos_tail_grid(A, [1.0, 2.0, 3.0], 0.5, 3000, Seed(2))
+
+
+def test_record_misses_on_a_changed_map_trials_or_seed(counts):
+    A = gaussian_map(3, 5, 4)
+    chaos_tail_estimate(A, 1.0, 0.5, 2000, 6)
+    A.entries[0, 0] += 1.0
+    chaos_tail_estimate(A, 1.0, 0.5, 2000, 6)
+    chaos_tail_estimate(A, 1.0, 0.5, 2001, 6)
+    chaos_tail_estimate(A, 1.0, 0.5, 2001, Seed(7))
+    assert counts == {"map_samples": 4, "spectral_certificate": 4}
+    # an int seed and the Seed of the same value are one key
+    chaos_tail_estimate(A, 2.0, 0.5, 2001, 7)
+    assert counts["map_samples"] == 4
+
+
+def test_record_is_dropped_before_a_draw(counts, monkeypatch):
+    # a miss releases the old sample before it draws, so no call holds two
+    seen = []
+    draw = concentration.map_samples
+    monkeypatch.setattr(concentration, "map_samples", lambda *a: seen.append(concentration._record) or draw(*a))
+    A = gaussian_map(2, 3, 5)
+    chaos_tail_estimate(A, 1.0, 0.5, 2000, 1)
+    chaos_tail_estimate(A, 1.0, 0.5, 2000, 2)
+    assert seen == [None, None]
+
+
+def test_joint_rate_over_c1_draws_once(counts):
+    A = gaussian_map(4, 8, 5)
+    [joint_event_rate(A, 0.05, c1, 2.0, 5000, 7) for c1 in (0.25, 0.5, 1.0, 2.0)]
+    assert counts == {"map_samples": 1, "spectral_certificate": 1}
+
+
+def test_record_under_concurrent_callers(monkeypatch):
+    # threads on different seeds share the one record; each must still get
+    # its own seed's counts, which pairing one call's key with another's
+    # sample would break
+    monkeypatch.setattr(concentration, "_record", None)
+    A, seeds, ts = gaussian_map(3, 6, 2), range(4), (1.0, 2.0)
+    want = {s: concentration._chaos_tail_grid(A, ts, 0.5, 1000, s) for s in seeds}
+    got, errors = {s: [] for s in seeds}, []
+
+    def caller(s):
+        try:
+            for _ in range(15):
+                got[s].append([chaos_tail_estimate(A, t, 0.5, 1000, s) for t in ts])
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(s,)) for s in seeds]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads) and errors == []
+    assert all(run == want[s] for s in seeds for run in got[s])
 
 
 # ---------------------------------------------------------------------------
