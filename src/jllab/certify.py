@@ -544,6 +544,18 @@ def _gram_data(E: np.ndarray) -> tuple[np.ndarray, float, float, int]:
     return *sums(np.ldexp(E, -e)), e
 
 
+def _normal_scale(A: LinearMap, cert: SpectralCertificate) -> tuple[LinearMap, SpectralCertificate, int]:
+    # (B, B's certificate, e) for B = 2^-e A, from A's certificate: B is A
+    # unless cert's sums are 0 or subnormal, then the map `spectral_certificate`
+    # scales for its rank bound, whose sums are normal.  Scale-invariant
+    # values are taken on B; a value of degree 2 in A is B's times 2^(2e)
+    e = 0 if min(cert.trace, cert.frob_sq) >= _TINY else _gram_data(A.entries)[3]
+    if e == 0:
+        return A, cert, 0
+    B = LinearMap(np.ldexp(A.entries, -e))
+    return B, spectral_certificate(B), e
+
+
 def _cs_rank_lb(trace: float, frob_sq: float) -> int:
     if frob_sq == 0.0:
         return 0
@@ -575,16 +587,12 @@ def witness_search(A: LinearMap, V: PointSet) -> tuple[np.ndarray, float]:
 def _max_deviation(A: LinearMap, V: PointSet, cert: SpectralCertificate) -> tuple[int, float]:
     # index and value of the largest |‖Av‖² - trace| / frob over V, from
     # A's certificate; ties break toward the lowest index.  The deviation is
-    # scale-invariant, so when the certificate's sums are 0 or subnormal it
-    # is taken on the map `spectral_certificate` scaled for its rank bound
-    E, trace, frob_sq = A.entries, cert.trace, cert.frob_sq
-    if min(trace, frob_sq) < _TINY:
-        _, trace, frob_sq, e = _gram_data(E)
-        E = np.ldexp(E, -e)
-    frob = math.sqrt(frob_sq)
+    # scale-invariant, so it is taken on `_normal_scale`'s map
+    B, cert, _ = _normal_scale(A, cert)
+    frob = math.sqrt(cert.frob_sq)
     if frob == 0.0:
         raise ValueError("zero map: witness deviation is undefined")
-    dev = np.abs(_rowsq(V.points @ E.T) - trace) / frob
+    dev = np.abs(_rowsq(V.points @ B.entries.T) - cert.trace) / frob
     j = int(np.argmax(dev))
     return j, float(dev[j])
 

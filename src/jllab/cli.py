@@ -46,9 +46,9 @@ from .certify import (
 )
 from .concentration import (
     CalibrationError,
-    _chaos_tail_grid,
-    _joint_event_grid,
-    _norm_tail_grid,
+    chaos_tail_estimate,
+    joint_event_rate,
+    norm_tail_estimate,
     norm_tail_oracle,
 )
 from .embeddings import (
@@ -299,13 +299,13 @@ def cmd_tails(args: argparse.Namespace) -> int:
     header = ["op", "n", "m", "t_or_delta", "c", "threshold", "trials", "hits", "p_hat", "stderr", "oracle"]
     rows: list[list] = []
     if t_grid or delta_grid:
-        # gaussian_map and spectral_certificate refuse an m x n map or an
-        # n x n Gram matrix over the coordinate limit before anything is drawn
+        # gaussian_map refuses an m x n map over the coordinate limit, and the
+        # first map estimate's certificate an n x n Gram matrix over it, before
+        # anything is drawn; each estimator below draws its sample once
         A = gaussian_map(m, args.n, seed.child(0))
-        cert = spectral_certificate(A)
-        norm = _norm_tail_grid(args.n, t_grid, args.c, args.trials, seed.child(1))
-        chaos = _chaos_tail_grid(A, t_grid, args.c, args.trials, seed.child(2), cert)
-        joint = _joint_event_grid(A, delta_grid, args.c1, args.c2, args.trials, seed.child(3), cert)
+        chaos = [chaos_tail_estimate(A, t, args.c, args.trials, seed.child(2)) for t in t_grid]
+        joint = [joint_event_rate(A, d, args.c1, args.c2, args.trials, seed.child(3)) for d in delta_grid]
+        norm = [norm_tail_estimate(args.n, t, args.c, args.trials, seed.child(1)) for t in t_grid]
         for op, rows_m, grid, c, estimates in (
             ("norm", None, t_grid, args.c, norm),
             ("chaos", m, t_grid, args.c, chaos),

@@ -32,40 +32,42 @@ the BLAS call already spreads over the cores, and its idle worker threads
 keep spinning after each product, so pooled draws beside them gain
 nothing (see `_sample`).
 
-Each estimator evaluates a whole grid of thresholds on one sample, and the
-public single-threshold estimators are the grid forms at a one-element
-grid, so a grid evaluation and a loop of single calls at the same seed give
-the same counts.  The map events (chaos, norm side, joint) are counted in
-one place: a private map-sample record holds a map's spectral certificate
-and one `map_samples` draw, and its methods are the only code that writes
-each map event's threshold and hit count.  The chaos and joint grid forms
-and `calibrate_constants` all count through those methods, so an estimate
-and the calibration validated against it cannot drift apart.  The strict
-count dev > threshold of the norm, chaos and symmetric-form tails is one
-helper, and the chaos and symmetric-form thresholds one formula.
+Each estimator counts one threshold on a recorded sample.  The module
+keeps one sample, the most recent: a norm deviation sample keyed by
+(n, ``trials``, seed value), or a map sample keyed by (the map object, held
+by weak reference, ``trials``, seed value).  Every estimator looks the
+record up before it draws, so a loop of single calls over t or delta at
+one key costs one draw, as `jllab tails` and the held-out checks after a
+calibration do.  `LinearMap` entries are read-only, so a map object's
+identity names its entries, and the weak reference keeps no map alive.  A
+miss drops the old record before it draws, so no call holds two samples;
+a miss on the same map object (other ``trials`` or seed) reuses the
+record's spectral certificate.  The record is read and replaced as one
+tuple, so concurrent callers each get their own key's sample.
 
-The module keeps one such record, the most recent, keyed by the map's
-shape, a blake2b digest of its entries, ``trials`` and the seed value.
-`chaos_tail_estimate` and `joint_event_rate` look it up before they take
-the certificate or draw, so a loop of single calls over t or delta at
-one (map, trials, seed) costs one certificate and one draw, as the grid
-form does.  That is the traffic of the held-out checks after a
-calibration: several thresholds back to back on one sample.  A miss
-drops the old record before it draws, so no call holds two samples; the
-record holds its one sample (two floats per trial) until the next miss.
-It is read and replaced as one tuple, so concurrent callers each get
-their own key's sample.
+A map sample holds the map's certificate and one `map_samples` draw, and
+its methods are the only code that writes each map event's (chaos, norm
+side, joint) threshold and hit count.  `chaos_tail_estimate`,
+`joint_event_rate` and `calibrate_constants` all count through those
+methods, so an estimate and the calibration validated against it cannot
+drift apart.  A nonzero map whose certificate sums are 0 or subnormal is
+sampled at the power-of-two scale `spectral_certificate` takes for its
+rank bound (the events are scale-invariant), and its thresholds are
+reported scaled back.  The strict count dev > threshold of the norm,
+chaos and symmetric-form tails is one helper, and the chaos and
+symmetric-form thresholds one formula.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .certify import SpectralCertificate, spectral_certificate
+from .certify import SpectralCertificate, _normal_scale, spectral_certificate
 from .embeddings import LinearMap, _rowsq, _run_strided
 from .pointset import MAX_TOTAL_COORDS, SizeError, _json_fields
 from .seeds import Seed, as_seed
@@ -73,6 +75,8 @@ from .seeds import Seed, as_seed
 CHUNK_TRIALS = 1024
 
 MIN_TRIALS = 1000
+
+_S = TypeVar("_S")
 
 
 class CalibrationError(RuntimeError):
@@ -283,27 +287,18 @@ def map_samples(A: LinearMap, trials: int, seed: int | Seed) -> tuple[np.ndarray
 
 def norm_tail_estimate(n: int, t: float, c: float, trials: int, seed: int | Seed) -> TailEstimate:
     """Estimate Pr(|‖g‖² - n| > c sqrt(n t)) by direct simulation."""
-    return _norm_tail_grid(n, [t], c, trials, seed)[0]
-
-
-def _norm_tail_grid(
-    n: int, ts: Sequence[float], c: float, trials: int, seed: int | Seed
-) -> list[TailEstimate]:
-    """`norm_tail_estimate` at every t of ``ts`` on one norm sample."""
-    if not ts:
-        return []
-    for t in ts:
-        if not t > 0:
-            raise ValueError(f"t must be positive, got {t}")
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
-    dev = norm_deviation_sample(n, trials, seed)
-    return [_tail(dev, c * math.sqrt(n * t)) for t in ts]
+    dev = _recorded((n, trials, as_seed(seed).value), lambda: norm_deviation_sample(n, trials, seed))
+    return _tail(dev, c * math.sqrt(n * t))
 
 
-def _tail(dev: np.ndarray, thr: float) -> TailEstimate:
-    # the strict deviation event dev > thr, shared by the norm, chaos and form tails
-    return TailEstimate.from_hits(thr, dev.size, int(np.count_nonzero(dev > thr)))
+def _tail(dev: np.ndarray, thr: float, e: int = 0) -> TailEstimate:
+    # the strict deviation event dev > thr, shared by the norm, chaos and form
+    # tails, with thr reported times 2^(2e) (see `_FormSample`)
+    return TailEstimate.from_hits(math.ldexp(thr, 2 * e), dev.size, int(np.count_nonzero(dev > thr)))
 
 
 def _chaos_threshold(frob: float, top: float, t: float, c: float) -> float:
@@ -312,9 +307,9 @@ def _chaos_threshold(frob: float, top: float, t: float, c: float) -> float:
 
 
 def chaos_threshold(A: LinearMap, t: float, c: float) -> float:
-    """Deviation threshold c (sqrt(t) ‖A^T A‖_F + t ‖A^T A‖)."""
-    cert = spectral_certificate(A)
-    return _chaos_threshold(math.sqrt(cert.frob_sq), float(cert.eigenvalues[0]), t, c)
+    """Deviation threshold c (sqrt(t) ‖A^T A‖_F + t ‖A^T A‖), as `chaos_tail_estimate` reports it."""
+    _, cert, e = _normal_scale(A, spectral_certificate(A))
+    return math.ldexp(_chaos_threshold(math.sqrt(cert.frob_sq), float(cert.eigenvalues[0]), t, c), 2 * e)
 
 
 def chaos_tail_estimate(
@@ -327,25 +322,10 @@ def chaos_tail_estimate(
     At A = identity the event coincides with the norm tail at the matched
     threshold, and the shared sampling makes the counts identical.
     """
-    return _chaos_tail_grid(A, [t], c, trials, seed)[0]
-
-
-def _chaos_tail_grid(
-    A: LinearMap,
-    ts: Sequence[float],
-    c: float,
-    trials: int,
-    seed: int | Seed,
-    cert: SpectralCertificate | None = None,
-) -> list[TailEstimate]:
-    """`chaos_tail_estimate` at every t of ``ts`` on one map sample; ``cert``, if given, is A's."""
-    if not ts:
-        return []
-    _check_ts(ts)
+    _check_ts((t,))
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
-    sample = _form_sample(A, trials, seed, cert)
-    return [sample.chaos(t, c) for t in ts]
+    return _form_sample(A, trials, seed).chaos(t, c)
 
 
 def symmetric_form_tail_estimate(
@@ -383,46 +363,35 @@ def joint_event_rate(
     (non-strict), the norm side asks ‖g‖² <= n + c2 sqrt(n ln(1/delta)).
     The reported threshold is the form-side one.
     """
-    return _joint_event_grid(A, [delta], c1, c2, trials, seed)[0]
-
-
-def _joint_event_grid(
-    A: LinearMap,
-    deltas: Sequence[float],
-    c1: float,
-    c2: float,
-    trials: int,
-    seed: int | Seed,
-    cert: SpectralCertificate | None = None,
-) -> list[TailEstimate]:
-    """`joint_event_rate` at every delta of ``deltas`` on one map sample; ``cert``, if given, is A's."""
-    if not deltas:
-        return []
-    _check_deltas(deltas)
+    _check_deltas((delta,))
     if not c1 >= 0 or not c2 >= 0:
         raise ValueError(f"c1 and c2 must be nonnegative, got c1={c1}, c2={c2}")
-    sample = _form_sample(A, trials, seed, cert)
-    return [sample.joint(delta, c1, c2) for delta in deltas]
+    return _form_sample(A, trials, seed).joint(delta, c1, c2)
 
 
 @dataclass(frozen=True, eq=False)
 class _FormSample:
-    """One map sample: per trial, dev = |‖Ag‖² - tr(A^T A)| and normsq = ‖g‖².
+    """One sample of a map A = 2^e B, B from `_normal_scale`.
 
+    Per trial, dev = |‖Bg‖² - tr(B^T B)| and normsq = ‖g‖²; ``frob`` and
+    ``top`` are ‖B^T B‖_F and ‖B^T B‖, and ``cert`` is A's certificate.
     Its methods count the map events of the module docstring at one
-    threshold each.  The chaos event is strict (dev > threshold), the
-    joint event's form side is not (dev >= threshold), and the norm side
-    is the joint event's second half, ‖g‖² <= n + c2 sqrt(n ln(1/delta)).
+    threshold each, on B's scale, and report the threshold on A's.  The
+    chaos event is strict (dev > threshold), the joint event's form side
+    is not (dev >= threshold), and the norm side is the joint event's
+    second half, ‖g‖² <= n + c2 sqrt(n ln(1/delta)).
     """
 
     n: int
     cert: SpectralCertificate
+    e: int
+    frob: float
+    top: float
     dev: np.ndarray
     normsq: np.ndarray
 
     def chaos(self, t: float, c: float) -> TailEstimate:
-        top = float(self.cert.eigenvalues[0])
-        return _tail(self.dev, _chaos_threshold(math.sqrt(self.cert.frob_sq), top, t, c))
+        return _tail(self.dev, _chaos_threshold(self.frob, self.top, t, c), self.e)
 
     def norm_side(self, delta: float, c2: float) -> TailEstimate:
         thr = self._norm_bound(delta, c2)
@@ -430,44 +399,53 @@ class _FormSample:
 
     def joint(self, delta: float, c1: float, c2: float) -> TailEstimate:
         # reports the form-side threshold c1 sqrt(ln(1/delta)) ‖A^T A‖_F
-        thr = c1 * math.sqrt(math.log(1.0 / delta)) * math.sqrt(self.cert.frob_sq)
+        thr = c1 * math.sqrt(math.log(1.0 / delta)) * self.frob
         hits = np.count_nonzero((self.dev >= thr) & (self.normsq <= self._norm_bound(delta, c2)))
-        return TailEstimate.from_hits(thr, self.dev.size, int(hits))
+        return TailEstimate.from_hits(math.ldexp(thr, 2 * self.e), self.dev.size, int(hits))
 
     def _norm_bound(self, delta: float, c2: float) -> float:
         return self.n + c2 * math.sqrt(self.n * math.log(1.0 / delta))
 
 
-# the most recent map sample as one (key, _FormSample) tuple, or None; see
-# `_form_sample`
-_record: tuple[tuple, _FormSample] | None = None
+# the most recent sample as one (key, sample) tuple, or None: a norm
+# deviation sample keyed by (n, trials, seed value) or a _FormSample keyed by
+# (weak reference to the map, trials, seed value); see the module docstring
+_record: tuple[tuple, np.ndarray | _FormSample] | None = None
 
 
-def _form_sample(
-    A: LinearMap, trials: int, seed: int | Seed, cert: SpectralCertificate | None = None
-) -> _FormSample:
-    # A's map sample: the record's when it holds the same (A, trials, seed),
-    # else drawn and recorded (see the module docstring).  ``cert`` is A's
-    # spectral certificate, taken here when it is None and the record misses.
-    # The digest catches a change to A in place without keeping a copy of A.
-    # hashlib is imported here: it loads OpenSSL, which would add about 6 ms
-    # to every `import jllab`
-    import hashlib
-
+def _recorded(key: tuple, draw: Callable[[], _S]) -> _S:
+    # the record's sample when it has this key, else draw(), recorded.  The
+    # old record is dropped before the draw, so no call holds two samples
     global _record
-    key = (A.entries.shape, hashlib.blake2b(A.entries).digest(), trials, as_seed(seed).value)
     record = _record
     if record is not None and record[0] == key:
         return record[1]
-    _record = None
-    if cert is None:
-        cert = spectral_certificate(A)
-    if cert.frob_sq == 0.0:
-        raise ValueError("zero map: the deviation event is degenerate")
-    img, nrm = map_samples(A, trials, seed)
-    sample = _FormSample(n=A.n, cert=cert, dev=np.abs(img - cert.trace), normsq=nrm)
+    _record = record = None
+    sample = draw()
     _record = (key, sample)
     return sample
+
+
+def _form_sample(A: LinearMap, trials: int, seed: int | Seed) -> _FormSample:
+    # A's map sample through the record; a miss on the same map object
+    # reuses the record's certificate
+    ref = weakref.ref(A)
+    record = _record
+    cert = record[1].cert if record is not None and record[0][0] == ref else None
+    del record
+
+    def draw() -> _FormSample:
+        a_cert = spectral_certificate(A) if cert is None else cert
+        B, scaled, e = _normal_scale(A, a_cert)
+        if scaled.frob_sq == 0.0:
+            raise ValueError("zero map: the deviation event is degenerate")
+        img, nrm = map_samples(B, trials, seed)
+        return _FormSample(
+            n=A.n, cert=a_cert, e=e, frob=math.sqrt(scaled.frob_sq), top=float(scaled.eigenvalues[0]),
+            dev=np.abs(img - scaled.trace), normsq=nrm,
+        )
+
+    return _recorded((ref, trials, as_seed(seed).value), draw)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +461,8 @@ def _largest_feasible(lo: float, hi: float, feasible, resolution: float, what: s
         hi *= 2.0
         if hi > 2.0**20:
             return lo
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
+    # the bisection also stops at adjacent doubles, below which it would spin
+    while hi - lo > resolution and lo < (mid := 0.5 * (lo + hi)) < hi:
         if feasible(mid):
             lo = mid
         else:
@@ -501,8 +479,7 @@ def _smallest_feasible(lo: float, hi: float, feasible, resolution: float, what: 
         hi *= 2.0
         if hi > 2.0**20:
             raise CalibrationError(f"no feasible {what} up to {hi}")
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > resolution and lo < (mid := 0.5 * (lo + hi)) < hi:
         if feasible(mid):
             hi = mid
         else:
@@ -541,9 +518,10 @@ def calibrate_constants(
       every member and delta in ``delta_grid``.
     * ``delta0``: the largest delta validated, max(delta_grid).
 
-    Raises `CalibrationError` if no feasible constant is found at or
-    above ``floor``; for c that signals a bug, since some positive c
-    always works.
+    ``resolution`` and ``floor`` must be positive and finite (`ValueError`
+    otherwise).  Raises `CalibrationError` if no feasible constant is
+    found at or above ``floor``; for c that signals a bug, since some
+    positive c always works.
     """
     if not family:
         raise ValueError("family must be nonempty")
@@ -551,10 +529,11 @@ def calibrate_constants(
         raise ValueError("t_grid must be nonempty")
     _check_ts(t_grid)
     _check_deltas(delta_grid)
+    for name, v in (("resolution", resolution), ("floor", floor)):
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v}")
     s = as_seed(seed)
-    samples = [
-        _form_sample(A, trials, s.child(i), spectral_certificate(A)) for i, A in enumerate(family)
-    ]
+    samples = [_form_sample(A, trials, s.child(i)) for i, A in enumerate(family)]
 
     def holds(est: TailEstimate, req: float) -> bool:
         return est.p_hat >= req - 4.0 * est.stderr

@@ -35,17 +35,21 @@ _MAP_HEADER = re.compile(r"^jlmap v1 m=(\d+) n=(\d+)$")
 
 @dataclass(frozen=True, eq=False)
 class LinearMap:
-    """Immutable (m, n) matrix mapping R^n to R^m."""
+    """Immutable (m, n) matrix mapping R^n to R^m.
+
+    ``entries`` is a read-only float64 copy of the matrix it was built from.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.ascontiguousarray(np.asarray(self.entries, dtype=np.float64))
+        mat = np.array(self.entries, dtype=np.float64, order="C")
         if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
             raise ValueError(f"entries must be a 2-d matrix, got shape {mat.shape}")
         if not np.isfinite(mat).all():
             bad = np.argwhere(~np.isfinite(mat))[0]
             raise ValueError(f"non-finite entry at ({bad[0]}, {bad[1]})")
+        mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
 
     @property

@@ -391,7 +391,7 @@ def test_tails_draws_each_sample_once(tmp_path, capsys, monkeypatch):
     assert calls == {"norm_deviation_sample": 1, "map_samples": 2, "spectral_certificate": 1}
 
 
-def test_tails_over_size_limit_exits_one(tmp_path, capsys):
+def test_tails_over_size_limit_exits_one(tmp_path, capsys, monkeypatch):
     # a 50000 x 100000 map would need 37 GiB; the guard refuses it first
     out_csv = tmp_path / "tails.csv"
     code, _, err = run(
@@ -402,7 +402,12 @@ def test_tails_over_size_limit_exits_one(tmp_path, capsys):
     assert code == 1
     assert "over the 10000000 coordinate limit" in err
     assert not out_csv.exists()
-    # the n x n Gram matrix counts too, even for a one-row map
+    # the n x n Gram matrix counts too, even for a one-row map, and it is
+    # refused before any sample is drawn
+    draws = []
+    for name in ("norm_deviation_sample", "map_samples"):
+        fn = getattr(jllab.concentration, name)
+        monkeypatch.setattr(jllab.concentration, name, lambda *a, fn=fn, name=name: draws.append(name) or fn(*a))
     code, _, err = run(
         ["tails", "--n", "4000", "--m", "1", "--delta-grid", "0.05", "--trials", "1000",
          "--seed", "7", "--out", str(out_csv)],
@@ -410,6 +415,7 @@ def test_tails_over_size_limit_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "4000x4000 Gram matrix" in err
+    assert draws == []
 
 
 def test_tails_over_trials_limit_exits_one(tmp_path, capsys):

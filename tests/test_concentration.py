@@ -1,9 +1,11 @@
 """Tail estimators, the chi-square oracle, and constant calibration."""
 
+import gc
 import math
 import os
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -239,6 +241,24 @@ def test_chaos_validation():
         chaos_tail_estimate(A, 0.5, 1.0, 2000, 0)
     with pytest.raises(ValueError, match="zero map"):
         chaos_tail_estimate(LinearMap(np.zeros((2, 2))), 1.0, 1.0, 2000, 0)
+    with pytest.raises(ValueError, match="zero map"):
+        joint_event_rate(LinearMap(np.zeros((2, 2))), 0.05, 0.5, 1.0, 2000, 0)
+
+
+@pytest.mark.parametrize("entries", [np.ldexp([[0.75, 0.5]], -340), [[1e-100, 0.0]], [[1e-160, 0.0]]])
+def test_tiny_maps_scale_back_exactly(entries):
+    # the events are scale-invariant: tiny = 2^e big counts as big does, and
+    # its thresholds are big's times 2^(2e) exactly, although tiny's squared
+    # Frobenius norm of A^T A underflows to 0
+    tiny = LinearMap(entries)
+    e = math.frexp(np.abs(tiny.entries).max())[1]
+    big = LinearMap(np.ldexp(tiny.entries, -e))
+    for estimate in (lambda A: chaos_tail_estimate(A, 2.0, 0.5, 2000, 3),
+                     lambda A: joint_event_rate(A, 0.05, 0.5, 1.0, 2000, 3)):
+        want, got = estimate(big), estimate(tiny)
+        assert got.hits == want.hits
+        assert got.threshold == math.ldexp(want.threshold, 2 * e)
+    assert chaos_threshold(tiny, 2.0, 0.5) == chaos_tail_estimate(tiny, 2.0, 0.5, 2000, 3).threshold
 
 
 def test_symmetric_form_matches_chaos_on_gram():
@@ -323,24 +343,59 @@ def test_record_hit_equals_a_fresh_draw(counts, monkeypatch):
     assert hits == fresh
 
 
-def test_record_serves_a_loop_over_t_with_one_draw(counts):
-    A = gaussian_map(4, 9, 1)
-    ests = [chaos_tail_estimate(A, t, 0.5, 3000, Seed(2)) for t in (1.0, 2.0, 3.0)]
+def test_record_serves_a_loop_over_t_with_one_draw(counts, monkeypatch):
+    A, ts = gaussian_map(4, 9, 1), (1.0, 2.0, 3.0)
+    ests = [chaos_tail_estimate(A, t, 0.5, 3000, Seed(2)) for t in ts]
     assert counts == {"map_samples": 1, "spectral_certificate": 1}
-    assert ests == concentration._chaos_tail_grid(A, [1.0, 2.0, 3.0], 0.5, 3000, Seed(2))
+    fresh = []
+    for t in ts:
+        monkeypatch.setattr(concentration, "_record", None)
+        fresh.append(chaos_tail_estimate(A, t, 0.5, 3000, Seed(2)))
+    assert counts["map_samples"] == 4
+    assert ests == fresh
+
+
+def test_norm_record_serves_a_loop_over_t_with_one_draw(monkeypatch):
+    draws = []
+    draw = concentration.norm_deviation_sample
+    monkeypatch.setattr(concentration, "norm_deviation_sample", lambda *a: draws.append(a) or draw(*a))
+    monkeypatch.setattr(concentration, "_record", None)
+    ts = (1.0, 2.0, 3.0)
+    ests = [norm_tail_estimate(16, t, 1.0, 3000, Seed(4)) for t in ts]
+    assert len(draws) == 1
+    dev = draw(16, 3000, Seed(4))
+    assert ests == [concentration._tail(dev, math.sqrt(16 * t)) for t in ts]
 
 
 def test_record_misses_on_a_changed_map_trials_or_seed(counts):
     A = gaussian_map(3, 5, 4)
     chaos_tail_estimate(A, 1.0, 0.5, 2000, 6)
-    A.entries[0, 0] += 1.0
+    changed = A.entries.copy()
+    changed[0, 0] += 1.0
+    A = LinearMap(changed)
     chaos_tail_estimate(A, 1.0, 0.5, 2000, 6)
     chaos_tail_estimate(A, 1.0, 0.5, 2001, 6)
     chaos_tail_estimate(A, 1.0, 0.5, 2001, Seed(7))
-    assert counts == {"map_samples": 4, "spectral_certificate": 4}
+    # a miss on the same map object reuses the record's certificate
+    assert counts == {"map_samples": 4, "spectral_certificate": 2}
     # an int seed and the Seed of the same value are one key
     chaos_tail_estimate(A, 2.0, 0.5, 2001, 7)
     assert counts["map_samples"] == 4
+    # a map of equal entries is another object, so it misses
+    chaos_tail_estimate(LinearMap(changed), 2.0, 0.5, 2001, 7)
+    assert counts["map_samples"] == 5
+
+
+def test_record_keeps_no_map_alive(counts):
+    A = gaussian_map(3, 6, 1)
+    chaos_tail_estimate(A, 1.0, 0.5, 1000, 2)
+    ref = weakref.ref(A)
+    del A
+    gc.collect()
+    assert ref() is None
+    # the record still holds the sample, under the map's dead weak reference
+    key, _ = concentration._record
+    assert isinstance(key[0], weakref.ref) and key[0]() is None
 
 
 def test_record_is_dropped_before_a_draw(counts, monkeypatch):
@@ -364,9 +419,13 @@ def test_record_under_concurrent_callers(monkeypatch):
     # threads on different seeds share the one record; each must still get
     # its own seed's counts, which pairing one call's key with another's
     # sample would break
-    monkeypatch.setattr(concentration, "_record", None)
     A, seeds, ts = gaussian_map(3, 6, 2), range(4), (1.0, 2.0)
-    want = {s: concentration._chaos_tail_grid(A, ts, 0.5, 1000, s) for s in seeds}
+
+    def fresh(s, t):
+        monkeypatch.setattr(concentration, "_record", None)
+        return chaos_tail_estimate(A, t, 0.5, 1000, s)
+
+    want = {s: [fresh(s, t) for t in ts] for s in seeds}
     got, errors = {s: [] for s in seeds}, []
 
     def caller(s):
@@ -464,6 +523,25 @@ def test_calibrate_validation():
         calibrate_constants([identity_map(4)], [], 2000, 0)
     with pytest.raises(ValueError):
         calibrate_constants([identity_map(4)], [0.5], 2000, 0)
+
+
+@pytest.mark.parametrize("name", ["resolution", "floor"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_calibrate_refuses_a_bad_resolution_or_floor(name, value):
+    # a zero or negative resolution used to bisect forever, and a NaN one
+    # returned the unrefined constants
+    with pytest.raises(ValueError, match=name):
+        calibrate_constants([identity_map(4)], [1.0], 2000, 0, **{name: value})
+
+
+def test_calibrate_at_a_resolution_below_one_ulp_returns():
+    # bisection stops at adjacent doubles, where the gap cannot shrink
+    # further, inside the default resolution's bracket (c1 is searched
+    # with the c2 found, so it has no such bracket)
+    fine = calibrate_constants([identity_map(4)], [1.0], 2000, 0, resolution=5e-324)
+    cal = calibrate_constants([identity_map(4)], [1.0], 2000, 0)
+    assert cal.c <= fine.c < cal.c + 2.0**-10
+    assert cal.c2 - 2.0**-10 < fine.c2 <= cal.c2
 
 
 def test_calibration_constants_validation():

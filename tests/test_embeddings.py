@@ -38,6 +38,16 @@ def test_linear_map_validation():
     assert (A.m, A.n) == (2, 3)
 
 
+def test_linear_map_is_a_read_only_copy():
+    a = np.eye(2)
+    A = LinearMap(a)
+    a[0, 0] = 5.0
+    assert A.entries[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        A.entries[0, 0] = 5.0
+    assert A.entries[0, 0] == 1.0
+
+
 def test_identity_map():
     A = identity_map(4)
     assert np.array_equal(A.entries, np.eye(4))
