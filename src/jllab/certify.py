@@ -20,11 +20,11 @@ routes check each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import _TINY, LinearMap, _norm_scaled, _rowsq, _run_strided
+from .embeddings import _TINY, LinearMap, _norm_scaled, _pow2, _rowsq, _run_strided
 from .pointset import MAX_TOTAL_COORDS, PointSet, SizeError, _json_fields, _unit_rows
 
 MODE_NORM = "norm-preservation"
@@ -105,6 +105,8 @@ class SpectralCertificate:
     frob_sq: float
     eigenvalues: np.ndarray
     rank_lb: int
+    # (e, the certificate of 2^-e A) when `spectral_certificate` scaled A; not in the JSON
+    _normal: tuple[int, SpectralCertificate] | None = field(default=None, repr=False)
 
     def nonzero_count(self) -> int:
         """Eigenvalues above the relative cutoff EIG_CUTOFF * lambda_1."""
@@ -499,61 +501,51 @@ def spectral_certificate(A: LinearMap) -> SpectralCertificate:
 
     A nonzero map whose trace or ``frob_sq`` is 0 or subnormal is first
     scaled by the power of two that puts its largest entry in [1/2, 1).
-    The rank bound is scale-invariant and comes from the scaled map; the
-    trace, ``frob_sq`` and eigenvalues are scaled back and may still round
-    to 0.  Every other map keeps its bits.
+    The rank bound is scale-invariant and comes from the scaled map, whose
+    certificate is kept privately; the trace, ``frob_sq`` and eigenvalues
+    are scaled back and may still round to 0.  Every other map keeps its
+    bits.
     """
     if A.n * A.n > MAX_TOTAL_COORDS:
         raise SizeError(
             f"spectral certificate of a {A.m}x{A.n} map needs a {A.n}x{A.n} Gram matrix, "
             f"over the {MAX_TOTAL_COORDS} coordinate limit"
         )
-    gram, trace, frob_sq, e = _gram_data(A.entries)
+    def sums(E: np.ndarray) -> tuple[np.ndarray, float, float]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = E @ E.T if A.m < A.n else E.T @ E
+            return gram, float(np.einsum("ij,ij->", E, E)), float(np.einsum("ij,ij->", gram, gram))
+
+    gram, trace, frob_sq = sums(A.entries)
     for name, v in (("trace", trace), ("squared trace", trace * trace), ("squared Frobenius norm", frob_sq)):
         if not math.isfinite(v):
             raise ArithmeticError(f"the {name} of A^T A overflows for a {A.m}x{A.n} map")
+    # the sums are finite, so only an underflow is out of range; e < 0 then
+    _, e = _pow2(np.array([min(trace, frob_sq)]), A.entries[None])
+    e = int(e[0]) if e.size else 0
+    if e:
+        gram, trace, frob_sq = sums(np.ldexp(A.entries, -e))
     try:
         lam = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         k = len(gram)
         raise np.linalg.LinAlgError(f"eigensolver failed on a {k}x{k} Gram matrix: {exc}") from exc
     lam = np.concatenate([np.maximum(lam[::-1], 0.0), np.zeros(A.n - len(lam))])
+    cert = SpectralCertificate(trace, frob_sq, lam, _cs_rank_lb(trace, frob_sq))
+    if e == 0:
+        return cert
     return SpectralCertificate(
-        trace=math.ldexp(trace, 2 * e),
-        frob_sq=math.ldexp(frob_sq, 4 * e),
-        eigenvalues=np.ldexp(lam, 2 * e),
-        rank_lb=_cs_rank_lb(trace, frob_sq),
+        math.ldexp(trace, 2 * e), math.ldexp(frob_sq, 4 * e), np.ldexp(lam, 2 * e), cert.rank_lb, (e, cert)
     )
 
 
-def _gram_data(E: np.ndarray) -> tuple[np.ndarray, float, float, int]:
-    # the smaller Gram matrix of 2^-e E (E E^T when m < n, else E^T E), its
-    # trace as the entry sum, its squared Frobenius norm and e.  e = 0 unless
-    # E is nonzero and its trace or squared Frobenius norm is 0 or subnormal;
-    # then 2^-e puts E's largest entry in [1/2, 1).  That entry is under
-    # 2^-255 then, so e < 0 and the scaling is exact
-    def sums(E: np.ndarray) -> tuple[np.ndarray, float, float]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = E @ E.T if E.shape[0] < E.shape[1] else E.T @ E
-            return gram, float(np.einsum("ij,ij->", E, E)), float(np.einsum("ij,ij->", gram, gram))
-
-    gram, trace, frob_sq = sums(E)
-    if not min(trace, frob_sq) < _TINY or not E.any():
-        return gram, trace, frob_sq, 0
-    e = int(np.frexp(np.abs(E).max())[1])
-    return *sums(np.ldexp(E, -e)), e
-
-
 def _normal_scale(A: LinearMap, cert: SpectralCertificate) -> tuple[LinearMap, SpectralCertificate, int]:
-    # (B, B's certificate, e) for B = 2^-e A, from A's certificate: B is A
-    # unless cert's sums are 0 or subnormal, then the map `spectral_certificate`
-    # scales for its rank bound, whose sums are normal.  Scale-invariant
-    # values are taken on B; a value of degree 2 in A is B's times 2^(2e)
-    e = 0 if min(cert.trace, cert.frob_sq) >= _TINY else _gram_data(A.entries)[3]
-    if e == 0:
-        return A, cert, 0
-    B = LinearMap(np.ldexp(A.entries, -e))
-    return B, spectral_certificate(B), e
+    # (B, B's certificate, e) for B = 2^-e A, as `spectral_certificate` kept
+    # them: B is A unless A's sums were out of range, and B's sums are then
+    # normal.  Scale-invariant values are taken on B; a value of degree 2 in
+    # A is B's times 2^(2e).  Forms no Gram matrix
+    e, scaled = cert._normal or (0, cert)
+    return (LinearMap(np.ldexp(A.entries, -e)) if e else A), scaled, e
 
 
 def _cs_rank_lb(trace: float, frob_sq: float) -> int:

@@ -169,6 +169,16 @@ _REFRESH = 32  # accepted ray steps between direct images of the iterate
 _TINY = np.finfo(np.float64).tiny
 
 
+def _pow2(sq: np.ndarray, *rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the one power-of-two rule of norms, pairs and certificates: the indices
+    # k where the squared quantity sq is 0, subnormal, inf or NaN, and for
+    # each the exponent e at which 2^-e puts the largest |entry| of row k of
+    # the arrays ``rows`` (aligned with sq) in [1/2, 1); 0 for a zero row
+    k = np.flatnonzero(~((sq >= _TINY) & (sq < np.inf)))
+    big = [np.abs(M[k]).max(axis=tuple(range(1, M.ndim)), initial=0.0) for M in rows]
+    return k, np.frexp(np.max(big, axis=0))[1]
+
+
 def _rowsq(M: np.ndarray) -> np.ndarray:
     # squared norm of every row; certify and concentration share this one
     return np.einsum("ij,ij->i", M, M)
@@ -195,18 +205,16 @@ def _smooth(r: np.ndarray, tau: float) -> _Smoothing:
 
 def _norm_scaled(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the points and their squared norms, shared by the optimizer and
-    # `distortion`; a point whose squared norm is 0, subnormal or inf is
-    # first scaled by the power of two that puts its largest coordinate in
-    # [1/2, 1).  Its ratios do not change, the scaling is exact but for
-    # coordinates under 2^-1021 times the largest (too small to move the
-    # squared norm), and every other point keeps its bits.  A squared norm
-    # of 0 is then left only by an exactly zero point
+    # `distortion`; a point whose squared norm is out of range is first
+    # scaled by `_pow2`'s power of two.  Its ratios do not change, the
+    # scaling is exact but for coordinates under 2^-1021 times the largest
+    # (too small to move the squared norm), and every other point keeps its
+    # bits.  A squared norm of 0 is then left only by an exactly zero point
     sqn = _rowsq(P)
-    out = np.flatnonzero(~((sqn >= _TINY) & (sqn < np.inf)))
+    out, e = _pow2(sqn, P)
     if out.size:
-        big = np.abs(P[out]).max(axis=1)
         P = P.copy()
-        P[out] = np.ldexp(P[out], -np.frexp(big)[1][:, None])
+        P[out] = np.ldexp(P[out], -e[:, None])
         sqn[out] = _rowsq(P[out])
     return P, sqn
 

@@ -158,13 +158,10 @@ def _unit_rows(P: np.ndarray) -> np.ndarray:
 
 
 def _json_fields(obj) -> dict:
-    # a dataclass as a JSON dict: its fields in declaration order, an array
-    # field as a list of Python floats
-    out = {}
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        out[f.name] = [float(x) for x in v] if isinstance(v, np.ndarray) else v
-    return out
+    # a dataclass as a JSON dict: its public fields in declaration order, an
+    # array field as a list of Python floats
+    values = {f.name: getattr(obj, f.name) for f in fields(obj) if not f.name.startswith("_")}
+    return {k: [float(x) for x in v] if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
 def _format_rows(M: np.ndarray) -> list[str]:
