@@ -164,9 +164,13 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     In norm mode a point whose squared norm is 0, subnormal or infinite is
     first scaled by a power of two, as `optimize_map` scales it, which
     leaves its ratio unchanged; every other point keeps its bits, and
-    ``skipped`` lists exactly the zero points.  Pairwise mode does not
-    rescale: a pair whose squared distance underflows to 0 is skipped, and
-    one whose squared distance overflows gets a NaN ratio.
+    ``skipped`` lists exactly the zero points.  Pairwise mode follows the
+    same rule: a pair whose squared distance is out of range while x != y
+    has its difference [x - y | Ax - Ay] scaled by the power of two of its
+    x-part, after both rows were scaled by that of their larger x-part when
+    x - y overflows; one factor applies to x and Ax alike.  Every other pair
+    keeps its bits, and ``skipped`` lists exactly the pairs with x = y.  Only
+    an image Ax that overflows still gives an infinite or NaN ratio.
 
     Pairwise mode runs on a bounded thread pool of min(available cores,
     N - 1, 8) workers, inline when that is at most 1.  Worker w of W takes
@@ -270,7 +274,8 @@ def _stacked(A: LinearMap, P: np.ndarray) -> np.ndarray:
         )
     Z = np.empty((N, n + A.m))
     Z[:, :n] = P
-    np.matmul(P, A.entries.T, out=Z[:, n:])
+    with np.errstate(over="ignore"):  # an image that overflows gives an inf or NaN ratio
+        np.matmul(P, A.entries.T, out=Z[:, n:])
     return Z
 
 
@@ -305,12 +310,13 @@ class _PairScan:
         a = np.einsum("ij,ij->i", d[:, n:], d[:, n:], out=self.after[:t])
         r = self.ratios[:t] if out is None else out
         dv = self.dev[:t]
-        if b.min() > 0.0:
+        if _TINY <= b.min() and b.max() < np.inf:
             np.divide(a, b, out=r)
             np.abs(np.subtract(r, 1.0, out=dv), out=dv)
         else:
-            # zero-distance pairs carry no constraint: their ratio slots are
-            # left unwritten
+            self._rescale(i, js, d[:, :n], b, a)
+            # zero-distance pairs (x = y) carry no constraint: their ratio
+            # slots are left unwritten
             keep = b > 0.0
             np.divide(a, b, out=r, where=keep)
             np.abs(np.subtract(r, 1.0, out=dv, where=keep), out=dv, where=keep)
@@ -319,6 +325,27 @@ class _PairScan:
         k = int(np.argmax(dv))  # the first NaN, else the first maximum
         if dv[k] != -np.inf:
             self.offer(float(dv[k]), base + int(js[k]))
+
+    def _rescale(self, i: int, js: range | np.ndarray, dx: np.ndarray, b: np.ndarray, a: np.ndarray) -> None:
+        # `_pow2`'s rule for the pairs whose squared distance b is out of
+        # range although their x-difference dx is not 0.  Where b overflows,
+        # both rows are scaled by the exponent of their larger x-part before
+        # the subtraction; then a difference whose square is out of range is
+        # scaled by its own exponent.  (Rows are not scaled down for an
+        # underflow: that could flush a difference such as (0, 1e-160) between
+        # points near 1e300 to 0.)  One factor applies to x and Ax alike, and
+        # b and a are rewritten in place, so b stays 0 exactly where x = y
+        Z, n = self.Z, self.n
+        rows = Z[js.start : js.stop] if isinstance(js, range) else Z[js]
+        sq = np.where(dx.any(axis=1), b, 1.0)
+        k, e = _pow2(sq, rows[:, :n], np.broadcast_to(Z[i, :n], (len(b), n)))
+        if not k.size:
+            return
+        e = np.where(b[k] < np.inf, 0, e)[:, None]
+        d = np.ldexp(rows[k], -e) - np.ldexp(Z[i], -e)
+        under, e = _pow2(_rowsq(d[:, :n]), d[:, :n])
+        d[under] = np.ldexp(d[under], -e[:, None])
+        b[k], a[k] = _rowsq(d[:, :n]), _rowsq(d[:, n:])
 
     def offer(self, dev: float, flat: int) -> None:
         # the rule of one argmax over every pair in flat order, whatever
@@ -353,11 +380,12 @@ def _scan_all(Z: np.ndarray, n: int, ratios: np.ndarray | None = None) -> list[_
 
     def run(first: int, stride: int) -> _PairScan:
         scan = _PairScan(Z, n, tile)
-        for i in range(first, N - 1, stride):
-            base = _row_base(N, i)
-            for j0 in range(i + 1, N, tile):
-                j1 = min(j0 + tile, N)
-                scan.pairs(i, range(j0, j1), None if ratios is None else ratios[base + j0 : base + j1])
+        with np.errstate(over="ignore", invalid="ignore"):  # from images that overflow
+            for i in range(first, N - 1, stride):
+                base = _row_base(N, i)
+                for j0 in range(i + 1, N, tile):
+                    j1 = min(j0 + tile, N)
+                    scan.pairs(i, range(j0, j1), None if ratios is None else ratios[base + j0 : base + j1])
         return scan
 
     return _run_strided(max(N - 1, 0), run)
@@ -579,7 +607,7 @@ def witness_search(A: LinearMap, V: PointSet) -> tuple[np.ndarray, float]:
 def _max_deviation(A: LinearMap, V: PointSet, cert: SpectralCertificate) -> tuple[int, float]:
     # index and value of the largest |‖Av‖² - trace| / frob over V, from
     # A's certificate; ties break toward the lowest index.  The deviation is
-    # scale-invariant, so it is taken on `_normal_scale`'s map
+    # scale-invariant, so it is taken on the map `_normal_scale` looks up
     B, cert, _ = _normal_scale(A, cert)
     frob = math.sqrt(cert.frob_sq)
     if frob == 0.0:

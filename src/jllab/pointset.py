@@ -160,8 +160,11 @@ def _unit_rows(P: np.ndarray) -> np.ndarray:
 def _json_fields(obj) -> dict:
     # a dataclass as a JSON dict: its public fields in declaration order, an
     # array field as a list of Python floats
-    values = {f.name: getattr(obj, f.name) for f in fields(obj) if not f.name.startswith("_")}
-    return {k: [float(x) for x in v] if isinstance(v, np.ndarray) else v for k, v in values.items()}
+    out = {}
+    for name in [f.name for f in fields(obj) if not f.name.startswith("_")]:
+        v = getattr(obj, name)
+        out[name] = [float(x) for x in v] if isinstance(v, np.ndarray) else v
+    return out
 
 
 def _format_rows(M: np.ndarray) -> list[str]:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jllab.certify as certify
+import jllab.concentration as concentration
 from jllab.certify import (
     MAX_PAIRS,
     AuditError,
@@ -24,6 +25,7 @@ from jllab.certify import (
     spectral_certificate,
     witness_search,
 )
+from jllab.concentration import chaos_tail_estimate, chaos_threshold, joint_event_rate
 from jllab.embeddings import LinearMap, gaussian_map, identity_map, pca_map
 from jllab.pointset import (
     PointSet,
@@ -363,14 +365,16 @@ def test_pairwise_worst_ties_span_tiles(monkeypatch, screened, tile):
 
 @pytest.mark.parametrize("tile", [16, 192])
 def test_pairwise_worst_first_nan(monkeypatch, screened, tile):
-    # the squared norm of (1e200, 1) overflows, so its pairs' ratios are NaN;
-    # the first of them, (0, 120), is reported
+    # the images of points 120 and 150 overflow, so their pair's image
+    # difference is inf - inf and its ratio NaN, while their pairs with the
+    # other points get infinite ratios; the NaN beats the earlier infinities
     monkeypatch.setattr(certify, "_SCREEN_TILE", tile)
     P = gaussian_vectors(2, 200, 25).points.copy()
-    P[120] = [1e200, 1.0]
+    P[120], P[150] = [1.5e308, 1e308], [1.2e308, 1.4e308]
     rep = _assert_worst_matches(LinearMap(np.array([[1.0, 0.5]])), _gaussian_set(P))
     assert math.isnan(rep.eps_max)
-    assert pair_from_flat(200, rep.violating_index) == (0, 120)
+    assert pair_from_flat(200, rep.violating_index) == (120, 150)
+    assert np.isinf(rep.ratios[: rep.violating_index]).sum() == 2 * 120 + 29
 
 
 @pytest.mark.parametrize("tile", [16, 192])
@@ -402,6 +406,45 @@ def test_pairwise_worst_matches_distortion_property(data):
         _assert_worst_matches(A, _gaussian_set(P))
     finally:
         certify._SCREEN_TILE = tile
+
+
+@pytest.mark.parametrize(
+    "points, row, eps_max, violating",
+    [
+        ([[1.0, 0.0], [0.0, 1.0], [1e200, 1.0]], [1.0, 0.0], 0.5, 0),
+        ([[1.0, 0.0], [0.0, 1.0], [1e-170, 0.0], [2e-170, 0.0]], [2.0, 0.0], 3.0, 1),
+    ],
+    ids=["overflow", "underflow"],
+)
+def test_pairwise_ratios_survive_underflow_and_overflow(points, row, eps_max, violating):
+    # a pair whose squared distance overflows, or underflows although x != y,
+    # is scaled by a power of two: every ratio is the exact rational one,
+    # rounded, by both routes, nothing is skipped, and the pairs in range
+    # keep the bits of the unscaled computation
+    P, A = np.array(points), LinearMap(np.array([row]))
+    exact = []
+    for i in range(len(P)):
+        for j in range(i + 1, len(P)):
+            d = [Fraction(u) - Fraction(v) for u, v in zip(P[i], P[j])]
+            exact.append(sum(Fraction(a) * v for a, v in zip(row, d)) ** 2 / sum(v * v for v in d))
+    rep = _assert_worst_matches(A, _gaussian_set(P))
+    assert rep.ratios.tolist() == [float(r) for r in exact]
+    assert (rep.eps_max, rep.violating_index, rep.skipped) == (eps_max, violating, ())
+    i, j = np.triu_indices(len(P), 1)
+    Q = P @ A.entries.T
+    before = np.einsum("ij,ij->i", P[j] - P[i], P[j] - P[i])
+    after = np.einsum("ij,ij->i", Q[j] - Q[i], Q[j] - Q[i])
+    normal = (before >= np.finfo(float).tiny) & (before < np.inf)
+    assert rep.ratios[normal].tobytes() == (after[normal] / before[normal]).tobytes()
+
+
+def test_pairwise_skips_exactly_the_equal_pairs():
+    # differences whose squares underflow, between points near 1e300 and
+    # near 1e-300, are scaled rather than skipped; only (0, 2) has x = y
+    P = np.array([[1e300, 1e-160], [1e300, 0.0], [1e300, 1e-160], [1e-300, 0.0], [0.0, 0.0], [1e-300, 5e-324]])
+    rep = _assert_worst_matches(gaussian_map(2, 2, 1), _gaussian_set(P))
+    assert [pair_from_flat(6, f) for f in rep.skipped] == [(0, 2)]
+    assert np.isfinite(rep.ratios).all()
 
 
 def test_pairwise_worst_memory_is_under_a_byte_per_pair():
@@ -670,6 +713,28 @@ def test_audit_computes_one_certificate(monkeypatch):
     assert len(calls) == 1
     _, wdev = witness_search(A, X)
     assert report.witness_deviation == wdev
+
+
+@pytest.mark.parametrize("entries", [[[1e-200, 0.0]], [[1e-100, 0.0]], [[0.75, -0.5]]], ids=["1e-200", "1e-100", "normal"])
+def test_each_caller_eigensolves_once(monkeypatch, entries):
+    # a map whose sums underflow is certified in one eigendecomposition, as
+    # a map with normal sums is: its certificate keeps the scaled map's, so
+    # the witness, the threshold and the tail sample never take a second one
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M) or eigvalsh(M))
+    monkeypatch.setattr(concentration, "_record", None)
+    X = standard_basis(2)
+    for run in (
+        lambda A: audit_embedding(A, X, 0.5),
+        lambda A: witness_search(A, X),
+        lambda A: chaos_tail_estimate(A, 1.0, 1.0, 1000, 1),
+        lambda A: joint_event_rate(A, 0.05, 0.5, 1.0, 1000, 1),
+        lambda A: chaos_threshold(A, 1.0, 1.0),
+    ):
+        calls.clear()
+        run(LinearMap(entries))
+        assert len(calls) == 1
 
 
 def test_audit_requires_basis():

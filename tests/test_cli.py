@@ -601,10 +601,14 @@ def _overflow_inputs(tmp_path):
     ids=["certify-pairwise", "audit"],
 )
 def test_nonfinite_output_exits_three(tmp_path, capsys, argv):
-    # the squared distances from (1e200, 1) overflow, so their pairwise
-    # ratios are NaN, and so does its image's squared norm, so the audit's
-    # witness deviation is infinite; RFC 8259 JSON has no spelling for either
+    # the squared norm of the image of (1e200, 1) overflows, so the audit's
+    # witness deviation is infinite (about 1e400 on the true scale); for the
+    # pairwise certificate two points whose images overflow are added, and
+    # their pair's ratio is NaN.  RFC 8259 JSON has no spelling for either
     ps, mp = _overflow_inputs(tmp_path)
+    if argv[0] == "certify":
+        P = np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 1.0], [1.5e308, 1e308], [1.2e308, 1.4e308]])
+        write_pointset(ps, PointSet(2, P, ("gaussian",) * 5))
     argv = [a.format(set=ps, map=mp, dir=tmp_path) for a in argv]
     code, out, err = run(argv, capsys)
     assert code == 3
@@ -617,18 +621,25 @@ def test_nonfinite_output_exits_three(tmp_path, capsys, argv):
     "argv",
     [
         ["certify", "--map", "{map}", "--set", "{set}", "--out", "{dir}/cert.json"],
+        ["certify", "--map", "{map}", "--set", "{set}", "--mode", "pairwise", "--out", "{dir}/cert.json"],
         ["frontier", "--set", "{set}", "--maps-per-m", "2", "--max-iters", "20", "--out", "{dir}/front.csv"],
     ],
-    ids=["certify", "frontier"],
+    ids=["certify", "certify-pairwise", "frontier"],
 )
 def test_overflowing_norm_gives_finite_output(tmp_path, capsys, argv):
-    # norm mode and the optimizer scale (1e200, 1) by a power of two before
-    # they square it, so its ratio is finite and correct
+    # norm mode, pairwise mode and the optimizer scale (1e200, 1), or its
+    # differences, by a power of two before they square it, so its ratios
+    # are finite and correct
     ps, mp = _overflow_inputs(tmp_path)
     argv = [a.format(set=ps, map=mp, dir=tmp_path) for a in argv]
     code, _, err = run(argv, capsys)
     assert code == 0 and err == ""
-    if argv[0] == "certify":
+    if "pairwise" in argv:
+        report = json.loads((tmp_path / "cert.json").read_text())["distortion"]
+        # (1e200 - 1/2)² / ((1e200 - 1)² + 1) and 1e400 / 1e400 round to 1
+        assert report["ratios"] == [0.125, 1.0, 1.0]
+        assert report["eps_max"] == 0.875 and report["violating_index"] == 0
+    elif argv[0] == "certify":
         report = json.loads((tmp_path / "cert.json").read_text())["distortion"]
         # (1e200 + 1/2)² / (1e400 + 1) is 1 + 1e-200 + ..., which rounds to 1
         assert report["ratios"] == [1.0, 0.25, 1.0]

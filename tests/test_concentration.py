@@ -92,6 +92,16 @@ def test_norm_tail_oracle_formula():
     assert norm_tail_oracle(4, 9.0, 1.0) == pytest.approx(chi_square_sf(4, 10.0), abs=1e-15)
 
 
+@pytest.mark.parametrize("n, sd, rel", [(1000, 6, 1e-12), (1000, 8, 1e-12), (100_000, 6, 1e-9)])
+def test_norm_tail_oracle_lower_tail_relative_error(monkeypatch, n, sd, rel):
+    # sd standard deviations sqrt(2n) below the mean; with the upper tail
+    # set to 0 the oracle returns its lower tail alone, which must not be
+    # 1 - (1 - P) (relative error 1.9e-6, 1 and 2.8e-8 at these points)
+    monkeypatch.setattr(concentration, "chi_square_sf", lambda n, x: 0.0)
+    want = scipy_stats.chi2.cdf(n - sd * math.sqrt(2 * n), n)
+    assert abs(norm_tail_oracle(n, 2.0 * sd * sd, 1.0) - want) <= rel * want
+
+
 # ---------------------------------------------------------------------------
 # estimator plumbing
 
