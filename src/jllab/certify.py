@@ -42,6 +42,12 @@ _JSON_RATIO_CAP = 100_000
 # route stores none, and its budget is time: at the limit it took 1-2 s on
 # 2 cores, and about 10 s when every pair ties and it makes a full pass
 MAX_PAIRS = 10**8
+# zero-distance pairs (x = y) of pairwise distortion.  ``skipped`` holds one
+# Python int per pair and the JSON lists them again, about 135 bytes a pair
+# at peak: `certify` on 3162 identical points (4,997,541 pairs) peaked at
+# 671 MiB RSS in about 6 s on 2 cores.  A set over the limit is refused before
+# the pairs are scanned
+MAX_SKIPPED = 5 * 10**6
 # points per tile of a pairwise row; smaller tiles lose the pool's gain
 # to the interpreter lock, larger ones grow each worker's scratch
 _PAIR_TILE = 1024
@@ -158,19 +164,21 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
 
     Norm mode compares ‖Ax‖² to ‖x‖² point by point; pairwise mode
     compares squared distances over all N(N-1)/2 unordered pairs and
-    raises `SizeError` before it allocates anything when that count
-    exceeds `MAX_PAIRS`.
+    raises `SizeError` before it allocates anything per pair when that
+    count exceeds `MAX_PAIRS`, or when more than `MAX_SKIPPED` pairs have
+    x = y.
 
     In norm mode a point whose squared norm is 0, subnormal or infinite is
     first scaled by a power of two, as `optimize_map` scales it, which
     leaves its ratio unchanged; every other point keeps its bits, and
     ``skipped`` lists exactly the zero points.  Pairwise mode follows the
-    same rule: a pair whose squared distance is out of range while x != y
-    has its difference [x - y | Ax - Ay] scaled by the power of two of its
-    x-part, after both rows were scaled by that of their larger x-part when
-    x - y overflows; one factor applies to x and Ax alike.  Every other pair
-    keeps its bits, and ``skipped`` lists exactly the pairs with x = y.  Only
-    an image Ax that overflows still gives an infinite or NaN ratio.
+    same rule: a pair with x != y whose squared distance is out of range,
+    or whose image difference Ax - Ay is not finite, gets the ratio norm
+    mode gives the point x - y (where x - y overflows, both rows are first
+    scaled by the power of two of their larger entry).  Every other pair
+    keeps its bits, and ``skipped`` lists exactly the pairs with x = y.  In
+    either mode a ratio is infinite, or NaN, only where the image of its
+    point (x, or x - y) overflows.
 
     Pairwise mode runs on a bounded thread pool of min(available cores,
     N - 1, 8) workers, inline when that is at most 1.  Worker w of W takes
@@ -187,10 +195,11 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     serial.
 
     The CLI's pairwise ``certify``, when the JSON would drop the ratios
-    (more than 100,000 pairs), takes a private max-only route instead.  It
-    stores no ratio and reports the same ``eps_max``, ``violating_index``,
-    ``n_ratios`` and ``skipped`` bit for bit.  Stage 1 screens the pairs of
-    each pair of 192-point tiles by GEMMs; BLAS may thread them.  On one
+    (more than 100,000 pairs with x != y, counted before either route
+    runs), takes a private max-only route instead.  It stores no ratio and
+    reports the same ``eps_max``, ``violating_index``, ``n_ratios`` and
+    ``skipped`` bit for bit.  Stage 1 screens the pairs of each pair of
+    192-point tiles by GEMMs; BLAS may thread them.  On one
     side with k coordinates (k = n for x, k = m for Ax), with
     D = ‖x - y‖², S = ‖x‖² + ‖y‖² and E = c S, c = 12 (k + 4) u,
     u = 2^-53:
@@ -220,11 +229,12 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     2^-960, or one over 2^959 or not finite).  Above that range the
     kernel's differences may overflow while both norms are finite; below
     it, products underflow and carry only absolute error.  Stage 2
-    recomputes the kept pairs of each tile, row by row in flat-index
-    order, with the exact kernel above, and picks the worst pair by the
-    same rule, so BLAS rounding and the thread count never reach the
-    report.  Memory is the stacked rows, their GEMM copies (N (n + m + 4)
-    values) and 4 * 192² scratch values.  Once the kept pairs outnumber
+    recomputes, row by row in flat-index order, each row's span of the tile
+    from its first kept pair to its last with the exact kernel above (a
+    pair inside the span that the screen ruled out cannot be the worst),
+    and picks the worst pair by the same rule, so BLAS rounding and the
+    thread count never reach the report.  Memory is the stacked rows, their
+    GEMM copies (N (n + m + 4) values) and 4 * 192² scratch values.  Once the kept pairs outnumber
     both 192² and one in eight of the pairs screened (ties, as under the
     identity map, where every pair is kept), the route runs the pooled
     pass above instead, with its ratios in per-worker scratch.
@@ -252,29 +262,42 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
 
 def _distortion_json(A: LinearMap, X: PointSet, mode: str) -> dict:
     # distortion(A, X, mode).to_json(), by the max-only pairwise route when
-    # the JSON drops the ratios; a set whose skipped pairs bring n_ratios
-    # back under the cap is measured again by the full pass for its ratios
-    N = len(X)
-    if _checked_mode(A, X, mode) == MODE_PAIRWISE and N * (N - 1) // 2 > _JSON_RATIO_CAP:
-        eps_max, violating, skipped = _pairwise_worst(A, X.points)
-        n_ratios = N * (N - 1) // 2 - len(skipped)
-        if n_ratios > _JSON_RATIO_CAP:
-            return _report_json(MODE_PAIRWISE, eps_max, violating, n_ratios, skipped)
+    # the JSON drops the ratios, which the count of zero-distance pairs tells
+    # before either route runs
+    if _checked_mode(A, X, mode) == MODE_PAIRWISE:
+        total, skipped = _pair_counts(X.points)
+        if total - skipped > _JSON_RATIO_CAP:
+            eps_max, violating, skipped_pairs = _pairwise_worst(A, X.points)
+            return _report_json(MODE_PAIRWISE, eps_max, violating, total - skipped, skipped_pairs)
     return distortion(A, X, mode).to_json()
 
 
-def _stacked(A: LinearMap, P: np.ndarray) -> np.ndarray:
-    # Z = [P | P Aᵀ], so one subtraction serves both sides of a pair; a set
-    # over MAX_PAIRS is refused before anything is allocated
-    N, n = P.shape
+def _pair_counts(P: np.ndarray) -> tuple[int, int]:
+    # the pairs of the rows of P and its zero-distance pairs (x = y, with
+    # -0.0 = 0.0 as in x - y), refused with SizeError over MAX_PAIRS or
+    # MAX_SKIPPED before anything per pair is allocated
+    N = len(P)
     total = N * (N - 1) // 2
     if total > MAX_PAIRS:
         raise SizeError(
             f"pairwise distortion of {N} points has {total} pairs, over the {MAX_PAIRS} pair limit"
         )
+    counts = np.unique(P, axis=0, return_counts=True)[1]
+    skipped = int(np.sum(counts * (counts - 1) // 2))
+    if skipped > MAX_SKIPPED:
+        raise SizeError(
+            f"pairwise distortion of {N} points has {skipped} zero-distance pairs, "
+            f"over the {MAX_SKIPPED} skipped-pair limit"
+        )
+    return total, skipped
+
+
+def _stacked(A: LinearMap, P: np.ndarray) -> np.ndarray:
+    # Z = [P | P Aᵀ], so one subtraction serves both sides of a pair
+    N, n = P.shape
     Z = np.empty((N, n + A.m))
     Z[:, :n] = P
-    with np.errstate(over="ignore"):  # an image that overflows gives an inf or NaN ratio
+    with np.errstate(over="ignore"):  # an image that overflows sends its pairs to `_rescale`
         np.matmul(P, A.entries.T, out=Z[:, n:])
     return Z
 
@@ -289,63 +312,56 @@ class _PairScan:
     # the one ratio kernel of both pairwise routes, the worst pair seen so
     # far and the flat indices of the zero-distance pairs
 
-    def __init__(self, Z: np.ndarray, n: int, tile: int) -> None:
-        self.Z, self.n = Z, n
+    def __init__(self, Z: np.ndarray, A: LinearMap, tile: int) -> None:
+        self.Z, self.A, self.n = Z, A, A.n
         self.buf = np.empty((tile, Z.shape[1]))
         self.before, self.after, self.dev, self.ratios = np.empty((4, tile))
         self.worst, self.worst_flat = -np.inf, -1
         self.skipped: list[int] = []
 
-    def pairs(self, i: int, js: range | np.ndarray, out: np.ndarray | None = None) -> None:
-        # the pairs (i, j) for the ascending columns js, a range or an index
-        # array; their ratios go to ``out``, else to scratch
-        Z, n, base = self.Z, self.n, _row_base(len(self.Z), i)
+    def pairs(self, i: int, js: range, out: np.ndarray | None = None) -> None:
+        # the pairs (i, j) for the columns js; their ratios go to ``out``,
+        # else to scratch
+        Z, n, base = self.Z, self.n, _row_base(len(self.Z), i) + js.start
         t = len(js)
         d = self.buf[:t]
-        if isinstance(js, range):
-            np.subtract(Z[js.start : js.stop], Z[i], out=d)
-        else:
-            np.subtract(np.take(Z, js, axis=0, out=d), Z[i], out=d)
+        np.subtract(Z[js.start : js.stop], Z[i], out=d)
         b = np.einsum("ij,ij->i", d[:, :n], d[:, :n], out=self.before[:t])
         a = np.einsum("ij,ij->i", d[:, n:], d[:, n:], out=self.after[:t])
         r = self.ratios[:t] if out is None else out
         dv = self.dev[:t]
-        if _TINY <= b.min() and b.max() < np.inf:
+        if _TINY <= b.min() and b.max() < np.inf and a.max() < np.inf:
             np.divide(a, b, out=r)
             np.abs(np.subtract(r, 1.0, out=dv), out=dv)
         else:
-            self._rescale(i, js, d[:, :n], b, a)
+            self._rescale(i, js.start, d[:, :n], b, a)
             # zero-distance pairs (x = y) carry no constraint: their ratio
             # slots are left unwritten
             keep = b > 0.0
             np.divide(a, b, out=r, where=keep)
             np.abs(np.subtract(r, 1.0, out=dv, where=keep), out=dv, where=keep)
             dv[~keep] = -np.inf
-            self.skipped.extend(base + int(js[k]) for k in np.flatnonzero(~keep))
+            self.skipped.extend((base + np.flatnonzero(~keep)).tolist())
         k = int(np.argmax(dv))  # the first NaN, else the first maximum
         if dv[k] != -np.inf:
-            self.offer(float(dv[k]), base + int(js[k]))
+            self.offer(float(dv[k]), base + k)
 
-    def _rescale(self, i: int, js: range | np.ndarray, dx: np.ndarray, b: np.ndarray, a: np.ndarray) -> None:
-        # `_pow2`'s rule for the pairs whose squared distance b is out of
-        # range although their x-difference dx is not 0.  Where b overflows,
-        # both rows are scaled by the exponent of their larger x-part before
-        # the subtraction; then a difference whose square is out of range is
-        # scaled by its own exponent.  (Rows are not scaled down for an
-        # underflow: that could flush a difference such as (0, 1e-160) between
-        # points near 1e300 to 0.)  One factor applies to x and Ax alike, and
-        # b and a are rewritten in place, so b stays 0 exactly where x = y
-        Z, n = self.Z, self.n
-        rows = Z[js.start : js.stop] if isinstance(js, range) else Z[js]
-        sq = np.where(dx.any(axis=1), b, 1.0)
-        k, e = _pow2(sq, rows[:, :n], np.broadcast_to(Z[i, :n], (len(b), n)))
-        if not k.size:
-            return
-        e = np.where(b[k] < np.inf, 0, e)[:, None]
-        d = np.ldexp(rows[k], -e) - np.ldexp(Z[i], -e)
-        under, e = _pow2(_rowsq(d[:, :n]), d[:, :n])
-        d[under] = np.ldexp(d[under], -e[:, None])
-        b[k], a[k] = _rowsq(d[:, :n]), _rowsq(d[:, n:])
+    def _rescale(self, i: int, j0: int, dx: np.ndarray, b: np.ndarray, a: np.ndarray) -> None:
+        # norm mode's rule for the pairs (i, j0 + k) with x != y whose squared
+        # distance b is out of range or whose image difference a is not
+        # finite: b and a become what `_norm_scaled` and the map give the
+        # point d = x - y, in place, so b stays 0 exactly where x = y.  Where
+        # x - y overflows, both rows are first scaled by the power of two of
+        # their larger entry (rows are not scaled down for an underflow: that
+        # could flush a difference such as (0, 1e-160) between points near
+        # 1e300 to 0)
+        k = np.flatnonzero(dx.any(axis=1) & ~((_TINY <= b) & (b < np.inf) & (a < np.inf)))
+        x, y = self.Z[j0 + k, : self.n], self.Z[i, : self.n]
+        d = x - y
+        over, e = _pow2(np.where(np.isfinite(d).all(axis=1), 1.0, np.inf), x, np.broadcast_to(y, x.shape))
+        d[over] = np.ldexp(x[over], -e[:, None]) - np.ldexp(y, -e[:, None])
+        d, b[k] = _norm_scaled(d)
+        a[k] = _rowsq(self.A.apply(d))
 
     def offer(self, dev: float, flat: int) -> None:
         # the rule of one argmax over every pair in flat order, whatever
@@ -372,14 +388,14 @@ def _merge(scans: list[_PairScan]) -> tuple[float, int | None, list[int]]:
     return float(first.worst), first.worst_flat, skipped
 
 
-def _scan_all(Z: np.ndarray, n: int, ratios: np.ndarray | None = None) -> list[_PairScan]:
+def _scan_all(Z: np.ndarray, A: LinearMap, ratios: np.ndarray | None = None) -> list[_PairScan]:
     # the exact kernel over every pair, on the pool; each ratio goes to its
     # flat index in ``ratios`` when that is given
     N = len(Z)
     tile = min(_PAIR_TILE, N)
 
     def run(first: int, stride: int) -> _PairScan:
-        scan = _PairScan(Z, n, tile)
+        scan = _PairScan(Z, A, tile)
         with np.errstate(over="ignore", invalid="ignore"):  # from images that overflow
             for i in range(first, N - 1, stride):
                 base = _row_base(N, i)
@@ -392,10 +408,10 @@ def _scan_all(Z: np.ndarray, n: int, ratios: np.ndarray | None = None) -> list[_
 
 
 def _pairwise_distortion(A: LinearMap, P: np.ndarray) -> DistortionReport:
-    N, n = P.shape
-    Z = _stacked(A, P)
+    N = len(P)
+    _pair_counts(P)
     ratios = np.empty(N * (N - 1) // 2)
-    eps_max, violating, skipped = _merge(_scan_all(Z, n, ratios))
+    eps_max, violating, skipped = _merge(_scan_all(_stacked(A, P), A, ratios))
     return DistortionReport(
         mode=MODE_PAIRWISE,
         ratios=_compact(ratios, skipped),
@@ -407,7 +423,8 @@ def _pairwise_distortion(A: LinearMap, P: np.ndarray) -> DistortionReport:
 
 def _pairwise_worst(A: LinearMap, P: np.ndarray) -> tuple[float, int | None, list[int]]:
     # the max-only route of `distortion`'s docstring: eps_max,
-    # violating_index and the skipped pairs, with no ratio stored
+    # violating_index and the skipped pairs, with no ratio stored; the
+    # caller has checked the sizes with `_pair_counts`
     N, n = P.shape
     Z = _stacked(A, P)
     T = _SCREEN_TILE
@@ -424,7 +441,7 @@ def _pairwise_worst(A: LinearMap, P: np.ndarray) -> tuple[float, int | None, lis
         small, big = sq < _SCREEN_RANGE[0], ~(sq <= _SCREEN_RANGE[1])
         tiles = [(small[t : t + T].any(), big[t : t + T].any()) for t in range(0, N, T)]
         sides.append((M, sq, right, 12 * (M.shape[1] + 4) * _U, small, big, tiles))
-    scan = _PairScan(Z, n, T)
+    scan = _PairScan(Z, A, T)
     work, flags = np.empty((4, T * T)), np.empty(T * T, dtype=bool)
     floor = -np.inf  # a lower bound on eps_max
     screened = kept = 0
@@ -474,17 +491,19 @@ def _pairwise_worst(A: LinearMap, P: np.ndarray) -> tuple[float, int | None, lis
                     keep |= guarded
                 if i0 == j0:
                     keep &= upper[: shape[0], : shape[1]]
-                rows, cols = np.divmod(np.flatnonzero(keep), shape[1])
+                hits = np.count_nonzero(keep)
                 screened += shape[0] * shape[1] if i0 != j0 else shape[0] * (shape[0] - 1) // 2
-                kept += rows.size
+                kept += hits
                 if kept > max(screened // 8, T * T):
                     # many ties, as under the identity map: the pooled full
                     # pass is faster than a recompute of nearly every pair
-                    return _merge(_scan_all(Z, n))
-                cuts = np.flatnonzero(np.diff(rows)) + 1
-                for r, cs in zip(np.split(rows, cuts), np.split(cols, cuts)):
-                    if r.size:
-                        scan.pairs(i0 + int(r[0]), j0 + cs)
+                    return _merge(_scan_all(Z, A))
+                if hits:
+                    # each row's span from its first kept column to its last;
+                    # a pair inside it that the screen ruled out cannot be the worst
+                    for r in np.flatnonzero(keep.any(axis=1)).tolist():
+                        cs = np.flatnonzero(keep[r])
+                        scan.pairs(i0 + r, range(j0 + int(cs[0]), j0 + int(cs[-1]) + 1))
                 # an exact deviation bounds eps_max from below too; a NaN wins
                 floor = max(floor, scan.worst if scan.worst == scan.worst else np.inf)
     return _merge([scan])
@@ -492,12 +511,16 @@ def _pairwise_worst(A: LinearMap, P: np.ndarray) -> tuple[float, int | None, lis
 
 def _compact(ratios: np.ndarray, skipped: list[int]) -> np.ndarray:
     # drops the slots at the sorted indices ``skipped`` in place and returns
-    # the kept prefix; each run of kept values moves left as one 1-d copy,
-    # which numpy performs without a temporary
-    pos = skipped[0] if skipped else ratios.size
-    for s, nxt in zip(skipped, skipped[1:] + [ratios.size]):
-        ratios[pos : pos + nxt - s - 1] = ratios[s + 1 : nxt]
-        pos += nxt - s - 1
+    # the kept prefix; each nonempty run of kept values moves left as one 1-d
+    # copy, which numpy performs without a temporary
+    if not skipped:
+        return ratios
+    runs = np.diff(skipped, append=ratios.size) - 1  # the kept values after each skipped slot
+    pos = skipped[0]
+    for k in np.flatnonzero(runs).tolist():
+        s, t = skipped[k] + 1, int(runs[k])
+        ratios[pos : pos + t] = ratios[s : s + t]
+        pos += t
     return ratios[:pos]
 
 

@@ -69,7 +69,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .certify import SpectralCertificate, _normal_scale, spectral_certificate
-from .embeddings import LinearMap, _rowsq, _run_strided
+from .embeddings import LinearMap, _pow2, _rowsq, _run_strided
 from .pointset import MAX_TOTAL_COORDS, SizeError, _json_fields
 from .seeds import Seed, as_seed
 
@@ -303,8 +303,8 @@ def norm_tail_estimate(n: int, t: float, c: float, trials: int, seed: int | Seed
 
 def _tail(dev: np.ndarray, thr: float, e: int = 0) -> TailEstimate:
     # the strict deviation event dev > thr, shared by the norm, chaos and form
-    # tails, with thr reported times 2^(2e) (see `_FormSample`)
-    return TailEstimate.from_hits(math.ldexp(thr, 2 * e), dev.size, int(np.count_nonzero(dev > thr)))
+    # tails, with thr reported times 2^e (see `_FormSample`)
+    return TailEstimate.from_hits(math.ldexp(thr, e), dev.size, int(np.count_nonzero(dev > thr)))
 
 
 def _chaos_threshold(frob: float, top: float, t: float, c: float) -> float:
@@ -341,7 +341,11 @@ def symmetric_form_tail_estimate(
 
     Same deviation event as `chaos_tail_estimate` with A^T A replaced by
     M: threshold c (sqrt(t) ‖M‖_F + t ‖M‖) around tr(M).  M may be
-    indefinite.
+    indefinite.  A nonzero M whose squared Frobenius norm is 0, subnormal or
+    infinite is first scaled by the power of two 2^-e that puts its largest
+    entry in [1/2, 1), as `spectral_certificate` scales a map; the event is
+    scale-invariant, and the threshold, of degree 1 in M, is reported
+    times 2^e.  Every other M keeps its bits.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -352,12 +356,18 @@ def symmetric_form_tail_estimate(
     if not c > 0:
         raise ValueError(f"c must be positive, got {c}")
     _validate_mc(M.shape[0], trials)
-    frob = float(np.linalg.norm(M))
+    with np.errstate(over="ignore"):  # an overflowing ‖M‖_F² is scaled below
+        frob = float(np.linalg.norm(M))
+    _, e = _pow2(np.array([frob * frob]), M[None])
+    e = int(e[0]) if e.size else 0
+    if e:
+        M = np.ldexp(M, -e)
+        frob = float(np.linalg.norm(M))
     if frob == 0.0:
         raise ValueError("zero matrix: the deviation event is degenerate")
     top = float(np.abs(np.linalg.eigvalsh(M)).max())
     form = _sample(M.shape[0], trials, seed, lambda g: np.einsum("ij,ij->i", g @ M, g), 1, pool=False)
-    return _tail(np.abs(form[0] - float(np.trace(M))), _chaos_threshold(frob, top, t, c))
+    return _tail(np.abs(form[0] - float(np.trace(M))), _chaos_threshold(frob, top, t, c), e)
 
 
 def joint_event_rate(
@@ -397,7 +407,7 @@ class _FormSample:
     normsq: np.ndarray
 
     def chaos(self, t: float, c: float) -> TailEstimate:
-        return _tail(self.dev, _chaos_threshold(self.frob, self.top, t, c), self.e)
+        return _tail(self.dev, _chaos_threshold(self.frob, self.top, t, c), 2 * self.e)
 
     def norm_side(self, delta: float, c2: float) -> TailEstimate:
         thr = self._norm_bound(delta, c2)

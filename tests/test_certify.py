@@ -274,19 +274,20 @@ def _assert_worst_matches(A, Y):
 
 @pytest.fixture
 def screened(monkeypatch):
-    # the pairs the screen sends to the exact kernel; the full-pass fallback
-    # of the max-only route fails the test, so the screen itself is tested
+    # the members of the spans the screen sends to the exact kernel, which
+    # writes no ratios for it; the full-pass fallback of the max-only route
+    # fails the test, so the screen itself is tested
     kept = set()
     pairs, scan_all = certify._PairScan.pairs, certify._scan_all
 
     def spy(self, i, js, out=None):
-        if not isinstance(js, range):
-            kept.update((i, int(j)) for j in js)
+        if out is None:
+            kept.update((i, j) for j in js)
         return pairs(self, i, js, out)
 
-    def no_fallback(Z, n, ratios=None):
+    def no_fallback(Z, A, ratios=None):
         assert ratios is not None, "the screen fell back to the full pass"
-        return scan_all(Z, n, ratios)
+        return scan_all(Z, A, ratios)
 
     monkeypatch.setattr(certify._PairScan, "pairs", spy)
     monkeypatch.setattr(certify, "_scan_all", no_fallback)
@@ -336,6 +337,14 @@ def test_pairwise_worst_near_duplicates_fall_back_to_the_kernel(monkeypatch, scr
     assert len(screened) < 1000  # of 44850 pairs
 
 
+def test_pairwise_worst_screen_work_on_the_benchmark_set(screened):
+    # the certify benchmark's set and map at seed 1: the screen sends 10 of
+    # its 4.6M pairs to the exact kernel, each row's as one span
+    X = hard_instance(32, 3000, 1)
+    _assert_worst_matches(gaussian_map(128, 32, 1), X)
+    assert len(screened) == 10
+
+
 @pytest.mark.parametrize("tile", [16, 192])
 def test_pairwise_worst_exact_duplicates(monkeypatch, screened, tile):
     monkeypatch.setattr(certify, "_SCREEN_TILE", tile)
@@ -364,17 +373,44 @@ def test_pairwise_worst_ties_span_tiles(monkeypatch, screened, tile):
 
 
 @pytest.mark.parametrize("tile", [16, 192])
-def test_pairwise_worst_first_nan(monkeypatch, screened, tile):
-    # the images of points 120 and 150 overflow, so their pair's image
-    # difference is inf - inf and its ratio NaN, while their pairs with the
-    # other points get infinite ratios; the NaN beats the earlier infinities
+def test_pairwise_worst_overflowing_images(monkeypatch, screened, tile):
+    # the images of points 120 and 150 overflow, and so do their squared
+    # distances to every point; each of their pairs is measured as norm mode
+    # measures x - y, whose image is finite, so every ratio is finite and
+    # within rounding of the exact one
     monkeypatch.setattr(certify, "_SCREEN_TILE", tile)
     P = gaussian_vectors(2, 200, 25).points.copy()
     P[120], P[150] = [1.5e308, 1e308], [1.2e308, 1.4e308]
-    rep = _assert_worst_matches(LinearMap(np.array([[1.0, 0.5]])), _gaussian_set(P))
-    assert math.isnan(rep.eps_max)
-    assert pair_from_flat(200, rep.violating_index) == (120, 150)
-    assert np.isinf(rep.ratios[: rep.violating_index]).sum() == 2 * 120 + 29
+    row = [1.0, 0.5]
+    rep = _assert_worst_matches(LinearMap(np.array([row])), _gaussian_set(P))
+    assert np.isfinite(rep.ratios).all()
+    for i, j in [(i, j) for i in range(200) for j in range(i + 1, 200) if {i, j} & {120, 150}]:
+        exact = _exact_ratio([row], P[i], P[j])
+        assert rep.ratios[i * (399 - i) // 2 + j - i - 1] == pytest.approx(float(exact), rel=1e-15)
+    assert rep.eps_max == np.abs(rep.ratios - 1.0).max()
+
+
+def test_pair_scan_first_nan_rule():
+    # one argmax over every pair in flat order, whatever order the pairs are
+    # offered in and however they are split among workers: the first NaN,
+    # else the largest deviation, the lowest flat index on ties
+    Z, A = np.zeros((4, 2)), identity_map(1)
+    scans = [certify._PairScan(Z, A, 4) for _ in range(3)]
+    offers = [[(1.0, 5), (math.inf, 2)], [(0.5, 1), (math.nan, 9), (math.nan, 7)], [(math.inf, 0)]]
+    for scan, offered in zip(scans, offers):
+        for dev, flat in offered:
+            scan.offer(dev, flat)
+    assert (scans[0].worst, scans[0].worst_flat) == (math.inf, 2)
+    assert scans[1].worst_flat == 7 and math.isnan(scans[1].worst)
+    scans[2].skipped, scans[0].skipped = [8, 3], [4]
+    eps_max, violating, skipped = certify._merge(scans)
+    assert math.isnan(eps_max) and violating == 7 and skipped == [3, 4, 8]
+    # without a NaN, infinities tie and the lower flat index wins
+    clean = [certify._PairScan(Z, A, 4) for _ in range(2)]
+    clean[0].offer(math.inf, 2)
+    clean[1].offer(math.inf, 0)
+    assert certify._merge(clean)[:2] == (math.inf, 0)
+    assert certify._merge([certify._PairScan(Z, A, 4)]) == (0.0, None, [])
 
 
 @pytest.mark.parametrize("tile", [16, 192])
@@ -408,33 +444,52 @@ def test_pairwise_worst_matches_distortion_property(data):
         certify._SCREEN_TILE = tile
 
 
+def _exact_ratio(rows, x, y):
+    # ‖A(x - y)‖² / ‖x - y‖² in exact rational arithmetic
+    d = [Fraction(u) - Fraction(v) for u, v in zip(x, y)]
+    return sum(sum(Fraction(a) * v for a, v in zip(row, d)) ** 2 for row in rows) / sum(v * v for v in d)
+
+
+def _rounded(q):
+    # the double nearest the rational q, inf past the largest double
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf
+
+
 @pytest.mark.parametrize(
-    "points, row, eps_max, violating",
+    "points, rows, eps_max, violating",
     [
-        ([[1.0, 0.0], [0.0, 1.0], [1e200, 1.0]], [1.0, 0.0], 0.5, 0),
-        ([[1.0, 0.0], [0.0, 1.0], [1e-170, 0.0], [2e-170, 0.0]], [2.0, 0.0], 3.0, 1),
+        ([[1.0, 0.0], [0.0, 1.0], [1e200, 1.0]], [[1.0, 0.0]], 0.5, 0),
+        ([[1.0, 0.0], [0.0, 1.0], [1e-170, 0.0], [2e-170, 0.0]], [[2.0, 0.0]], 3.0, 1),
+        # Ax and Ay round to 1e300, while A(x - y) = (3e-160)
+        ([[1e300, 1e-160], [1e300, 0.0], [0.0, 1.0]], [[1.0, 3.0]], 8.0, 0),
+        # Ax and Ay overflow, so Ax - Ay is NaN, while A(x - y) = (0, 1); the
+        # images of the other two differences overflow in norm mode too
+        ([[1e154, 0.0], [1e154, 1.0], [0.0, 1.0]], [[2e154, 0.0], [0.0, 1.0]], math.inf, 1),
     ],
-    ids=["overflow", "underflow"],
+    ids=["overflow", "underflow", "cancelled-image", "overflowing-images"],
 )
-def test_pairwise_ratios_survive_underflow_and_overflow(points, row, eps_max, violating):
+def test_pairwise_ratios_survive_underflow_and_overflow(points, rows, eps_max, violating):
     # a pair whose squared distance overflows, or underflows although x != y,
-    # is scaled by a power of two: every ratio is the exact rational one,
+    # or whose image difference Ax - Ay is not finite, gets the ratio norm
+    # mode gives the point x - y: every ratio is the exact rational one,
     # rounded, by both routes, nothing is skipped, and the pairs in range
     # keep the bits of the unscaled computation
-    P, A = np.array(points), LinearMap(np.array([row]))
-    exact = []
-    for i in range(len(P)):
-        for j in range(i + 1, len(P)):
-            d = [Fraction(u) - Fraction(v) for u, v in zip(P[i], P[j])]
-            exact.append(sum(Fraction(a) * v for a, v in zip(row, d)) ** 2 / sum(v * v for v in d))
+    P, A = np.array(points), LinearMap(np.array(rows))
+    exact = [_rounded(_exact_ratio(rows, P[i], P[j])) for i in range(len(P)) for j in range(i + 1, len(P))]
     rep = _assert_worst_matches(A, _gaussian_set(P))
-    assert rep.ratios.tolist() == [float(r) for r in exact]
+    assert rep.ratios.tolist() == exact
     assert (rep.eps_max, rep.violating_index, rep.skipped) == (eps_max, violating, ())
     i, j = np.triu_indices(len(P), 1)
-    Q = P @ A.entries.T
-    before = np.einsum("ij,ij->i", P[j] - P[i], P[j] - P[i])
-    after = np.einsum("ij,ij->i", Q[j] - Q[i], Q[j] - Q[i])
-    normal = (before >= np.finfo(float).tiny) & (before < np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):  # norm mode warns where an image overflows
+        norm = [distortion(A, _gaussian_set(P[[b]] - P[[a]])).ratios[0] for a, b in zip(i, j)]
+        assert rep.ratios.tolist() == norm
+        Q = P @ A.entries.T
+        before = np.einsum("ij,ij->i", P[j] - P[i], P[j] - P[i])
+        after = np.einsum("ij,ij->i", Q[j] - Q[i], Q[j] - Q[i])
+    normal = (before >= np.finfo(float).tiny) & (before < np.inf) & (after < np.inf)
     assert rep.ratios[normal].tobytes() == (after[normal] / before[normal]).tobytes()
 
 
@@ -462,6 +517,48 @@ def test_pairwise_worst_memory_is_under_a_byte_per_pair():
     assert peak < N * (N - 1) // 2
     rep = distortion(A, X, "pairwise")
     assert (eps_max, violating, skipped) == (rep.eps_max, rep.violating_index, [])
+
+
+def test_pairwise_skipped_pairs_cost_one_int_each():
+    # 500 identical points: every pair is skipped, and each costs one Python
+    # int in the scan's list, the sorted list and the report's list, plus
+    # the library route's 8-byte ratio slot
+    N = 500
+    P = np.zeros((N, 2))
+    P[:, 0] = 1.0
+    tracemalloc.start()
+    try:
+        report = certify._distortion_json(identity_map(2), _gaussian_set(P), "pairwise")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairs = N * (N - 1) // 2
+    assert report["skipped"] == list(range(pairs)) and report["n_ratios"] == 0
+    assert peak < 80 * pairs
+
+
+def test_pairwise_skipped_pair_budget():
+    # one point over the budget: 3163 identical points have 5000703
+    # zero-distance pairs; both routes refuse them before the scan
+    assert 3162 * 3161 // 2 <= certify.MAX_SKIPPED < 3163 * 3162 // 2
+    P = np.zeros((3163, 2))
+    P[:, 1] = -1.0
+    X = _gaussian_set(P)
+    for measure in (lambda: distortion(identity_map(2), X, "pairwise"),
+                    lambda: certify._distortion_json(identity_map(2), X, "pairwise")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match="5000703 zero-distance pairs, over the 5000000 skipped-pair limit"):
+                measure()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    # the count up front is the kernel's: -0.0 = 0.0, as in x - y
+    P = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 0.0], [-0.0, -0.0], [5e-324, 0.0], [1.0, 1.0]])
+    rep = distortion(identity_map(2), _gaussian_set(P), "pairwise")
+    assert [pair_from_flat(6, f) for f in rep.skipped] == [(0, 1), (2, 3)]
+    assert certify._pair_counts(P) == (15, 2)
 
 
 def test_distortion_mode_and_shape_validation():

@@ -200,15 +200,16 @@ def test_certify_over_pair_budget_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "N, copies, max_only, ratios",
-    [(447, 0, False, True), (460, 0, True, False), (449, 44, True, True)],
+    [(447, 0, False, True), (460, 0, True, False), (449, 44, False, True)],
     ids=["at-cap", "over-cap", "duplicates-under-cap"],
 )
 def test_certify_pairwise_json_is_the_library_route(tmp_path, capsys, monkeypatch, N, copies, max_only, ratios):
     # 447 points have 99681 pairs, at most the 100000 ratios the JSON writes;
     # 460 have 105570 and take the max-only route; 449 points with 44 copies
-    # of one have 100576 pairs, and their 946 zero-distance pairs bring
-    # n_ratios to 99630, so the ratios are written after all.  Each run's
-    # JSON is the bytes of the library route, and a rerun's too
+    # of one have 100576 pairs, and their 946 zero-distance pairs, counted
+    # before either route runs, bring n_ratios to 99630, so the library
+    # route writes the ratios.  Each run's JSON is the bytes of the library
+    # route, and a rerun's too
     P = gaussian_vectors(3, N, 31).points.copy()
     P[5 : 10 * copies : 10] = P[5]
     ps, mp = tmp_path / "set.jlps", tmp_path / "a.jlmap"
@@ -602,13 +603,15 @@ def _overflow_inputs(tmp_path):
 )
 def test_nonfinite_output_exits_three(tmp_path, capsys, argv):
     # the squared norm of the image of (1e200, 1) overflows, so the audit's
-    # witness deviation is infinite (about 1e400 on the true scale); for the
-    # pairwise certificate two points whose images overflow are added, and
-    # their pair's ratio is NaN.  RFC 8259 JSON has no spelling for either
+    # witness deviation is infinite (about 1e400 on the true scale).  In the
+    # pairwise certificate the squared distance of (0.9e154, 0.9e154) to e1
+    # is in range but the squared norm of its image overflows, so that
+    # pair's ratio is infinite, as norm mode's is for the point x - y.  RFC
+    # 8259 JSON has no spelling for either
     ps, mp = _overflow_inputs(tmp_path)
     if argv[0] == "certify":
-        P = np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 1.0], [1.5e308, 1e308], [1.2e308, 1.4e308]])
-        write_pointset(ps, PointSet(2, P, ("gaussian",) * 5))
+        P = np.array([[1.0, 0.0], [0.0, 1.0], [0.9e154, 0.9e154], [0.0, 0.0]])
+        write_pointset(ps, PointSet(2, P, ("gaussian",) * 4))
     argv = [a.format(set=ps, map=mp, dir=tmp_path) for a in argv]
     code, out, err = run(argv, capsys)
     assert code == 3

@@ -290,6 +290,26 @@ def test_symmetric_form_indefinite_matrix():
         symmetric_form_tail_estimate(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, 1.0, 2000, 0)
 
 
+@pytest.mark.parametrize(
+    "diag", [[1e-200, 0.0], [1e-170, 1e-170], [1e200, -1e200]], ids=["zero-frob", "subnormal-frob", "inf-frob"]
+)
+def test_symmetric_form_scales_an_out_of_range_matrix(diag):
+    # ‖M‖_F² underflows to 0, is subnormal, or overflows: the estimate is
+    # that of M scaled by the power of two 2^-e that puts its largest entry
+    # in [1/2, 1), with the threshold reported times 2^e, bit for bit
+    M = np.diag(diag)
+    e = math.frexp(max(abs(v) for v in diag))[1]
+    est = symmetric_form_tail_estimate(M, 1.0, 1.0, 1000, 1)
+    ref = symmetric_form_tail_estimate(np.ldexp(M, -e), 1.0, 1.0, 1000, 1)
+    assert est.hits == ref.hits and 0 < est.hits < 1000
+    assert est.threshold == math.ldexp(ref.threshold, e)
+    # c (sqrt(t) ‖M‖_F + t ‖M‖) at t = c = 1
+    frob = math.sqrt(2.0) * abs(diag[0]) if diag[1] else abs(diag[0])
+    assert est.threshold == pytest.approx(frob + abs(diag[0]), rel=1e-15)
+    with pytest.raises(ValueError, match="zero matrix"):
+        symmetric_form_tail_estimate(np.zeros((2, 2)), 1.0, 1.0, 1000, 1)
+
+
 def test_joint_event_rate_limits():
     A = gaussian_map(8, 16, 2)
     trials = 20000
