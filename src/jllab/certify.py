@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import _TINY, LinearMap, _norm_scaled, _pow2, _rowsq, _run_strided
+from .embeddings import _BLAS, _TINY, LinearMap, _norm_scaled, _pow2, _rowsq, _run_strided
 from .pointset import MAX_TOTAL_COORDS, PointSet, SizeError, _json_fields, _unit_rows
 
 MODE_NORM = "norm-preservation"
@@ -51,6 +51,13 @@ MAX_SKIPPED = 5 * 10**6
 # points per tile of a pairwise row; smaller tiles lose the pool's gain
 # to the interpreter lock, larger ones grow each worker's scratch
 _PAIR_TILE = 1024
+# stacked row width n + m under which the exact pairwise pass runs inline.
+# Pairwise distortion of 3000 gaussian points (n = m) on 2 cores took, on
+# one worker against two, 0.29-0.44 s against 0.51-0.57 s at width 24,
+# 0.62-0.70 against 0.61-0.69 s at 48, 0.59-0.63 against 0.50-0.66 s at 64
+# and 1.60 against 0.87 s at 160.  Where the pool gains no wall time it
+# still keeps two cores busy
+_POOL_WIDTH = 64
 # points per side of a Gram tile of the max-only pairwise screen
 _SCREEN_TILE = 192
 # squared norms the screen's relative error bound covers (see `distortion`)
@@ -191,8 +198,11 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     index on ties.  The skipped pairs' slots are then squeezed out of the
     ratios in place.  The report is bitwise the same for any worker count.
     Memory is the returned ratios (8 bytes per pair), the N (n + m)
-    stacked rows and O(workers * 1024 * (n + m)) scratch.  Norm mode stays
-    serial.
+    stacked rows and O(workers * 1024 * (n + m)) scratch.  When n + m is
+    under 64 the pass runs inline whatever the core count: on rows that
+    narrow the pool loses to the interpreter lock.  Norm mode runs on no
+    Python pool; its one product P Aᵀ holds OpenBLAS at one thread when
+    it is under 2^20 multiply-adds (m n N), as `optimize_map` does.
 
     The CLI's pairwise ``certify``, when the JSON would drop the ratios
     (more than 100,000 pairs with x != y, counted before either route
@@ -243,7 +253,9 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     if mode == MODE_PAIRWISE:
         return _pairwise_distortion(A, X.points)
     P, before = _norm_scaled(X.points)
-    after = _rowsq(A.apply(P))
+    with _BLAS.one_thread(A.m * A.n * len(P)):
+        Y = A.apply(P)
+    after = _rowsq(Y)
     keep = before > 0.0
     ratios = after[keep] / before[keep]
     eps_max, violating = 0.0, None
@@ -282,7 +294,10 @@ def _pair_counts(P: np.ndarray) -> tuple[int, int]:
         raise SizeError(
             f"pairwise distortion of {N} points has {total} pairs, over the {MAX_PAIRS} pair limit"
         )
-    counts = np.unique(P, axis=0, return_counts=True)[1]
+    # equal rows are equal bytes once + 0.0 makes -0.0 into 0.0 (points are
+    # finite), so one void view groups them without a structured sort
+    Q = P + 0.0
+    counts = np.unique(Q.view(np.dtype((np.void, Q.itemsize * Q.shape[1]))), return_counts=True)[1]
     skipped = int(np.sum(counts * (counts - 1) // 2))
     if skipped > MAX_SKIPPED:
         raise SizeError(
@@ -389,8 +404,9 @@ def _merge(scans: list[_PairScan]) -> tuple[float, int | None, list[int]]:
 
 
 def _scan_all(Z: np.ndarray, A: LinearMap, ratios: np.ndarray | None = None) -> list[_PairScan]:
-    # the exact kernel over every pair, on the pool; each ratio goes to its
-    # flat index in ``ratios`` when that is given
+    # the exact kernel over every pair, on the pool unless the rows are
+    # narrower than _POOL_WIDTH; each ratio goes to its flat index in
+    # ``ratios`` when that is given
     N = len(Z)
     tile = min(_PAIR_TILE, N)
 
@@ -404,6 +420,8 @@ def _scan_all(Z: np.ndarray, A: LinearMap, ratios: np.ndarray | None = None) -> 
                     scan.pairs(i, range(j0, j1), None if ratios is None else ratios[base + j0 : base + j1])
         return scan
 
+    if Z.shape[1] < _POOL_WIDTH:
+        return [run(0, 1)]
     return _run_strided(max(N - 1, 0), run)
 
 

@@ -14,14 +14,17 @@ one comma-separated row per output coordinate, 17 significant digits.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import re
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -241,6 +244,82 @@ def _run_strided(tasks: int, run: Callable[[int, int], _T]) -> list[_T]:
         return list(pool.map(run, range(workers), [workers] * workers))  # re-raises a worker's error
 
 
+# multiply-adds under which a layer's BLAS products run on one thread.  One
+# optimizer iteration on 2 cores (300 iterations, best of 3-5) took, on one
+# thread against two: at n = 64, N = 4160, 0.35 against 0.37 ms at m = 1
+# (m N n = 0.27M), 0.41-0.43 against 0.45 ms at m = 2 (0.53M) and 0.65
+# against 0.50 ms at m = 4 (1.06M); at n = 32, N = 1056 the two stayed
+# within noise of each other (0.07-0.16 ms) up to m = 16 (0.54M), where
+# the `frontier` benchmark's sweep spent twice the CPU time on two threads
+_ONE_THREAD_WORK = 1 << 20
+
+
+def _find_openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    # numpy's OpenBLAS thread-count getter and setter, or None under another
+    # BLAS.  The symbols are looked up through numpy's core extension, whose
+    # handle also resolves the libraries it links, so the OpenBLAS found is
+    # numpy's even when another package (scipy) has loaded its own
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+        try:
+            get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+class _BlasThreads:
+    # the one place that decides a layer's BLAS threads, as `_run_strided`
+    # decides its Python threads.  OpenBLAS's thread count is process-wide,
+    # so overlapping scopes share one entry count: the first to enter saves
+    # the count and sets 1, the last to leave restores it.  OpenBLAS is
+    # looked up on the first scope that needs it, never at import
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.api: tuple[Callable[[], int], Callable[[int], None]] | None = None
+        self.looked = False
+        self.depth = self.saved = 0
+
+    @contextmanager
+    def one_thread(self, work: int) -> Iterator[None]:
+        # one BLAS thread while the scope's products (``work`` multiply-adds
+        # each, at most) are under _ONE_THREAD_WORK; nothing without OpenBLAS
+        api = None
+        if work < _ONE_THREAD_WORK:
+            with self.lock:
+                if not self.looked:
+                    self.api, self.looked = _find_openblas(), True
+                api = self.api
+                if api is not None:
+                    if self.depth == 0:
+                        self.saved = api[0]()
+                        api[1](1)
+                    self.depth += 1
+        try:
+            yield
+        finally:
+            if api is not None:
+                with self.lock:
+                    self.depth -= 1
+                    if self.depth == 0:
+                        api[1](self.saved)
+
+
+_BLAS = _BlasThreads()
+
+
 def optimize_map(
     X: PointSet,
     m: int,
@@ -288,8 +367,24 @@ def optimize_map(
     distortion reached 1e-13, ``"tau_floor"`` when two stalled iterations
     came at the lowest temperature, ``"max_iters"`` when the budget ran
     out first (the only reason with ``converged`` False).
+
+    The run's products are m x N x n multiply-adds at most.  Under 2^20 of
+    them the whole run, `pca_map` and the direct images included, holds
+    OpenBLAS at one thread and then restores the process's count: on
+    products this small a second thread gains no time and its idle spin
+    doubles the CPU time.  Under another BLAS the thread count is left
+    alone.
     """
     opts = opts or OptimizerOptions()
+    with _BLAS.one_thread(m * len(X) * X.dim):
+        result, info = _optimize(X, m, opts, init)
+    return (result, info) if return_info else result
+
+
+def _optimize(
+    X: PointSet, m: int, opts: OptimizerOptions, init: LinearMap | None
+) -> tuple[LinearMap, OptimizeInfo]:
+    # the body of `optimize_map`
     if len(X) == 0:
         raise ValueError("cannot optimize over an empty point set")
     if not 1 <= m <= X.dim:
@@ -380,9 +475,6 @@ def optimize_map(
     if final > init_dist:
         best_E, final = start, init_dist
 
-    result = LinearMap(best_E)
-    if not return_info:
-        return result
     info = OptimizeInfo(
         iterations=iters,
         converged=stop_reason != "max_iters",
@@ -393,7 +485,7 @@ def optimize_map(
         accepted=accepted,
         backtracks=backtracks,
     )
-    return result, info
+    return LinearMap(best_E), info
 
 
 def write_map(path: str | Path, A: LinearMap) -> None:

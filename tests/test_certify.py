@@ -184,8 +184,10 @@ def test_distortion_pairwise_streamed_matches_all_pairs_bitwise():
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_distortion_pairwise_pool_matches_all_pairs_bitwise(monkeypatch, cores):
-    # the pooled pass gives the serial pass's bytes whatever the worker count
+    # the pooled pass gives the serial pass's bytes whatever the worker count;
+    # these rows are narrow enough to run inline, so the pool is forced
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(certify, "_POOL_WIDTH", 0)
     X = hard_instance(5, 60, 2)
     P = X.points.copy()
     P[40] = P[17]
@@ -303,6 +305,7 @@ def test_pairwise_worst_matches_distortion_on_the_pool_sets(monkeypatch, cores):
     # the sets of test_distortion_pairwise_pool_matches_all_pairs_bitwise;
     # every ratio of the line ties, so the route takes its full-pass fallback
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(certify, "_POOL_WIDTH", 0)
     X = hard_instance(5, 60, 2)
     P = X.points.copy()
     P[40] = P[17]

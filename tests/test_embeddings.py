@@ -1,8 +1,14 @@
 """Linear map constructors, the distortion optimizer, and map files."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -463,6 +469,141 @@ def test_optimize_is_deterministic():
     A = optimize_map(X, 3, opts)
     B = optimize_map(X, 3, opts)
     assert np.array_equal(A.entries, B.entries)
+
+
+def _openblas():
+    # numpy's OpenBLAS thread-count getter and setter; skips without them
+    api = embeddings._find_openblas()
+    if api is None:
+        pytest.skip("numpy does not run on OpenBLAS here")
+    return api
+
+
+def _run_record(A, info):
+    # every bit of an optimizer run: the map and each OptimizeInfo field
+    fields = {k: v.hex() if isinstance(v, float) else v for k, v in vars(info).items()}
+    fields["objective_history"] = [v.hex() for v in info.objective_history]
+    return A.entries.tobytes(), fields
+
+
+def test_one_blas_thread_keeps_every_bit(monkeypatch):
+    # the frontier benchmark's shape at m = 16 (m N n = 0.54M, under the
+    # threshold): forced onto one thread and left on the default threads,
+    # the optimizer and norm distortion give the same bits
+    get, _ = _openblas()
+    X = hard_instance(32, 1024, 5)
+    init = gaussian_map(16, 32, 6)
+    seen = []
+    optimize = embeddings._optimize
+    monkeypatch.setattr(embeddings, "_optimize", lambda *a: (seen.append(get()), optimize(*a))[1])
+    apply = LinearMap.apply
+    monkeypatch.setattr(LinearMap, "apply", lambda self, P: (seen.append(get()), apply(self, P))[1])
+    runs = []
+    for work in (1 << 62, 0):
+        monkeypatch.setattr(embeddings, "_ONE_THREAD_WORK", work)
+        seen.clear()
+        A, info = optimize_map(X, 16, OptimizerOptions(max_iters=150), init=init, return_info=True)
+        rep = distortion(init, X)
+        runs.append((_run_record(A, info), rep.ratios.tobytes(), rep.eps_max.hex(), rep.violating_index))
+        assert seen == ([1, 1] if work else [get(), get()])
+    assert runs[0] == runs[1]
+
+
+def test_one_blas_thread_restores_the_count():
+    get, _ = _openblas()
+    blas = embeddings._BLAS
+    before = get()
+    with blas.one_thread(0):
+        assert get() == 1
+    assert get() == before
+    with pytest.raises(RuntimeError, match="inside"):
+        with blas.one_thread(0):
+            raise RuntimeError("inside")
+    assert get() == before and blas.depth == 0
+    # products at the threshold keep the process's threads
+    with blas.one_thread(embeddings._ONE_THREAD_WORK):
+        assert get() == before
+
+
+def test_one_blas_thread_without_openblas(monkeypatch):
+    # under another BLAS the scope does nothing
+    get, _ = _openblas()
+    before = get()
+    monkeypatch.setattr(embeddings, "_find_openblas", lambda: None)
+    blas = embeddings._BlasThreads()
+    with blas.one_thread(0):
+        assert get() == before and blas.depth == 0
+    assert blas.looked and blas.api is None and get() == before
+
+
+class _YieldingCount:
+    # a stand-in thread count whose getter and setter give up the
+    # interpreter lock, as ctypes calls do, on every call
+    def __init__(self):
+        self.count = 2
+
+    def get(self):
+        time.sleep(0)
+        return self.count
+
+    def set(self, k):
+        time.sleep(0)
+        self.count = k
+
+
+@pytest.mark.parametrize("api", ["openblas", "yielding"])
+def test_one_blas_thread_overlapping_scopes(monkeypatch, api):
+    # more threads than cores enter and leave overlapping scopes; while any
+    # scope is open the count is 1, and the last to leave restores it
+    if api == "openblas":
+        get, _ = _openblas()
+        blas = embeddings._BLAS
+    else:
+        fake = _YieldingCount()
+        get = fake.get
+        monkeypatch.setattr(embeddings, "_find_openblas", lambda: (fake.get, fake.set))
+        blas = embeddings._BlasThreads()
+    before = get()
+    errors = []
+
+    def worker(w):
+        try:
+            stop = time.monotonic() + 0.5
+            while time.monotonic() < stop:
+                with blas.one_thread(w):
+                    if get() != 1:
+                        errors.append(get())
+                    with blas.one_thread(0):
+                        if get() != 1:
+                            errors.append(get())
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert get() == before and blas.depth == 0
+
+
+def test_import_does_not_look_up_blas():
+    # the lookup opens numpy's core library, so importing jllab must not
+    # pay for it: a fresh interpreter finds it unresolved after the import
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = "import jllab, jllab.embeddings as e; print(e._BLAS.looked, e._BLAS.api)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "None"]
 
 
 def test_map_roundtrip_exact(tmp_path):
