@@ -182,7 +182,9 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     same rule: a pair with x != y whose squared distance is out of range,
     or whose image difference Ax - Ay is not finite, gets the ratio norm
     mode gives the point x - y (where x - y overflows, both rows are first
-    scaled by the power of two of their larger entry).  Every other pair
+    scaled by the power of two of their larger entry), but for the last
+    bits of its image, which is taken one row at a time so that every
+    route and worker count gives the pair the same bits.  Every other pair
     keeps its bits, and ``skipped`` lists exactly the pairs with x = y.  In
     either mode a ratio is infinite, or NaN, only where the image of its
     point (x, or x - y) overflows.
@@ -376,7 +378,10 @@ class _PairScan:
         over, e = _pow2(np.where(np.isfinite(d).all(axis=1), 1.0, np.inf), x, np.broadcast_to(y, x.shape))
         d[over] = np.ldexp(x[over], -e[:, None]) - np.ldexp(y, -e[:, None])
         d, b[k] = _norm_scaled(d)
-        a[k] = _rowsq(self.A.apply(d))
+        # einsum's row of the image does not depend on which other rows share
+        # the product, as a BLAS product's last bits do, so both routes give
+        # the pair the same bits
+        a[k] = _rowsq(np.einsum("ij,kj->ik", d, self.A.entries))
 
     def offer(self, dev: float, flat: int) -> None:
         # the rule of one argmax over every pair in flat order, whatever

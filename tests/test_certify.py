@@ -427,6 +427,22 @@ def test_pairwise_worst_subnormal_differences(monkeypatch, screened, tile):
     _assert_worst_matches(gaussian_map(2, 2, 27), _gaussian_set(P))
 
 
+def test_pairwise_rescued_pairs_keep_their_bits_in_any_batch():
+    # every pair's squared distance underflows, so each is measured as norm
+    # mode measures x - y; point 5 repeats point 0, so pairs (0, 6) and
+    # (5, 6) are the same pair and tie, although the full pass meets them in
+    # different batches than the max-only route's spans
+    rng = Seed(0).generator()
+    P = rng.standard_normal((7, 4)) * 1e-300
+    P[5] = P[0]
+    A = LinearMap(rng.standard_normal((2, 4)) * 1e100)
+    rep = _assert_worst_matches(A, _gaussian_set(P))
+    # with the skipped pair (0, 5), flat 4, squeezed out, flat indices 5 and
+    # 20 hold ratios 4 and 19
+    assert rep.skipped == (4,)
+    assert rep.ratios[4].tobytes() == rep.ratios[19].tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_pairwise_worst_matches_distortion_property(data):
