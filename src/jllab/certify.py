@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import _BLAS, _TINY, LinearMap, _norm_scaled, _pow2, _rowsq, _run_strided
-from .pointset import MAX_TOTAL_COORDS, PointSet, SizeError, _json_fields, _unit_rows
+from .pointset import PointSet, SizeError, _check_size, _json_fields, _unit_rows
 
 MODE_NORM = "norm-preservation"
 MODE_PAIRWISE = "pairwise"
@@ -155,8 +155,9 @@ class AuditReport:
     to_json = _json_fields
 
 
-def _checked_mode(A: LinearMap, X: PointSet, mode: str) -> str:
-    # the canonical mode name, once A and X are known to fit together
+def _checked_mode(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> str:
+    # the canonical mode name, once A and X are known to fit together; the
+    # one dimension check of every entry point that takes both
     if mode in (MODE_NORM, "norm"):
         mode = MODE_NORM
     elif mode != MODE_PAIRWISE:
@@ -173,7 +174,8 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     compares squared distances over all N(N-1)/2 unordered pairs and
     raises `SizeError` before it allocates anything per pair when that
     count exceeds `MAX_PAIRS`, or when more than `MAX_SKIPPED` pairs have
-    x = y.
+    x = y.  Either mode raises `SizeError` before it forms the image
+    P Aᵀ when its N m values are over `MAX_TOTAL_COORDS`.
 
     In norm mode a point whose squared norm is 0, subnormal or infinite is
     first scaled by a power of two, as `optimize_map` scales it, which
@@ -312,6 +314,7 @@ def _pair_counts(P: np.ndarray) -> tuple[int, int]:
 def _stacked(A: LinearMap, P: np.ndarray) -> np.ndarray:
     # Z = [P | P Aᵀ], so one subtraction serves both sides of a pair
     N, n = P.shape
+    _check_size(f"a {A.m}x{A.n} map", "image", N, A.m)
     Z = np.empty((N, n + A.m))
     Z[:, :n] = P
     with np.errstate(over="ignore"):  # an image that overflows sends its pairs to `_rescale`
@@ -433,8 +436,9 @@ def _scan_all(Z: np.ndarray, A: LinearMap, ratios: np.ndarray | None = None) -> 
 def _pairwise_distortion(A: LinearMap, P: np.ndarray) -> DistortionReport:
     N = len(P)
     _pair_counts(P)
+    Z = _stacked(A, P)
     ratios = np.empty(N * (N - 1) // 2)
-    eps_max, violating, skipped = _merge(_scan_all(_stacked(A, P), A, ratios))
+    eps_max, violating, skipped = _merge(_scan_all(Z, A, ratios))
     return DistortionReport(
         mode=MODE_PAIRWISE,
         ratios=_compact(ratios, skipped),
@@ -580,11 +584,7 @@ def spectral_certificate(A: LinearMap) -> SpectralCertificate:
     are scaled back and may still round to 0.  Every other map keeps its
     bits.
     """
-    if A.n * A.n > MAX_TOTAL_COORDS:
-        raise SizeError(
-            f"spectral certificate of a {A.m}x{A.n} map needs a {A.n}x{A.n} Gram matrix, "
-            f"over the {MAX_TOTAL_COORDS} coordinate limit"
-        )
+    _check_size(f"spectral certificate of a {A.m}x{A.n} map", "Gram matrix", A.n, A.n)
     def sums(E: np.ndarray) -> tuple[np.ndarray, float, float]:
         with np.errstate(over="ignore", invalid="ignore"):
             gram = E @ E.T if A.m < A.n else E.T @ E
@@ -644,8 +644,7 @@ def witness_search(A: LinearMap, V: PointSet) -> tuple[np.ndarray, float]:
     """
     if len(V) == 0:
         raise ValueError("cannot search an empty point set")
-    if A.n != V.dim:
-        raise ValueError(f"map has {A.n} columns but the set has dimension {V.dim}")
+    _checked_mode(A, V)
     j, dev = _max_deviation(A, V, spectral_certificate(A))
     return V.points[j].copy(), dev
 
@@ -658,7 +657,7 @@ def _max_deviation(A: LinearMap, V: PointSet, cert: SpectralCertificate) -> tupl
     frob = math.sqrt(cert.frob_sq)
     if frob == 0.0:
         raise ValueError("zero map: witness deviation is undefined")
-    dev = np.abs(_rowsq(V.points @ B.entries.T) - cert.trace) / frob
+    dev = np.abs(_rowsq(B.apply(V.points)) - cert.trace) / frob
     j = int(np.argmax(dev))
     return j, float(dev[j])
 
@@ -675,8 +674,7 @@ def audit_embedding(A: LinearMap, X: PointSet, eps: float) -> AuditReport:
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if A.n != X.dim:
-        raise ValueError(f"map has {A.n} columns but the set has dimension {X.dim}")
+    _checked_mode(A, X)
     n = X.dim
     missing = _missing_basis(X)
     if missing:

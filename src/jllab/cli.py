@@ -290,6 +290,10 @@ def cmd_tails(args: argparse.Namespace) -> int:
     seed = _seed_arg(args.seed)
     if args.n < 1:
         raise _UsageError(f"--n must be at least 1, got {args.n}")
+    if not 0.0 < args.c < math.inf:
+        raise _UsageError(f"--c must be positive and finite, got {args.c}")
+    if not (0.0 <= args.c1 < math.inf and 0.0 <= args.c2 < math.inf):
+        raise _UsageError(f"c1 and c2 must be nonnegative and finite, got c1={args.c1}, c2={args.c2}")
     m = args.m if args.m is not None else max(1, args.n // 2)
     if m < 1:
         raise _UsageError(f"--m must be at least 1, got {m}")
@@ -299,9 +303,10 @@ def cmd_tails(args: argparse.Namespace) -> int:
     header = ["op", "n", "m", "t_or_delta", "c", "threshold", "trials", "hits", "p_hat", "stderr", "oracle"]
     rows: list[list] = []
     if t_grid or delta_grid:
-        # gaussian_map refuses an m x n map over the coordinate limit, and the
-        # first map estimate's certificate an n x n Gram matrix over it, before
-        # anything is drawn; each estimator below draws its sample once
+        # the size rule refuses the m x n map, the n x n Gram matrix of the
+        # first map estimate's certificate, and each sample's chunk
+        # (min(1024, trials) x n) and chunk image (x m), before it allocates
+        # them and before anything is drawn; each estimator draws its sample once
         A = gaussian_map(m, args.n, seed.child(0))
         chaos = [chaos_tail_estimate(A, t, args.c, args.trials, seed.child(2)) for t in t_grid]
         joint = [joint_event_rate(A, d, args.c1, args.c2, args.trials, seed.child(3)) for d in delta_grid]
@@ -322,6 +327,8 @@ def cmd_tails(args: argparse.Namespace) -> int:
 
 def cmd_frontier(args: argparse.Namespace) -> int:
     seed = _seed_arg(args.seed)
+    if not 0.0 <= args.eps < math.inf:
+        raise _UsageError(f"--eps must be nonnegative and finite, got {args.eps}")
     if args.maps_per_m < 0:
         raise _UsageError(f"--maps-per-m must be nonnegative, got {args.maps_per_m}")
     if args.set:

@@ -24,6 +24,9 @@ literally the same sample.
 
 One private sampler draws every estimator's chunks and hands each chunk
 to a per-estimator function that reduces it to a few values per trial.
+A chunk of min(1024, trials) x n normals, and `map_samples`' chunk image
+of min(1024, trials) x m, are each held to `MAX_TOTAL_COORDS` values, so
+a larger n or m raises `SizeError` before anything is drawn.
 The norm sample's chunks run on a bounded thread pool of min(available
 cores, chunks, 8) workers, each with its own buffer and its own slice of
 the output, so the result does not depend on the worker count.  The
@@ -70,7 +73,7 @@ import numpy as np
 
 from .certify import SpectralCertificate, _normal_scale, spectral_certificate
 from .embeddings import LinearMap, _pow2, _rowsq, _run_strided
-from .pointset import MAX_TOTAL_COORDS, SizeError, _json_fields
+from .pointset import MAX_TOTAL_COORDS, SizeError, _check_size, _json_fields
 from .seeds import Seed, as_seed
 
 CHUNK_TRIALS = 1024
@@ -167,8 +170,11 @@ def chi_square_sf(n: int, x: float) -> float:
     absolute error is below 1e-10 for n <= 2000 and x in [0, 4n], and
     below 1e-9 for n <= 1e6 and x within 8 standard deviations sqrt(2n)
     of the mean.  Beyond n of about 1e6 the exp(-s + a log s - lgamma a)
-    prefactor costs accuracy (about 3e-8 at n = 1e7).  For n = 2 the value
-    is exp(-x/2) up to rounding.
+    prefactor costs accuracy (about 3e-8 at n = 1e7).  At n = 1e8 the
+    relative error is below 1e-7 from x = n + 2.5 to n + 3000 (7.9e-8,
+    8.9e-9 and 1.4e-8 at n + 2.5, n + 100 and n + 3000); the continued
+    fraction there takes about 2100-3400 terms.  For n = 2 the value is
+    exp(-x/2) up to rounding.
     """
     if n < 1 or not isinstance(n, int):
         raise ValueError(f"degrees of freedom must be a positive integer, got {n}")
@@ -204,7 +210,9 @@ def _gamma_q_contfrac(a: float, s: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b if b != 0.0 else 1.0 / tiny
     h = d
-    for i in range(1, 2000):
+    # as in the series, the terms needed near s = a grow like sqrt(a): at
+    # n = 1e8, x = n + 2.5 to n + 3000 take about 2100-3400
+    for i in range(1, 2000 + int(20 * math.sqrt(a))):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -265,6 +273,7 @@ def _sample(
     # but slower on the tails workload, and raised its peak RSS from 82 to
     # 109-125 MiB (one BLAS buffer and one chunk buffer per concurrent caller)
     _validate_mc(n, trials)
+    _check_size(f"a sample of {trials} gaussian vectors in dimension {n}", "chunk", min(CHUNK_TRIALS, trials), n)
     s = as_seed(seed)
     out = np.empty((width, trials))
 
@@ -287,6 +296,8 @@ def norm_deviation_sample(n: int, trials: int, seed: int | Seed) -> np.ndarray:
 
 def map_samples(A: LinearMap, trials: int, seed: int | Seed) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (‖Ag‖², ‖g‖²) pairs from the shared chunk derivation."""
+    _check_size(f"a sample of {trials} images under a {A.m}x{A.n} map", "chunk image",
+                min(CHUNK_TRIALS, trials), A.m)
     img, nrm = _sample(A.n, trials, seed, lambda g: (_rowsq(g @ A.entries.T), _rowsq(g)), 2, pool=False)
     return img, nrm
 
@@ -468,39 +479,27 @@ def _form_sample(A: LinearMap, trials: int, seed: int | Seed) -> _FormSample:
 # constant calibration
 
 
-def _largest_feasible(lo: float, hi: float, feasible, resolution: float, what: str) -> float:
-    """Largest feasible value of a monotone-decreasing feasibility predicate."""
-    if not feasible(lo):
-        raise CalibrationError(f"no feasible {what} at the floor {lo}")
-    while feasible(hi):
+def _switch(lo: float, holds: Callable[[float], bool], resolution: float) -> tuple[float, float | None]:
+    """Bracket (a, b) of where a monotone predicate, true at lo, turns false.
+
+    b starts at 1 and doubles until the predicate fails there, then the
+    bracket is bisected to ``resolution`` or to adjacent doubles, below
+    which it would spin; holds(a) is true and holds(b) false throughout.
+    b is None when the predicate still holds past 2^20, a then the last
+    point it held at.
+    """
+    hi = 1.0
+    while holds(hi):
         lo = hi
         hi *= 2.0
         if hi > 2.0**20:
-            return lo
-    # the bisection also stops at adjacent doubles, below which it would spin
+            return lo, None
     while hi - lo > resolution and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if feasible(mid):
+        if holds(mid):
             lo = mid
         else:
             hi = mid
-    return lo
-
-
-def _smallest_feasible(lo: float, hi: float, feasible, resolution: float, what: str) -> float:
-    """Smallest feasible value of a monotone-increasing feasibility predicate."""
-    if feasible(lo):
-        return lo
-    while not feasible(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > 2.0**20:
-            raise CalibrationError(f"no feasible {what} up to {hi}")
-    while hi - lo > resolution and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return lo, hi
 
 
 def calibrate_constants(
@@ -557,15 +556,24 @@ def calibrate_constants(
     def c_feasible(c: float) -> bool:
         return all(holds(x.chaos(t, c), min(c, math.exp(-t))) for x in samples for t in t_grid)
 
-    c = _largest_feasible(floor, 1.0, c_feasible, resolution, "c")
+    def largest(feasible: Callable[[float], bool], what: str) -> float:
+        # the largest feasible value of a monotone-decreasing predicate
+        if not feasible(floor):
+            raise CalibrationError(f"no feasible {what} at the floor {floor}")
+        return _switch(floor, feasible, resolution)[0]
+
+    c = largest(c_feasible, "c")
 
     def c2_feasible(c2: float) -> bool:
         return all(holds(x.norm_side(d, c2), 1.0 - 0.5 * d) for x in samples for d in delta_grid)
 
-    c2 = _smallest_feasible(floor, 1.0, c2_feasible, resolution, "c2")
+    # the smallest feasible value of a monotone-increasing predicate
+    c2 = floor if c2_feasible(floor) else _switch(floor, lambda v: not c2_feasible(v), resolution)[1]
+    if c2 is None:
+        raise CalibrationError(f"no feasible c2 up to {2.0**21}")
 
     def c1_feasible(c1: float) -> bool:
         return all(holds(x.joint(d, c1, c2), d) for x in samples for d in delta_grid)
 
-    c1 = _largest_feasible(floor, 1.0, c1_feasible, resolution, "c1")
+    c1 = largest(c1_feasible, "c1")
     return CalibrationConstants(c=c, c1=c1, c2=c2, delta0=max(delta_grid))

@@ -5,8 +5,10 @@ A `LinearMap` wraps an ``(m, n)`` float64 matrix acting on row vectors of a
 gaussian baseline with entry variance ``1/m`` (so squared norms are
 preserved in expectation), an uncentered PCA projection, and a local
 optimizer that descends a smoothed version of the worst-case distortion.
-Each constructor refuses a map (or, in `pca_map`, an n x n factor) over
-`MAX_TOTAL_COORDS` entries with `SizeError` before allocating it.
+Sizes follow the package's one rule (`pointset._check_size`): each
+constructor refuses a map (or, in `pca_map`, an n x n SVD factor) over
+`MAX_TOTAL_COORDS` values with `SizeError` before allocating it, and so
+does `LinearMap.apply` for an N x m image.
 
 Maps serialize to a text format with header ``jlmap v1 m=<m> n=<n>`` and
 one comma-separated row per output coordinate, 17 significant digits.
@@ -28,7 +30,7 @@ from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
-from .pointset import MAX_TOTAL_COORDS, PointSet, SizeError, _format_rows, _read_rows, _text_lines
+from .pointset import PointSet, _check_size, _format_rows, _read_rows, _text_lines
 from .seeds import Seed, as_seed
 
 _T = TypeVar("_T")
@@ -64,19 +66,19 @@ class LinearMap:
         return self.entries.shape[1]
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Image of an (N, n) array of row vectors, shape (N, m)."""
+        """Image of an (N, n) array of row vectors, shape (N, m).
+
+        Raises `SizeError` before it allocates the image when N m is over
+        `MAX_TOTAL_COORDS`.
+        """
+        _check_size(f"a {self.m}x{self.n} map", "image", *np.shape(points)[:-1], self.m)
         return points @ self.entries.T
-
-
-def _check_map_size(m: int, n: int) -> None:
-    if m * n > MAX_TOTAL_COORDS:
-        raise SizeError(f"a {m}x{n} map has {m * n} entries, over the {MAX_TOTAL_COORDS} coordinate limit")
 
 
 def identity_map(n: int) -> LinearMap:
     if n < 1:
         raise ValueError(f"dimension must be at least 1, got {n}")
-    _check_map_size(n, n)
+    _check_size(f"an identity map of dimension {n}", "matrix", n, n)
     return LinearMap(np.eye(n))
 
 
@@ -88,7 +90,7 @@ def gaussian_map(m: int, n: int, seed: int | Seed) -> LinearMap:
     """
     if m < 1 or n < 1:
         raise ValueError(f"map shape must be positive, got ({m}, {n})")
-    _check_map_size(m, n)
+    _check_size(f"a gaussian map from R^{n} to R^{m}", "matrix", m, n)
     gen = as_seed(seed).child(0).generator()
     return LinearMap(gen.standard_normal((m, n)) / math.sqrt(m))
 
@@ -105,13 +107,13 @@ def pca_map(X: PointSet, m: int) -> LinearMap:
     P = X.points
     if len(X) == 0 or not P.any():
         warnings.warn("degenerate point set (all zero); using leading coordinate directions")
-        _check_map_size(m, X.dim)
+        _check_size(f"a pca map from R^{X.dim} to R^{m}", "matrix", m, X.dim)
         return LinearMap(np.eye(m, X.dim))
     # the thin SVD has min(N, n) right singular rows; only a set with
     # fewer than m points needs the full n x n factor
     full = len(X) < m
     if full:
-        _check_map_size(X.dim, X.dim)
+        _check_size(f"a pca map of {len(X)} points in dimension {X.dim}", "SVD factor", X.dim, X.dim)
     _, _, vt = np.linalg.svd(P, full_matrices=full)
     return LinearMap(vt[:m])
 
@@ -389,7 +391,7 @@ def _optimize(
         raise ValueError("cannot optimize over an empty point set")
     if not 1 <= m <= X.dim:
         raise ValueError(f"need 1 <= m <= {X.dim}, got m={m}")
-    _check_map_size(m, X.dim)
+    _check_size(f"an optimized map from R^{X.dim} to R^{m}", "matrix", m, X.dim)
     P, sqn = _norm_scaled(X.points)
     zero = np.flatnonzero(sqn == 0.0)
     if zero.size:

@@ -12,6 +12,11 @@ Gaussian sampling method (fixed, part of the determinism contract): point
 generation order and thread layout.  Golden values in the test suite pin
 the streams.
 
+Every array the package sizes from its inputs (a point set, a map, a Gram
+matrix, an image, a sample chunk) is held to `MAX_TOTAL_COORDS` float64
+values by one rule, `_check_size`, before it is allocated; over it the
+caller gets `SizeError`.
+
 Two file formats are supported.  Text files carry a header line
 ``jlps v1 n=<n> N=<N>``, one comma-separated row per point with 17
 significant digits, and a trailing ``roles=...`` line.  Binary files start
@@ -33,6 +38,7 @@ a malformed value.  Both readers refuse a byte outside ASCII with its line.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from dataclasses import dataclass, fields
@@ -55,15 +61,15 @@ _BINARY_MAGIC = b"JLPS"
 
 
 class SizeError(ValueError):
-    """Point set exceeds the total-coordinate budget."""
+    """An array sized by the inputs would exceed the total-coordinate budget."""
 
 
-def _check_size(dim: int, count: int) -> None:
-    if dim * count > MAX_TOTAL_COORDS:
-        raise SizeError(
-            f"point set with {count} points in dimension {dim} has "
-            f"{dim * count} coordinates, over the {MAX_TOTAL_COORDS} limit"
-        )
+def _check_size(what: str, array: str, *shape: int) -> None:
+    # the one size rule for an array of float64 values whose shape the inputs
+    # set: at most MAX_TOTAL_COORDS values, checked before it is allocated
+    if math.prod(shape) > MAX_TOTAL_COORDS:
+        dims = "x".join(str(d) for d in shape)
+        raise SizeError(f"{what} needs a {dims} {array}, over the {MAX_TOTAL_COORDS} coordinate limit")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +94,7 @@ class PointSet:
         unknown = sorted(set(roles) - set(_ROLES))
         if unknown:
             raise ValueError(f"unknown roles {unknown}; expected one of {_ROLES}")
-        _check_size(self.dim, pts.shape[0])
+        _check_size(f"a set of {pts.shape[0]} points in dimension {self.dim}", "point array", *pts.shape)
         if not np.isfinite(pts).all():
             bad = np.argwhere(~np.isfinite(pts))[0]
             raise ValueError(f"non-finite coordinate at point {bad[0]}, axis {bad[1]}")
@@ -106,14 +112,14 @@ class PointSet:
 def standard_basis(n: int) -> PointSet:
     """The n standard unit vectors e_1 .. e_n."""
     _require_dim(n)
-    _check_size(n, n)
+    _check_size(f"a set of {n} points in dimension {n}", "point array", n, n)
     return PointSet(n, np.eye(n), (ROLE_BASIS,) * n)
 
 
 def simplex(n: int) -> PointSet:
     """Origin plus the standard basis: n + 1 points."""
     _require_dim(n)
-    _check_size(n, n + 1)
+    _check_size(f"a set of {n + 1} points in dimension {n}", "point array", n + 1, n)
     pts = np.vstack([np.zeros((1, n)), np.eye(n)])
     return PointSet(n, pts, (ROLE_ORIGIN,) + (ROLE_BASIS,) * n)
 
@@ -123,7 +129,7 @@ def gaussian_vectors(n: int, k: int, seed: int | Seed) -> PointSet:
     _require_dim(n)
     if k < 0:
         raise ValueError(f"point count must be nonnegative, got {k}")
-    _check_size(n, k)
+    _check_size(f"a set of {k} points in dimension {n}", "point array", k, n)
     s = as_seed(seed)
     pts = np.empty((k, n))
     for j in range(k):
@@ -141,7 +147,7 @@ def hard_instance(n: int, k: int, seed: int | Seed) -> PointSet:
     _require_dim(n)
     if k < 0:
         raise ValueError(f"point count must be nonnegative, got {k}")
-    _check_size(n, n + k)
+    _check_size(f"a set of {n + k} points in dimension {n}", "point array", n + k, n)
     gauss = gaussian_vectors(n, k, seed)
     pts = np.vstack([np.eye(n), gauss.points])
     return PointSet(n, pts, (ROLE_BASIS,) * n + (ROLE_GAUSSIAN,) * k)

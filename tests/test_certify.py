@@ -786,6 +786,18 @@ def test_witness_zero_map_rejected():
         witness_search(LinearMap(np.zeros((2, 2))), standard_basis(2))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda A, X: distortion(A, X), lambda A, X: distortion(A, X, "pairwise"),
+     lambda A, X: witness_search(A, X), lambda A, X: audit_embedding(A, X, 0.5)],
+    ids=["norm", "pairwise", "witness", "audit"],
+)
+def test_map_and_set_dimensions_must_agree(call):
+    # one check serves every entry point that takes a map and a set
+    with pytest.raises(ValueError, match="map has 3 columns but the set has dimension 4"):
+        call(identity_map(3), standard_basis(4))
+
+
 def test_witness_example_frequency():
     # pre-registered thresholds: over 50 seeded (map, set) pairs at
     # (n, m, k) = (64, 8, 4096) the top deviation is at least 1.0 in at

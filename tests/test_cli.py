@@ -448,6 +448,31 @@ def test_tails_nan_joint_constant_exits_one(tmp_path, capsys):
         assert not out_csv.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["frontier", "--n", "4", "--k", "2", "--eps", "nan"], "--eps must be nonnegative and finite, got nan"),
+        (["frontier", "--n", "4", "--k", "2", "--eps", "-3"], "--eps must be nonnegative and finite, got -3.0"),
+        (["tails", "--n", "4", "--c", "nan", "--t-grid", "", "--delta-grid", ""],
+         "--c must be positive and finite, got nan"),
+        (["tails", "--n", "4", "--c1", "inf", "--t-grid", "1"], "c1 and c2 must be nonnegative and finite"),
+        (["tails", "--n", "4", "--c2", "inf", "--t-grid", "1"], "c1 and c2 must be nonnegative and finite"),
+    ],
+    ids=["eps-nan", "eps-negative", "c-nan", "c1-inf", "c2-inf"],
+)
+def test_out_of_domain_float_flags_exit_one_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
+    # checked as --gamma is, before any set, map or sample is made; before,
+    # these ran the sweep or drew every sample and then exited 3 on the
+    # config line, or (--eps -3) exited 0 with null answers
+    for name in ("hard_instance", "gaussian_map", "norm_tail_estimate"):
+        monkeypatch.setattr(jllab.cli, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("jllab: error: ") and message in err
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["gen", "frontier"])
 @pytest.mark.parametrize(
     "gamma, message",

@@ -67,6 +67,18 @@ def test_chi_square_sf_large_n_against_scipy():
     )
 
 
+def test_chi_square_sf_continued_fraction_at_n_1e8():
+    # near the mean the continued fraction, like the series, needs about
+    # sqrt(n) terms: 2100-3400 at n = 1e8, where a fixed cap of 2000 raised
+    # ArithmeticError, and so did norm_tail_oracle(10**8, 1, 0.01)
+    n = 10**8
+    for dx in (2.5, 100.0, 3000.0):
+        want = scipy_stats.chi2.sf(n + dx, n)
+        assert abs(chi_square_sf(n, n + dx) - want) <= 1e-7 * want
+    want = scipy_stats.chi2.sf(n + 100.0, n) + scipy_stats.chi2.cdf(n - 100.0, n)
+    assert abs(norm_tail_oracle(n, 1.0, 0.01) - want) <= 1e-7 * want
+
+
 def test_chi_square_sf_edge_values():
     assert chi_square_sf(5, 0.0) == 1.0
     assert chi_square_sf(1, 1e6) == 0.0

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jllab.certify import distortion, witness_search
 from jllab.cli import main
+from jllab.concentration import map_samples, norm_deviation_sample
 from jllab.embeddings import LinearMap, read_map, write_map
 from jllab.pointset import (
     MAX_TOTAL_COORDS,
@@ -84,6 +86,87 @@ def test_size_guard():
     with pytest.raises(SizeError):
         hard_instance(10**4, 10**3, 0)
     assert MAX_TOTAL_COORDS == 10**7
+
+
+# the arrays the size rule bounds beside the inputs, each built from two of
+# them; make(a, b) builds the inputs and returns the call that allocates the
+# a x b array.  An image is N x m, and a chunk is min(1024, trials) x n or m
+def _image_case(mode):
+    def make(N, m):
+        A = LinearMap(np.ones((m, 1)))
+        X = PointSet(1, np.arange(1.0, N + 1.0)[:, None], ("gaussian",) * N)
+        return (lambda: witness_search(A, X)) if mode == "witness" else (lambda: distortion(A, X, mode))
+    return make
+
+
+# (exact, over): exactly 10^7 values, and the next shape over.  10^7 + 1 =
+# 11 x 909091 is one value more; a chunk has at least 1000 rows, and no row
+# count from 1000 to 1024 divides 10^7 + 1, so its next shape over has one
+# column more
+IMAGE = ((2, 5 * 10**6), (11, 909091))
+CHUNK = ((1000, 10**4), (1000, 10**4 + 1))
+SIZE_TABLE = {
+    "norm-image": (_image_case("norm"), "image", IMAGE),
+    "witness-image": (_image_case("witness"), "image", IMAGE),
+    "pairwise-image": (_image_case("pairwise"), "image", IMAGE),
+    "norm-chunk": (lambda trials, n: lambda: norm_deviation_sample(n, trials, 1), "chunk", CHUNK),
+    "map-chunk-image": (lambda trials, m: lambda: map_samples(LinearMap(np.ones((m, 1))), trials, 1),
+                        "chunk image", CHUNK),
+}
+
+
+@pytest.mark.parametrize("make, array, shapes", SIZE_TABLE.values(), ids=SIZE_TABLE.keys())
+def test_size_rule_bounds_derived_arrays(make, array, shapes):
+    exact, over = shapes
+    make(*exact)()
+    call = make(*over)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError) as info:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"needs a {over[0]}x{over[1]} {array}, over the 10000000 coordinate limit" in str(info.value)
+    assert peak < 16 << 20
+
+
+# the library reproducers of arrays nothing bounded before the size rule:
+# each asked for gigabytes (a 22.4 GiB image, a 782 MiB pairwise tile, a
+# 74.5 GiB chunk) and raised MemoryError under a 3 GiB address space
+SIZE_SETUP = """
+import numpy as np
+from jllab import *
+from jllab.certify import _distortion_json
+A = LinearMap(np.ones((100000, 100)))
+"""
+SIZE_REPRODUCERS = {
+    "norm-image": ("distortion(A, gaussian_vectors(100, 30000, 1))", "30000x100000 image"),
+    "witness-image": ("witness_search(A, gaussian_vectors(100, 30000, 1))", "30000x100000 image"),
+    "pairwise-image": ("distortion(A, gaussian_vectors(100, 3000, 1), 'pairwise')", "3000x100000 image"),
+    "max-only-image": ("_distortion_json(A, gaussian_vectors(100, 3000, 1), 'pairwise')", "3000x100000 image"),
+    "norm-chunk": ("norm_tail_estimate(10**7, 1, 1, 1000, 1)", "1000x10000000 chunk"),
+    "map-chunk-image": ("map_samples(LinearMap(np.ones((10**7, 1))), 1000, 1)", "1000x10000000 chunk image"),
+}
+
+
+@pytest.mark.parametrize("call, array", SIZE_REPRODUCERS.values(), ids=SIZE_REPRODUCERS.keys())
+def test_size_rule_refuses_reproducers_under_a_memory_cap(run_capped, call, array):
+    done = run_capped(SIZE_SETUP + f"try:\n    {call}\nexcept SizeError as exc:\n    print(exc)\n")
+    assert done.returncode == 0, done.stderr
+    assert f"needs a {array}, over the 10000000 coordinate limit" in done.stdout
+
+
+def test_size_rule_cli_exits_one_under_a_memory_cap(run_capped, tmp_path):
+    # the map has exactly 10^7 entries; its 1000 x 10^7 chunk image (74.5 GiB)
+    # ended in an uncaught _ArrayMemoryError before the size rule
+    out = tmp_path / "tails.csv"
+    done = run_capped(["tails", "--n", "1", "--m", "10000000", "--t-grid", "1", "--trials", "1000",
+                       "--seed", "1", "--out", str(out)])
+    assert done.returncode == 1
+    assert done.stderr.startswith("jllab: error: ") and done.stderr.count("\n") == 1
+    assert "1000x10000000 chunk image, over the 10000000 coordinate limit" in done.stderr
+    assert done.stdout == "" and not out.exists()
 
 
 def test_validation_rejects_bad_inputs():
