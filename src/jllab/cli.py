@@ -67,6 +67,10 @@ from .pointset import (
     PointSet,
     SizeError,
     _json_fields,
+    _require_nonnegative,
+    _require_nonnegative_int,
+    _require_positive,
+    _require_positive_int,
     gaussian_vectors,
     hard_instance,
     read_pointset,
@@ -77,13 +81,11 @@ from .pointset import (
 from .seeds import Seed
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
+    # a usage error is a ValueError, which `main` reports as it reports the
+    # library's own
     def error(self, message: str) -> None:
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _cell(v) -> str:
@@ -131,13 +133,6 @@ def _emit_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _seed_arg(value: int) -> Seed:
-    try:
-        return Seed(value)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _parse_grid(text: str, conv, flag: str) -> list:
     text = text.strip()
     if not text:
@@ -145,7 +140,7 @@ def _parse_grid(text: str, conv, flag: str) -> list:
     try:
         return [conv(tok) for tok in text.split(",")]
     except ValueError:
-        raise _UsageError(f"{flag} must be a comma-separated list, got {text!r}") from None
+        raise ValueError(f"{flag} must be a comma-separated list, got {text!r}") from None
 
 
 def _set_and_dim(args: argparse.Namespace) -> tuple[PointSet | None, int]:
@@ -154,12 +149,11 @@ def _set_and_dim(args: argparse.Namespace) -> tuple[PointSet | None, int]:
     if args.set:
         X = read_pointset(args.set)
         if args.n is not None and args.n != X.dim:
-            raise _UsageError(f"--n {args.n} disagrees with the set dimension {X.dim}")
+            raise ValueError(f"--n {args.n} disagrees with the set dimension {X.dim}")
         return X, X.dim
     if args.n is None:
-        raise _UsageError("provide --set or --n")
-    if args.n < 1:
-        raise _UsageError(f"--n must be at least 1, got {args.n}")
+        raise ValueError("provide --set or --n")
+    _require_positive_int("--n", args.n)
     return None, args.n
 
 
@@ -173,20 +167,19 @@ def _refuse_count_flags(args: argparse.Namespace, context: str) -> None:
     # --k and --gamma size a generated hard or gaussian set and nothing else
     for flag, value in (("--k", args.k), ("--gamma", args.gamma)):
         if value is not None:
-            raise _UsageError(f"{flag} does not apply {context}")
+            raise ValueError(f"{flag} does not apply {context}")
 
 
 def _resolve_k(args: argparse.Namespace, n: int) -> int:
     # the size of a generated set: --k, or n^(2+gamma) without it
     if args.k is not None:
         if args.gamma is not None:
-            raise _UsageError("--gamma does not apply with --k")
-        if args.k < 0:
-            raise _UsageError(f"--k must be nonnegative, got {args.k}")
+            raise ValueError("--gamma does not apply with --k")
+        _require_nonnegative_int("--k", args.k)
         return args.k
     gamma = 0.0 if args.gamma is None else args.gamma
     if not math.isfinite(gamma):
-        raise _UsageError(f"--gamma must be finite, got {gamma}")
+        raise ValueError(f"--gamma must be finite, got {gamma}")
     # compared in logarithms, so n^(2+gamma) is formed only when it is small
     if (2.0 + gamma) * math.log(n) > math.log(MAX_TOTAL_COORDS):
         raise SizeError(
@@ -211,9 +204,8 @@ def _default_m_grid(n: int) -> list[int]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    seed = _seed_arg(args.seed)
-    if args.n < 1:
-        raise _UsageError(f"--n must be at least 1, got {args.n}")
+    seed = Seed(args.seed)
+    _require_positive_int("--n", args.n)
     if args.kind in ("basis", "simplex"):
         _refuse_count_flags(args, f"to kind {args.kind!r}")
     k = _resolve_k(args, args.n) if args.kind in ("hard", "gaussian") else None
@@ -231,25 +223,25 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    seed = _seed_arg(args.seed)
+    seed = Seed(args.seed)
     X, n = _set_and_dim(args)
     method = args.method
     info = None
     if method == "identity":
         if args.m is not None and args.m != n:
-            raise _UsageError(f"identity map needs m = n = {n}, got --m {args.m}")
+            raise ValueError(f"identity map needs m = n = {n}, got --m {args.m}")
         A = identity_map(n)
     elif method == "gaussian":
         if args.m is None:
-            raise _UsageError("--m is required for --method gaussian")
+            raise ValueError("--m is required for --method gaussian")
         A = gaussian_map(args.m, n, seed)
     elif method == "pca":
         if X is None or args.m is None:
-            raise _UsageError("--set and --m are required for --method pca")
+            raise ValueError("--set and --m are required for --method pca")
         A = pca_map(X, args.m)
     else:
         if X is None or args.m is None:
-            raise _UsageError("--set and --m are required for --method optimize")
+            raise ValueError("--set and --m are required for --method optimize")
         opts = OptimizerOptions(max_iters=args.max_iters, seed=seed)
         A, info = optimize_map(X, args.m, opts, return_info=True)
     write_map(args.out, A)
@@ -287,16 +279,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_tails(args: argparse.Namespace) -> int:
-    seed = _seed_arg(args.seed)
-    if args.n < 1:
-        raise _UsageError(f"--n must be at least 1, got {args.n}")
-    if not 0.0 < args.c < math.inf:
-        raise _UsageError(f"--c must be positive and finite, got {args.c}")
-    if not (0.0 <= args.c1 < math.inf and 0.0 <= args.c2 < math.inf):
-        raise _UsageError(f"c1 and c2 must be nonnegative and finite, got c1={args.c1}, c2={args.c2}")
+    seed = Seed(args.seed)
+    _require_positive_int("--n", args.n)
+    _require_positive("--c", args.c)
+    _require_nonnegative("--c1", args.c1)
+    _require_nonnegative("--c2", args.c2)
     m = args.m if args.m is not None else max(1, args.n // 2)
-    if m < 1:
-        raise _UsageError(f"--m must be at least 1, got {m}")
+    _require_positive_int("--m", m)
     t_grid = _parse_grid(args.t_grid, float, "--t-grid")
     delta_grid = _parse_grid(args.delta_grid, float, "--delta-grid")
     config = _config(args, m=m, t_grid=t_grid, delta_grid=delta_grid)
@@ -326,11 +315,9 @@ def cmd_tails(args: argparse.Namespace) -> int:
 
 
 def cmd_frontier(args: argparse.Namespace) -> int:
-    seed = _seed_arg(args.seed)
-    if not 0.0 <= args.eps < math.inf:
-        raise _UsageError(f"--eps must be nonnegative and finite, got {args.eps}")
-    if args.maps_per_m < 0:
-        raise _UsageError(f"--maps-per-m must be nonnegative, got {args.maps_per_m}")
+    seed = Seed(args.seed)
+    _require_nonnegative("--eps", args.eps)
+    _require_nonnegative_int("--maps-per-m", args.maps_per_m)
     if args.set:
         _refuse_count_flags(args, "with --set")
     X, n = _set_and_dim(args)
@@ -345,7 +332,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     )
     for m in m_grid:
         if not 1 <= m <= n:
-            raise _UsageError(f"--m-grid values must lie in [1, {n}], got {m}")
+            raise ValueError(f"--m-grid values must lie in [1, {n}], got {m}")
     config = _config(args, n=n, k=k, m_grid=m_grid)
     header = ["m", "eps_random_best", "eps_opt", "rank_lb_of_best", "iters", "stop"]
     if args.timings:
@@ -407,21 +394,21 @@ def cmd_frontier(args: argparse.Namespace) -> int:
 
 def cmd_net(args: argparse.Namespace) -> int:
     if args.alpha is None and args.exponent is None:
-        raise _UsageError("provide --alpha or --exponent")
+        raise ValueError("provide --alpha or --exponent")
     if args.alpha is not None and args.exponent is not None:
-        raise _UsageError("provide only one of --alpha and --exponent")
+        raise ValueError("provide only one of --alpha and --exponent")
     if args.quantize:
         A = read_map(args.quantize)
         if args.n is not None and args.n != A.n:
-            raise _UsageError(f"--n {args.n} disagrees with the map's column count {A.n}")
+            raise ValueError(f"--n {args.n} disagrees with the map's column count {A.n}")
         n = A.n
     else:
         if args.n is None:
-            raise _UsageError("provide --n (or --quantize with a map)")
+            raise ValueError("provide --n (or --quantize with a map)")
         n = args.n
     alpha = args.alpha if args.alpha is not None else covering_radius_for(n, args.exponent)
     if args.quantize and not args.out:
-        raise _UsageError("--out is required with --quantize")
+        raise ValueError("--out is required with --quantize")
     report = {"config": _config(args, n=n, alpha=alpha), "params": net_params(n, alpha).to_json()}
     if not args.quantize:
         _emit_json(report | {"cardinality": log_cardinality(n, alpha).to_json()}, args.out)
@@ -524,19 +511,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"jllab: error: {exc}", file=sys.stderr)
-        return 1
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
+        if not hasattr(args, "func"):
+            parser.print_usage(sys.stderr)
+            return 1
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             return args.func(args)
-    except _UsageError as exc:
-        print(f"jllab: error: {exc}", file=sys.stderr)
-        return 1
     except AuditError as exc:
         print(f"jllab: audit failure: {exc}", file=sys.stderr)
         return 2

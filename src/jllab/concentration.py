@@ -72,13 +72,17 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .certify import SpectralCertificate, _normal_scale, spectral_certificate
-from .embeddings import LinearMap, _pow2, _rowsq, _run_strided
+from .embeddings import LinearMap, _check_finite, _pow2, _rowsq, _run_strided
 from .pointset import MAX_TOTAL_COORDS, SizeError, _check_size, _json_fields
+from .pointset import _require_nonnegative, _require_positive, _require_positive_int
 from .seeds import Seed, as_seed
 
 CHUNK_TRIALS = 1024
 
 MIN_TRIALS = 1000
+
+# exp(x) is 0.0 below this: under ln(2^-1075), half the smallest subnormal
+_LOG_UNDERFLOW = -745.14
 
 _S = TypeVar("_S")
 
@@ -140,7 +144,7 @@ class TailEstimate:
 
 @dataclass(frozen=True)
 class CalibrationConstants:
-    """Constants returned by `calibrate_constants`; all positive, delta0 < 1/2."""
+    """Constants returned by `calibrate_constants`; all positive and finite, delta0 < 1/2."""
 
     c: float
     c1: float
@@ -149,8 +153,7 @@ class CalibrationConstants:
 
     def __post_init__(self) -> None:
         for name in ("c", "c1", "c2", "delta0"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            _require_positive(name, getattr(self, name))
         if not self.delta0 < 0.5:
             raise ValueError(f"delta0 must be below 1/2, got {self.delta0}")
 
@@ -174,7 +177,9 @@ def chi_square_sf(n: int, x: float) -> float:
     relative error is below 1e-7 from x = n + 2.5 to n + 3000 (7.9e-8,
     8.9e-9 and 1.4e-8 at n + 2.5, n + 100 and n + 3000); the continued
     fraction there takes about 2100-3400 terms.  For n = 2 the value is
-    exp(-x/2) up to rounding.
+    exp(-x/2) up to rounding.  Where x/2 >= n/2 + 1 the fraction's value
+    is below 1, so Q is below its prefactor; where that prefactor
+    underflows (x = inf included) the result is 0.0 without iterating.
     """
     if n < 1 or not isinstance(n, int):
         raise ValueError(f"degrees of freedom must be a positive integer, got {n}")
@@ -186,6 +191,10 @@ def chi_square_sf(n: int, x: float) -> float:
         return 1.0
     if s < a + 1.0:
         return 1.0 - _gamma_p_series(a, s)
+    # Q is below its prefactor here, so 0.0 where that underflows; the log
+    # is NaN at s = inf, which the comparison sends the same way
+    if not -s + a * math.log(s) - math.lgamma(a) >= _LOG_UNDERFLOW:
+        return 0.0
     return _gamma_q_contfrac(a, s)
 
 
@@ -236,6 +245,8 @@ def norm_tail_oracle(n: int, t: float, c: float) -> float:
     itself, never 1 - (1 - P), so it keeps its relative accuracy far below
     the mean (about 3e-13 at n = 1000, 8 standard deviations down).
     """
+    _require_positive("t", t)
+    _require_positive("c", c)
     thr = c * math.sqrt(n * t)
     upper = chi_square_sf(n, n + thr)
     lower = _gamma_p_series(0.5 * n, 0.5 * (n - thr)) if n - thr > 0.0 else 0.0
@@ -251,8 +262,7 @@ def _chunk_count(trials: int) -> int:
 
 
 def _validate_mc(n: int, trials: int) -> None:
-    if n < 1:
-        raise ValueError(f"dimension must be at least 1, got {n}")
+    _require_positive_int("dimension", n)
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS}, got {trials}")
     if trials > MAX_TOTAL_COORDS:
@@ -304,10 +314,8 @@ def map_samples(A: LinearMap, trials: int, seed: int | Seed) -> tuple[np.ndarray
 
 def norm_tail_estimate(n: int, t: float, c: float, trials: int, seed: int | Seed) -> TailEstimate:
     """Estimate Pr(|‖g‖² - n| > c sqrt(n t)) by direct simulation."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c}")
+    _require_positive("t", t)
+    _require_positive("c", c)
     dev = _recorded((n, trials, as_seed(seed).value), lambda: norm_deviation_sample(n, trials, seed))
     return _tail(dev, c * math.sqrt(n * t))
 
@@ -340,8 +348,7 @@ def chaos_tail_estimate(
     threshold, and the shared sampling makes the counts identical.
     """
     _check_ts((t,))
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c}")
+    _require_positive("c", c)
     return _form_sample(A, trials, seed).chaos(t, c)
 
 
@@ -356,16 +363,17 @@ def symmetric_form_tail_estimate(
     infinite is first scaled by the power of two 2^-e that puts its largest
     entry in [1/2, 1), as `spectral_certificate` scales a map; the event is
     scale-invariant, and the threshold, of degree 1 in M, is reported
-    times 2^e.  Every other M keeps its bits.
+    times 2^e.  Every other M keeps its bits.  A non-finite entry of M is
+    refused as `LinearMap` refuses one.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be square, got shape {M.shape}")
+    _check_finite(M)
     if not np.allclose(M, M.T, rtol=1e-12, atol=0.0):
         raise ValueError("M must be symmetric")
     _check_ts((t,))
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c}")
+    _require_positive("c", c)
     _validate_mc(M.shape[0], trials)
     with np.errstate(over="ignore"):  # an overflowing ‖M‖_F² is scaled below
         frob = float(np.linalg.norm(M))
@@ -391,8 +399,8 @@ def joint_event_rate(
     The reported threshold is the form-side one.
     """
     _check_deltas((delta,))
-    if not c1 >= 0 or not c2 >= 0:
-        raise ValueError(f"c1 and c2 must be nonnegative, got c1={c1}, c2={c2}")
+    _require_nonnegative("c1", c1)
+    _require_nonnegative("c2", c2)
     return _form_sample(A, trials, seed).joint(delta, c1, c2)
 
 
@@ -544,9 +552,8 @@ def calibrate_constants(
         raise ValueError("t_grid must be nonempty")
     _check_ts(t_grid)
     _check_deltas(delta_grid)
-    for name, v in (("resolution", resolution), ("floor", floor)):
-        if not 0.0 < v < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {v}")
+    _require_positive("resolution", resolution)
+    _require_positive("floor", floor)
     s = as_seed(seed)
     samples = [_form_sample(A, trials, s.child(i)) for i, A in enumerate(family)]
 

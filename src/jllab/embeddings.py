@@ -8,7 +8,8 @@ optimizer that descends a smoothed version of the worst-case distortion.
 Sizes follow the package's one rule (`pointset._check_size`): each
 constructor refuses a map (or, in `pca_map`, an n x n SVD factor) over
 `MAX_TOTAL_COORDS` values with `SizeError` before allocating it, and so
-does `LinearMap.apply` for an N x m image.
+do `LinearMap` before it copies its entries, `read_map` on the header's
+m x n before it reads a row, and `LinearMap.apply` for an N x m image.
 
 Maps serialize to a text format with header ``jlmap v1 m=<m> n=<n>`` and
 one comma-separated row per output coordinate, 17 significant digits.
@@ -31,6 +32,7 @@ from typing import Callable, Iterator, NamedTuple, TypeVar
 import numpy as np
 
 from .pointset import PointSet, _check_size, _format_rows, _read_rows, _text_lines
+from .pointset import _require_positive, _require_positive_int
 from .seeds import Seed, as_seed
 
 _T = TypeVar("_T")
@@ -48,12 +50,11 @@ class LinearMap:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_size("a linear map", "matrix", *np.shape(self.entries))
         mat = np.array(self.entries, dtype=np.float64, order="C")
         if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
             raise ValueError(f"entries must be a 2-d matrix, got shape {mat.shape}")
-        if not np.isfinite(mat).all():
-            bad = np.argwhere(~np.isfinite(mat))[0]
-            raise ValueError(f"non-finite entry at ({bad[0]}, {bad[1]})")
+        _check_finite(mat)
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
 
@@ -75,9 +76,15 @@ class LinearMap:
         return points @ self.entries.T
 
 
+def _check_finite(mat: np.ndarray) -> None:
+    # the one finite-matrix check, shared by maps and symmetric forms
+    if not np.isfinite(mat).all():
+        bad = np.argwhere(~np.isfinite(mat))[0]
+        raise ValueError(f"non-finite entry at ({bad[0]}, {bad[1]})")
+
+
 def identity_map(n: int) -> LinearMap:
-    if n < 1:
-        raise ValueError(f"dimension must be at least 1, got {n}")
+    _require_positive_int("dimension", n)
     _check_size(f"an identity map of dimension {n}", "matrix", n, n)
     return LinearMap(np.eye(n))
 
@@ -88,8 +95,8 @@ def gaussian_map(m: int, n: int, seed: int | Seed) -> LinearMap:
     Entries are drawn as one SFC64 stream keyed by ``seed.child(0)`` and
     scaled by ``1/sqrt(m)``.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"map shape must be positive, got ({m}, {n})")
+    _require_positive_int("m", m)
+    _require_positive_int("n", n)
     _check_size(f"a gaussian map from R^{n} to R^{m}", "matrix", m, n)
     gen = as_seed(seed).child(0).generator()
     return LinearMap(gen.standard_normal((m, n)) / math.sqrt(m))
@@ -123,8 +130,9 @@ class OptimizerOptions:
     """Knobs for `optimize_map`.
 
     ``smoothing`` is the initial temperature of the soft-max objective and
-    ``step_shrink`` the backtracking factor; both must lie in (0, 1) for
-    the shrink and be positive for the rest.
+    ``step_shrink`` the backtracking factor.  ``step_shrink`` must lie in
+    (0, 1), and ``step_init``, ``tol`` and ``smoothing`` must be positive
+    and finite.
     """
 
     max_iters: int = 2000
@@ -135,12 +143,9 @@ class OptimizerOptions:
     seed: Seed = Seed(0)
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        _require_positive_int("max_iters", self.max_iters)
         for name in ("step_init", "tol", "smoothing"):
-            v = getattr(self, name)
-            if not v > 0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            _require_positive(name, getattr(self, name))
         if not 0 < self.step_shrink < 1:
             raise ValueError(f"step_shrink must lie in (0, 1), got {self.step_shrink}")
         object.__setattr__(self, "seed", as_seed(self.seed))
@@ -355,9 +360,7 @@ def optimize_map(
     ratios are refreshed from A, which bounds their drift) and one for the
     returned map: ``final_distortion`` is its distortion, and when that
     would exceed the best starting candidate's, the run returns that
-    candidate.  Rounding no longer has to follow an older layout, so the
-    per-evaluation copy of Yt and the m = 1 GEMV branch that kept old bits
-    are gone.
+    candidate.
 
     A point whose squared norm is 0, subnormal or infinite is first scaled
     by a power of two, which leaves its ratios unchanged; every other point
@@ -506,6 +509,7 @@ def read_map(path: str | Path) -> LinearMap:
     if not match:
         raise ValueError(f"{path}: line 1: expected 'jlmap v1 m=<m> n=<n>' header")
     m, n = int(match.group(1)), int(match.group(2))
+    _check_size(f"{path}: the header", "map", m, n)
     if len(lines) != m + 1:
         raise ValueError(f"{path}: expected {m + 1} lines for m={m}, found {len(lines)}")
     return LinearMap(_read_rows(lines, 1, m, n, path))

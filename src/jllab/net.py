@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import LinearMap
-from .pointset import _json_fields
+from .pointset import _json_fields, _require_positive, _require_positive_int
 
 # absorbs float representation error in 20 n / sqrt(alpha) so an intended
 # integer range is never truncated by one
@@ -70,8 +70,7 @@ class NetCardinality:
 
 
 def net_params(n: int, alpha: float) -> NetParams:
-    if n < 1:
-        raise ValueError(f"dimension must be at least 1, got {n}")
+    _require_positive_int("dimension", n)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     root = math.sqrt(alpha)
@@ -129,14 +128,12 @@ def log_cardinality(n: int, alpha: float) -> NetCardinality:
 def covering_radius_for(n: int, C: float) -> float:
     """The alpha making the quantization error n^{-C} in Frobenius norm.
 
-    Solves 100 n^{-2C} for alpha; values at or above 1 (small n or C) are
-    clamped just below 1 with a warning, since the grid is only defined
-    for alpha < 1.
+    Solves 100 n^{-2C} for alpha; C must be positive and finite.  Values
+    at or above 1 (small n or C) are clamped just below 1 with a warning,
+    since the grid is only defined for alpha < 1.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be at least 1, got {n}")
-    if not C > 0:
-        raise ValueError(f"C must be positive, got {C}")
+    _require_positive_int("dimension", n)
+    _require_positive("C", C)
     alpha = 100.0 * float(n) ** (-2.0 * C)
     if alpha >= 1.0:
         warnings.warn(

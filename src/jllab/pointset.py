@@ -15,7 +15,11 @@ the streams.
 Every array the package sizes from its inputs (a point set, a map, a Gram
 matrix, an image, a sample chunk) is held to `MAX_TOTAL_COORDS` float64
 values by one rule, `_check_size`, before it is allocated; over it the
-caller gets `SizeError`.
+caller gets `SizeError`.  Beside it sit the four argument domains the
+library and the CLI share, each written once and each naming the
+parameter (or flag) it refuses in its `ValueError`: an integer at least
+1, an integer at least 0, a finite float above 0, a finite float at
+least 0.
 
 Two file formats are supported.  Text files carry a header line
 ``jlps v1 n=<n> N=<N>``, one comma-separated row per point with 17
@@ -72,6 +76,28 @@ def _check_size(what: str, array: str, *shape: int) -> None:
         raise SizeError(f"{what} needs a {dims} {array}, over the {MAX_TOTAL_COORDS} coordinate limit")
 
 
+# the four argument domains; each names the parameter or flag it refuses,
+# and a NaN, which fails every comparison, is refused by each
+def _require_positive_int(name: str, value: int) -> None:
+    if not value >= 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _require_nonnegative_int(name: str, value: int) -> None:
+    if not value >= 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _require_nonnegative(name: str, value: float) -> None:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """Immutable set of N points in R^n with per-point role tags."""
@@ -81,8 +107,7 @@ class PointSet:
     roles: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dimension must be at least 1, got {self.dim}")
+        _require_positive_int("dimension", self.dim)
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"points must have shape (N, {self.dim}), got {pts.shape}")
@@ -111,14 +136,14 @@ class PointSet:
 
 def standard_basis(n: int) -> PointSet:
     """The n standard unit vectors e_1 .. e_n."""
-    _require_dim(n)
+    _require_positive_int("dimension", n)
     _check_size(f"a set of {n} points in dimension {n}", "point array", n, n)
     return PointSet(n, np.eye(n), (ROLE_BASIS,) * n)
 
 
 def simplex(n: int) -> PointSet:
     """Origin plus the standard basis: n + 1 points."""
-    _require_dim(n)
+    _require_positive_int("dimension", n)
     _check_size(f"a set of {n + 1} points in dimension {n}", "point array", n + 1, n)
     pts = np.vstack([np.zeros((1, n)), np.eye(n)])
     return PointSet(n, pts, (ROLE_ORIGIN,) + (ROLE_BASIS,) * n)
@@ -126,9 +151,8 @@ def simplex(n: int) -> PointSet:
 
 def gaussian_vectors(n: int, k: int, seed: int | Seed) -> PointSet:
     """k points with iid standard normal coordinates, one child seed per point."""
-    _require_dim(n)
-    if k < 0:
-        raise ValueError(f"point count must be nonnegative, got {k}")
+    _require_positive_int("dimension", n)
+    _require_nonnegative_int("point count", k)
     _check_size(f"a set of {k} points in dimension {n}", "point array", k, n)
     s = as_seed(seed)
     pts = np.empty((k, n))
@@ -144,18 +168,12 @@ def hard_instance(n: int, k: int, seed: int | Seed) -> PointSet:
     `gaussian_vectors`, so ``hard_instance(n, k, s).points[n:]`` equals
     ``gaussian_vectors(n, k, s).points`` exactly.
     """
-    _require_dim(n)
-    if k < 0:
-        raise ValueError(f"point count must be nonnegative, got {k}")
+    _require_positive_int("dimension", n)
+    _require_nonnegative_int("point count", k)
     _check_size(f"a set of {n + k} points in dimension {n}", "point array", n + k, n)
     gauss = gaussian_vectors(n, k, seed)
     pts = np.vstack([np.eye(n), gauss.points])
     return PointSet(n, pts, (ROLE_BASIS,) * n + (ROLE_GAUSSIAN,) * k)
-
-
-def _require_dim(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"dimension must be at least 1, got {n}")
 
 
 def _unit_rows(P: np.ndarray) -> np.ndarray:

@@ -443,7 +443,7 @@ def test_tails_nan_joint_constant_exits_one(tmp_path, capsys):
             capsys,
         )
         assert code == 1
-        assert "c1 and c2 must be nonnegative" in err
+        assert f"{flag} must be nonnegative" in err
         assert out == ""
         assert not out_csv.exists()
 
@@ -455,21 +455,25 @@ def test_tails_nan_joint_constant_exits_one(tmp_path, capsys):
         (["frontier", "--n", "4", "--k", "2", "--eps", "-3"], "--eps must be nonnegative and finite, got -3.0"),
         (["tails", "--n", "4", "--c", "nan", "--t-grid", "", "--delta-grid", ""],
          "--c must be positive and finite, got nan"),
-        (["tails", "--n", "4", "--c1", "inf", "--t-grid", "1"], "c1 and c2 must be nonnegative and finite"),
-        (["tails", "--n", "4", "--c2", "inf", "--t-grid", "1"], "c1 and c2 must be nonnegative and finite"),
+        (["tails", "--n", "4", "--c1", "inf", "--t-grid", "1"], "--c1 must be nonnegative and finite"),
+        (["tails", "--n", "4", "--c2", "inf", "--t-grid", "1"], "--c2 must be nonnegative and finite"),
+        (["net", "--n", "4", "--exponent", "inf"], "C must be positive and finite, got inf"),
+        (["tails", "--n", "4", "--seed", "-1"], "seed must fit in 64 unsigned bits, got -1"),
+        (["tails", "--n", "4", "--m", "0"], "--m must be at least 1, got 0"),
     ],
-    ids=["eps-nan", "eps-negative", "c-nan", "c1-inf", "c2-inf"],
+    ids=["eps-nan", "eps-negative", "c-nan", "c1-inf", "c2-inf", "exponent-inf", "seed-negative", "m-zero"],
 )
 def test_out_of_domain_float_flags_exit_one_before_any_work(tmp_path, capsys, monkeypatch, argv, message):
     # checked as --gamma is, before any set, map or sample is made; before,
     # these ran the sweep or drew every sample and then exited 3 on the
-    # config line, or (--eps -3) exited 0 with null answers
+    # config line, or (--eps -3) exited 0 with null answers.  The flags
+    # share the library's domains and messages (net --exponent is its C)
     for name in ("hard_instance", "gaussian_map", "norm_tail_estimate"):
         monkeypatch.setattr(jllab.cli, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
     out = tmp_path / "out.csv"
     code, stdout, err = run(argv + ["--out", str(out)], capsys)
     assert code == 1
-    assert err.startswith("jllab: error: ") and message in err
+    assert err.startswith("jllab: error: ") and err.count("\n") == 1 and message in err
     assert stdout == "" and not out.exists()
 
 

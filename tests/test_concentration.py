@@ -3,6 +3,7 @@
 import gc
 import math
 import os
+import re
 import sys
 import threading
 import weakref
@@ -27,7 +28,8 @@ from jllab.concentration import (
     norm_tail_oracle,
     symmetric_form_tail_estimate,
 )
-from jllab.embeddings import LinearMap, gaussian_map, identity_map
+from jllab.embeddings import LinearMap, OptimizerOptions, gaussian_map, identity_map
+from jllab.net import covering_radius_for
 from jllab.pointset import SizeError
 from jllab.seeds import Seed
 
@@ -334,8 +336,8 @@ def test_joint_event_rate_limits():
     with pytest.raises(ValueError, match="delta"):
         joint_event_rate(A, 0.6, 1.0, 1.0, trials, 0)
     # a NaN constant fails every comparison, so it must not reach the count
-    for c1, c2 in ((math.nan, 2.0), (0.5, math.nan)):
-        with pytest.raises(ValueError, match="c1 and c2"):
+    for name, c1, c2 in (("c1", math.nan, 2.0), ("c2", 0.5, math.nan)):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
             joint_event_rate(A, 0.05, c1, c2, trials, 0)
 
 
@@ -591,3 +593,43 @@ def test_calibration_constants_validation():
         CalibrationConstants(c=0.0, c1=1.0, c2=1.0, delta0=0.25)
     with pytest.raises(ValueError):
         CalibrationConstants(c=1.0, c1=1.0, c2=1.0, delta0=0.5)
+
+
+# ---------------------------------------------------------------------------
+# argument domains
+
+
+# reproducers of arguments the library took although they lie outside the
+# shared domains (or, for M, outside the finite matrices): each returned a
+# number, warned or raised another error.  A str is the whole ValueError
+# message expected; chi_square_sf, whose value underflows, returns scipy's
+DOMAIN_REPRODUCERS = {
+    "oracle-c-negative": (lambda: norm_tail_oracle(100, 1.0, -1.0), "c must be positive and finite, got -1.0"),
+    "oracle-c-zero": (lambda: norm_tail_oracle(100, 1.0, 0.0), "c must be positive and finite, got 0.0"),
+    "oracle-c-nan": (lambda: norm_tail_oracle(100, 1.0, math.nan), "c must be positive and finite, got nan"),
+    "oracle-t-zero": (lambda: norm_tail_oracle(100, 0.0, 1.0), "t must be positive and finite, got 0.0"),
+    "norm-c-inf": (lambda: norm_tail_estimate(8, 1.0, math.inf, 1000, 1), "c must be positive and finite, got inf"),
+    "joint-c2-inf": (lambda: joint_event_rate(gaussian_map(2, 4, 1), 0.05, 0.5, math.inf, 1000, 1),
+                     "c2 must be nonnegative and finite, got inf"),
+    "step-init-inf": (lambda: OptimizerOptions(step_init=math.inf), "step_init must be positive and finite, got inf"),
+    "tol-inf": (lambda: OptimizerOptions(tol=math.inf), "tol must be positive and finite, got inf"),
+    "smoothing-inf": (lambda: OptimizerOptions(smoothing=math.inf), "smoothing must be positive and finite, got inf"),
+    "calibration-c-inf": (lambda: CalibrationConstants(c=math.inf, c1=1.0, c2=1.0, delta0=0.25),
+                          "c must be positive and finite, got inf"),
+    "covering-exponent-inf": (lambda: covering_radius_for(4, math.inf), "C must be positive and finite, got inf"),
+    "chi-square-1e308": (lambda: chi_square_sf(3, 1e308), scipy_stats.chi2.sf(1e308, 3)),
+    "chi-square-inf": (lambda: chi_square_sf(1, math.inf), scipy_stats.chi2.sf(math.inf, 1)),
+    "form-inf": (lambda: symmetric_form_tail_estimate(np.array([[math.inf]]), 1.0, 1.0, 1000, 1),
+                 "non-finite entry at (0, 0)"),
+    "form-nan": (lambda: symmetric_form_tail_estimate(np.array([[math.nan]]), 1.0, 1.0, 1000, 1),
+                 "non-finite entry at (0, 0)"),
+}
+
+
+@pytest.mark.parametrize("call, want", DOMAIN_REPRODUCERS.values(), ids=DOMAIN_REPRODUCERS.keys())
+def test_out_of_domain_arguments_are_refused(call, want):
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            call()
+    else:
+        assert want == 0.0 and call() == want

@@ -26,7 +26,7 @@ from jllab.embeddings import (
     read_map,
     write_map,
 )
-from jllab.pointset import PointSet, gaussian_vectors, hard_instance, simplex
+from jllab.pointset import PointSet, SizeError, gaussian_vectors, hard_instance, simplex
 from jllab.seeds import Seed
 
 GOLDEN_GMAP_2_3_7 = [
@@ -40,6 +40,9 @@ def test_linear_map_validation():
         LinearMap(np.zeros(3))
     with pytest.raises(ValueError):
         LinearMap(np.array([[np.inf]]))
+    # the size rule runs before the entries are copied; the view costs nothing
+    with pytest.raises(SizeError, match="a linear map needs a 3163x3162 matrix"):
+        LinearMap(np.broadcast_to(0.0, (3163, 3162)))
     A = LinearMap(np.ones((2, 3)))
     assert (A.m, A.n) == (2, 3)
 
@@ -637,14 +640,23 @@ def test_map_parse_errors(tmp_path, capsys):
         finally:
             tracemalloc.stop()
 
-    # a header sized at 7.28 TiB must not be allocated before a row shows
-    # its width; the row has 2 values, not 10**12
+    # a header over the size limit (sized at 7.28 TiB) is refused before
+    # any row is read
     path.write_text("jlmap v1 m=1 n=1000000000000\n1,2\n")
+    assert read_peak("the header needs a 1x1000000000000 map") < 2**20
+    # so is one just over it, without its rows: a 40 MB file of this shape
+    # made certify exit 0 at 309 MiB
+    path.write_text("jlmap v1 m=3163 n=3162\n")
+    assert main(["certify", "--map", str(path)]) == 1
+    assert "the header needs a 3163x3162 map, over the 10000000 coordinate limit" in capsys.readouterr().err
+    # one inside it (80 MB at the limit) is not allocated before a row shows
+    # its width; the row has 2 values, not 10**7
+    path.write_text("jlmap v1 m=1 n=10000000\n1,2\n")
     assert read_peak("line 2") < 2**20
     assert main(["certify", "--map", str(path)]) == 1
     assert "line 2" in capsys.readouterr().err
     # one full-width first row does not size the array either: row 3 is short
-    # (10**5 x 10**5 would be 80 GB)
-    k = 100_000
+    # (3162 x 3162 would be 80 MB)
+    k = 3162
     path.write_text(f"jlmap v1 m={k} n={k}\n" + ",".join(["1"] * k) + "\n" + "1\n" * (k - 1))
     assert read_peak("line 3") < 2**24
