@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import _BLAS, _TINY, LinearMap, _norm_scaled, _pow2, _rowsq, _run_strided
+from .embeddings import _BLAS, _TINY, LinearMap, _norm_scaled, _pool_size, _pow2, _rowsq, _run_strided
 from .pointset import PointSet, SizeError, _check_size, _json_fields, _unit_rows
 
 MODE_NORM = "norm-preservation"
@@ -428,9 +428,7 @@ def _scan_all(Z: np.ndarray, A: LinearMap, ratios: np.ndarray | None = None) -> 
                     scan.pairs(i, range(j0, j1), None if ratios is None else ratios[base + j0 : base + j1])
         return scan
 
-    if Z.shape[1] < _POOL_WIDTH:
-        return [run(0, 1)]
-    return _run_strided(max(N - 1, 0), run)
+    return _run_strided(1 if Z.shape[1] < _POOL_WIDTH else _pool_size(N - 1), run)
 
 
 def _pairwise_distortion(A: LinearMap, P: np.ndarray) -> DistortionReport:

@@ -27,13 +27,16 @@ to a per-estimator function that reduces it to a few values per trial.
 A chunk of min(1024, trials) x n normals, and `map_samples`' chunk image
 of min(1024, trials) x m, are each held to `MAX_TOTAL_COORDS` values, so
 a larger n or m raises `SizeError` before anything is drawn.
-The norm sample's chunks run on a bounded thread pool of min(available
-cores, chunks, 8) workers, each with its own buffer and its own slice of
-the output, so the result does not depend on the worker count.  The
-estimators that multiply each chunk by a matrix run their chunks inline:
-the BLAS call already spreads over the cores, and its idle worker threads
-keep spinning after each product, so pooled draws beside them gain
-nothing (see `_sample`).
+Every sampler runs its chunks on one bounded thread pool of min(available
+cores, chunks, 8) workers, each with its own buffers and its own slices of
+the output, so the result does not depend on the worker count.  The pool
+holds OpenBLAS at one thread for the whole loop, so each worker multiplies
+its own chunk on its own core, and a product's bits do not depend on the
+process's BLAS thread count, which at some widths they would (see
+`_sample`).  A worker of the map or symmetric-form sampler holds one chunk
+and its image; the norm sample, whose per-row sums need no product, draws
+each chunk in blocks of at most 2^17 values from the chunk's one
+generator, which is the same stream.
 
 Each estimator counts one threshold on a recorded sample.  The module
 keeps one sample, the most recent: a norm deviation sample keyed by
@@ -72,7 +75,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .certify import SpectralCertificate, _normal_scale, spectral_certificate
-from .embeddings import LinearMap, _check_finite, _pow2, _rowsq, _run_strided
+from .embeddings import _BLAS, LinearMap, _check_finite, _pool_size, _pow2, _rowsq, _run_strided
 from .pointset import MAX_TOTAL_COORDS, SizeError, _check_size, _json_fields
 from .pointset import _require_nonnegative, _require_positive, _require_positive_int
 from .seeds import Seed, as_seed
@@ -269,46 +272,65 @@ def _validate_mc(n: int, trials: int) -> None:
         raise SizeError(f"trials must be at most {MAX_TOTAL_COORDS}, got {trials}")
 
 
+# normals a norm sample draws at a time: its rows are row-local, so it
+# draws each chunk in blocks of at most this many values from the chunk's
+# one generator, which gives the same stream as one draw of the chunk
+_NORM_BLOCK = 1 << 17
+
+
 def _sample(
-    n: int, trials: int, seed: int | Seed, rows: Callable[[np.ndarray], object], width: int, pool: bool
+    n: int, trials: int, seed: int | Seed, rows: Callable[[np.ndarray, np.ndarray], object], width: int, image: int = 0
 ) -> np.ndarray:
     # the one chunk loop: chunk c (trials c*CHUNK_TRIALS, ...) is drawn from
-    # seed.child(c) into a reused buffer g, and rows(g) is its (width, len(g))
-    # block of the (width, trials) result.  pool=False runs inline for rows
-    # that call BLAS.  After each threaded product OpenBLAS's idle worker
-    # spins and holds the second core, so a pool beside it draws on one core:
-    # on 2 cores (OpenBLAS 0.3.31), pooled norm draws at n = 64 and 20000
-    # trials took 22.7 ms right after a 512 x 512 GEMM, against 12.5 ms after
-    # 0.2 s idle and 22.9 ms serial.  Pooled map_samples were bit-identical
-    # but slower on the tails workload, and raised its peak RSS from 82 to
-    # 109-125 MiB (one BLAS buffer and one chunk buffer per concurrent caller)
+    # seed.child(c), and rows(g, y) is the (width, len(g)) block of the
+    # (width, trials) result for normals g, with y a len(g) x ``image``
+    # buffer for the product rows takes, if any.  The chunks run on the
+    # pool with OpenBLAS held at one thread, so each worker draws and
+    # multiplies its own chunk on its own core; threaded products left the
+    # draws serial beside an idle BLAS thread that spins.  On 2 cores the
+    # tails CLI's 512 x 1024 map at 8192 trials took 0.16-0.19 s wall and
+    # 0.31-0.36 s CPU this way, against 0.26-0.28 s and 0.51-0.56 s inline
+    # on two BLAS threads.  One thread also fixes a product's bits, which
+    # at some widths (a 900 x 1000 map) differ between one and two threads.
+    # Each worker's buffers are taken here, before the pool starts; taken
+    # in the workers they raised the tails workload's peak.  A product keeps
+    # the whole chunk: split into row blocks its bits change at some shapes
+    # (n = 64, m = 4 in blocks of 256 rows).  So only a sample without one
+    # (image = 0) draws in blocks of _NORM_BLOCK values
     _validate_mc(n, trials)
     _check_size(f"a sample of {trials} gaussian vectors in dimension {n}", "chunk", min(CHUNK_TRIALS, trials), n)
     s = as_seed(seed)
+    chunk, chunks = min(CHUNK_TRIALS, trials), _chunk_count(trials)
+    step = chunk if image else min(chunk, max(1, _NORM_BLOCK // n))
     out = np.empty((width, trials))
+    buffers = [(np.empty((step, n)), np.empty((chunk, image))) for _ in range(_pool_size(chunks))]
 
     def fill(first: int, stride: int) -> None:
-        buf = np.empty((min(CHUNK_TRIALS, trials), n))
-        for c in range(first, _chunk_count(trials), stride):
-            offset = c * CHUNK_TRIALS
-            g = buf[: min(CHUNK_TRIALS, trials - offset)]
-            s.child(c).generator().standard_normal(out=g)
-            out[:, offset : offset + g.shape[0]] = rows(g)
+        gbuf, ybuf = buffers[first]
+        for c in range(first, chunks, stride):
+            draw = s.child(c).generator().standard_normal
+            end = min((c + 1) * CHUNK_TRIALS, trials)
+            for lo in range(c * CHUNK_TRIALS, end, step):
+                g = gbuf[: min(step, end - lo)]
+                draw(out=g)
+                out[:, lo : lo + len(g)] = rows(g, ybuf[: len(g)])
 
-    _run_strided(_chunk_count(trials) if pool else 1, fill)
+    with _BLAS.one_thread(0):
+        _run_strided(len(buffers), fill)
     return out
 
 
 def norm_deviation_sample(n: int, trials: int, seed: int | Seed) -> np.ndarray:
     """The |‖g‖² - n| sample underlying `norm_tail_estimate`, in trial order."""
-    return np.abs(_sample(n, trials, seed, _rowsq, 1, pool=True)[0] - float(n))
+    return np.abs(_sample(n, trials, seed, lambda g, y: _rowsq(g), 1)[0] - float(n))
 
 
 def map_samples(A: LinearMap, trials: int, seed: int | Seed) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (‖Ag‖², ‖g‖²) pairs from the shared chunk derivation."""
     _check_size(f"a sample of {trials} images under a {A.m}x{A.n} map", "chunk image",
                 min(CHUNK_TRIALS, trials), A.m)
-    img, nrm = _sample(A.n, trials, seed, lambda g: (_rowsq(g @ A.entries.T), _rowsq(g)), 2, pool=False)
+    At = A.entries.T
+    img, nrm = _sample(A.n, trials, seed, lambda g, y: (_rowsq(np.matmul(g, At, out=y)), _rowsq(g)), 2, A.m)
     return img, nrm
 
 
@@ -385,7 +407,7 @@ def symmetric_form_tail_estimate(
     if frob == 0.0:
         raise ValueError("zero matrix: the deviation event is degenerate")
     top = float(np.abs(np.linalg.eigvalsh(M)).max())
-    form = _sample(M.shape[0], trials, seed, lambda g: np.einsum("ij,ij->i", g @ M, g), 1, pool=False)
+    form = _sample(len(M), trials, seed, lambda g, y: np.einsum("ij,ij->i", np.matmul(g, M, out=y), g), 1, len(M))
     return _tail(np.abs(form[0] - float(np.trace(M))), _chaos_threshold(frob, top, t, c), e)
 
 

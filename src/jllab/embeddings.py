@@ -31,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
-from .pointset import PointSet, _check_size, _format_rows, _read_rows, _text_lines
+from .pointset import PointSet, _check_size, _format_rows, _header, _read_rows, _text_lines
 from .pointset import _require_positive, _require_positive_int
 from .seeds import Seed, as_seed
 
@@ -236,15 +236,20 @@ def _ray(Yt: np.ndarray, G: np.ndarray, Pt: np.ndarray, isqn: np.ndarray) -> tup
     return Z, np.einsum("ij,ij->j", Yt, Z) * (2.0 * isqn), np.einsum("ij,ij->j", Z, Z) * isqn
 
 
-def _run_strided(tasks: int, run: Callable[[int, int], _T]) -> list[_T]:
-    # the thread pool shared by certify and concentration: run(first, stride)
-    # takes tasks first, first + stride, ... on each of min(available cores,
-    # tasks, 8) workers, inline when that is at most 1; results in worker order
+def _pool_size(tasks: int) -> int:
+    # the worker count of a pool over ``tasks`` tasks: min(available cores,
+    # tasks, 8), at least 1
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    workers = min(cores, tasks, 8)
+    return max(min(cores, tasks, 8), 1)
+
+
+def _run_strided(workers: int, run: Callable[[int, int], _T]) -> list[_T]:
+    # the thread pool shared by certify and concentration: worker w runs
+    # run(w, workers), which takes its tasks w, w + workers, ...; inline when
+    # ``workers`` is 1 (see `_pool_size`); results in worker order
     if workers <= 1:
         return [run(0, 1)]
     with ThreadPoolExecutor(workers) as pool:
@@ -287,7 +292,7 @@ def _find_openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
 
 
 class _BlasThreads:
-    # the one place that decides a layer's BLAS threads, as `_run_strided`
+    # the one place that decides a layer's BLAS threads, as `_pool_size`
     # decides its Python threads.  OpenBLAS's thread count is process-wide,
     # so overlapping scopes share one entry count: the first to enter saves
     # the count and sets 1, the last to leave restores it.  OpenBLAS is
@@ -502,14 +507,10 @@ def write_map(path: str | Path, A: LinearMap) -> None:
 def read_map(path: str | Path) -> LinearMap:
     """Read a map written by `write_map`."""
     path = Path(path)
-    lines = _text_lines(path.read_bytes(), path)
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    match = _MAP_HEADER.match(lines[0])
-    if not match:
-        raise ValueError(f"{path}: line 1: expected 'jlmap v1 m=<m> n=<n>' header")
-    m, n = int(match.group(1)), int(match.group(2))
+    blob = path.read_bytes()
+    m, n = _header(blob, _MAP_HEADER, "jlmap v1 m=<m> n=<n>", path)
     _check_size(f"{path}: the header", "map", m, n)
+    lines = _text_lines(blob, path)
     if len(lines) != m + 1:
         raise ValueError(f"{path}: expected {m + 1} lines for m={m}, found {len(lines)}")
     return LinearMap(_read_rows(lines, 1, m, n, path))

@@ -130,11 +130,14 @@ def covering_radius_for(n: int, C: float) -> float:
 
     Solves 100 n^{-2C} for alpha; C must be positive and finite.  Values
     at or above 1 (small n or C) are clamped just below 1 with a warning,
-    since the grid is only defined for alpha < 1.
+    since the grid is only defined for alpha < 1.  A C so large that
+    alpha underflows to 0 raises `ValueError` naming C.
     """
     _require_positive_int("dimension", n)
     _require_positive("C", C)
     alpha = 100.0 * float(n) ** (-2.0 * C)
+    if alpha == 0.0:
+        raise ValueError(f"C = {C} is too large at n={n}: alpha = 100 n^(-2C) underflows to 0")
     if alpha >= 1.0:
         warnings.warn(
             f"alpha = 100 n^(-2C) = {alpha:g} at n={n}, C={C}; clamping below 1",

@@ -29,11 +29,13 @@ dimensions, raw float64 coordinates, and one role byte per point.
 
 The text point-set format and the ``jlmap`` text format of `embeddings`
 share one row grammar, written by `_format_rows` and read by `_read_rows`.
-The reader checks the header's sizes against the rows themselves (the
-line count, then every row's width) before it allocates the array, so the
-array takes at most 8 bytes per byte of the file, whatever the header
-claims.  It then converts all rows in one bulk call, `numpy.loadtxt`,
-which parses each field with ``PyOS_string_to_double``, the routine behind
+Both readers take the header's two sizes from the file's first line alone
+and hold their product to `MAX_TOTAL_COORDS` before the rest is decoded.
+They then check the sizes against the rows themselves (the line count,
+then every row's width) before they allocate the array, so the array
+takes at most 8 bytes per byte of the file, whatever the header claims.
+They convert all rows in one bulk call, `numpy.loadtxt`, which parses
+each field with ``PyOS_string_to_double``, the routine behind
 ``float()``, so every value has the bits ``float()`` gives it.  Rows the
 bulk call refuses or reads differently from ``float()`` go through a
 per-row ``float()`` loop, the error path, which names the 1-based line of
@@ -61,6 +63,8 @@ _ROLE_CODE = {role: i for i, role in enumerate(_ROLES)}
 MAX_TOTAL_COORDS = 10**7
 
 _TEXT_HEADER = re.compile(r"^jlps v1 n=(\d+) N=(\d+)$")
+# the ASCII characters at which str.splitlines ends a line
+_LINE_BREAK = re.compile(rb"[\n\r\x0b\x0c\x1c-\x1e]")
 _BINARY_MAGIC = b"JLPS"
 
 
@@ -285,14 +289,23 @@ def _text_lines(blob: bytes, path: Path) -> list[str]:
         raise ValueError(f"{path}: line {line}: non-ASCII byte") from None
 
 
-def _read_text(blob: bytes, path: Path) -> PointSet:
-    lines = _text_lines(blob, path)
-    if not lines:
+def _header(blob: bytes, pattern: re.Pattern[str], form: str, path: Path) -> tuple[int, int]:
+    # the two sizes of a text file's header line, read without decoding the
+    # rest of the file, so the caller can bound them before it does
+    if not blob:
         raise ValueError(f"{path}: empty file")
-    m = _TEXT_HEADER.match(lines[0])
-    if not m:
-        raise ValueError(f"{path}: line 1: expected 'jlps v1 n=<n> N=<N>' header")
-    n, count = int(m.group(1)), int(m.group(2))
+    end = _LINE_BREAK.search(blob)
+    first = _text_lines(blob[: end.start() if end else len(blob)], path)
+    match = pattern.match(first[0] if first else "")
+    if not match:
+        raise ValueError(f"{path}: line 1: expected '{form}' header")
+    return int(match.group(1)), int(match.group(2))
+
+
+def _read_text(blob: bytes, path: Path) -> PointSet:
+    n, count = _header(blob, _TEXT_HEADER, "jlps v1 n=<n> N=<N>", path)
+    _check_size(f"{path}: the header", "point array", count, n)
+    lines = _text_lines(blob, path)
     if len(lines) != count + 2:
         raise ValueError(f"{path}: expected {count + 2} lines for N={count}, found {len(lines)}")
     pts = _read_rows(lines, 1, count, n, path)

@@ -17,15 +17,15 @@ _PREFIX = f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({CAPPED_BYT
 _CLI = "import sys\nfrom jllab.cli import main\nraise SystemExit(main(sys.argv[1:]))\n"
 
 
-def _run_capped(job: str | list[str]) -> subprocess.CompletedProcess:
+def _run_capped(job: str | list[str], blas_threads: int = 1) -> subprocess.CompletedProcess:
     # a Python snippet, or a jllab argv, in a child sys.executable capped at
-    # CAPPED_BYTES of address space.  OpenBLAS runs on one thread, so its
-    # per-thread buffers, and with them the cap's headroom, do not depend on
-    # the core count
+    # CAPPED_BYTES of address space.  OpenBLAS runs on ``blas_threads``
+    # threads, by default one, so its per-thread buffers, and with them the
+    # cap's headroom, do not depend on the core count
     code, argv = (job, []) if isinstance(job, str) else (_CLI, job)
     src = str(Path(jllab.__file__).resolve().parents[1])
     env = os.environ | {
-        "OPENBLAS_NUM_THREADS": "1",
+        "OPENBLAS_NUM_THREADS": str(blas_threads),
         "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]),
     }
     return subprocess.run(

@@ -6,12 +6,14 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 import jllab.concentration as concentration
+import jllab.embeddings as embeddings
 from jllab.concentration import (
     CHUNK_TRIALS,
     CalibrationConstants,
@@ -28,7 +30,7 @@ from jllab.concentration import (
     norm_tail_oracle,
     symmetric_form_tail_estimate,
 )
-from jllab.embeddings import LinearMap, OptimizerOptions, gaussian_map, identity_map
+from jllab.embeddings import LinearMap, OptimizerOptions, _pool_size, gaussian_map, identity_map
 from jllab.net import covering_radius_for
 from jllab.pointset import SizeError
 from jllab.seeds import Seed
@@ -208,6 +210,54 @@ def test_chunking_is_part_of_the_contract(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         again = samples()
         assert all(np.array_equal(x, y) for x, y in zip(again, (dev, img, nrm, hits)))
+
+
+@pytest.mark.parametrize("sampler", ["norm", "map", "form"])
+def test_samplers_hold_one_blas_thread_across_their_chunks(monkeypatch, sampler):
+    # the count is set to 1 before the first chunk is drawn and restored
+    # after the last, for every sampler, products or not
+    A, M = gaussian_map(3, 4, 1), np.diag([2.0, 1.0, -1.0, 0.5])
+    calls = {
+        "norm": lambda: norm_deviation_sample(4, 3000, 1),
+        "map": lambda: map_samples(A, 3000, 1),
+        "form": lambda: symmetric_form_tail_estimate(M, 1.0, 1.0, 3000, 1),
+    }
+    events = []
+    monkeypatch.setattr(embeddings._BLAS, "api", (lambda: 4, events.append))
+    monkeypatch.setattr(embeddings._BLAS, "looked", True)
+    generator = Seed.generator
+    monkeypatch.setattr(Seed, "generator", lambda self: events.append("chunk") or generator(self))
+    calls[sampler]()
+    assert events == [1, "chunk", "chunk", "chunk", 4]
+
+
+def test_norm_sample_holds_a_block_per_worker():
+    # each worker draws its chunks in blocks of at most 2^17 values (1 MiB)
+    # into a buffer taken before the pool starts; a whole 1024 x 1000 chunk
+    # per worker held 8 MiB each.  Beside the blocks sit the output, its
+    # deviations and 64 KiB for the interpreter's own objects
+    n, trials = 1000, 8192
+    norm_deviation_sample(n, 1000, 1)
+    tracemalloc.start()
+    try:
+        norm_deviation_sample(n, trials, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (_pool_size(trials // CHUNK_TRIALS) << 20) + 2 * 8 * trials + (64 << 10)
+
+
+def test_map_sample_does_not_depend_on_the_blas_thread_count(run_capped):
+    # one- and two-thread GEMM give different bits at this width on some
+    # hosts; the sampler holds one thread, so processes at either count agree
+    code = (
+        "import hashlib\nfrom jllab import gaussian_map, map_samples\n"
+        "img, nrm = map_samples(gaussian_map(900, 1000, 1), 3000, 2)\n"
+        "print(hashlib.sha256(img.tobytes() + nrm.tobytes()).hexdigest())\n"
+    )
+    done = [run_capped(code, blas_threads=k) for k in (1, 2)]
+    assert [d.returncode for d in done] == [0, 0], [d.stderr for d in done]
+    assert done[0].stdout == done[1].stdout
 
 
 def test_trials_over_limit_raise_size_error():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jllab.cli import main
 from jllab.embeddings import LinearMap
 from jllab.net import (
     covering_radius_for,
@@ -196,6 +197,20 @@ def test_covering_radius_clamps_with_warning():
     with pytest.warns(UserWarning, match="clamping"):
         alpha = covering_radius_for(2, 1.0)
     assert 0.0 < alpha < 1.0
+
+
+def test_covering_radius_refuses_an_underflowing_alpha(tmp_path, capsys):
+    # 100 n^(-2C) underflows to 0 here; the refusal names C, the value given,
+    # not the alpha of 0.0 derived from it
+    with pytest.raises(ValueError, match=r"C = 300.0 is too large at n=4: alpha = 100 n\^\(-2C\) underflows to 0"):
+        covering_radius_for(4, 300.0)
+    out = tmp_path / "net.json"
+    assert main(["net", "--n", "4", "--exponent", "300", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "jllab: error: C = 300.0 is too large at n=4: alpha = 100 n^(-2C) underflows to 0\n"
+    assert not out.exists()
+    # just above the underflow alpha is a subnormal and still accepted
+    assert 0.0 < covering_radius_for(4, 267.0) < 1e-300
 
 
 def test_covering_radius_validation():

@@ -252,12 +252,13 @@ def test_parse_errors_carry_line_numbers(tmp_path, capsys):
     path.write_text("jlps v1 n=2 N=2\n1,0\n0,1\nroles=basis\n")
     with pytest.raises(ValueError, match="roles"):
         read_pointset(path)
-    # a header sized at 7.28 TiB must not be allocated before a row shows
-    # its width; the row has 2 values, not 10**12
+    # a header sized at 7.28 TiB is refused from the header itself, before
+    # any row is read
     path.write_text("jlps v1 n=1000000000000 N=1\n1,2\nroles=gaussian\n")
+    refusal = "the header needs a 1x1000000000000 point array, over the 10000000 coordinate limit"
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(SizeError, match=refusal):
             read_pointset(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -265,8 +266,29 @@ def test_parse_errors_carry_line_numbers(tmp_path, capsys):
     assert peak < 2**20
     out = tmp_path / "pca.jlmap"
     assert main(["embed", "--method", "pca", "--set", str(path), "--m", "1", "--out", str(out)]) == 1
-    assert "line 2" in capsys.readouterr().err
+    assert refusal in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_text_header_over_the_size_rule_is_refused_before_parsing(tmp_path):
+    # 1001 rows of 10^4 zeros (20 MB) under a header whose n N is one row
+    # over MAX_TOTAL_COORDS; the whole file was parsed (a 126 MiB tracemalloc
+    # peak) before PointSet refused it.  Now the read holds the file's bytes
+    # and no more
+    n, count = 10_000, 1001
+    path = tmp_path / "big.jlps"
+    row = ",".join(["0"] * n) + "\n"
+    path.write_text(f"jlps v1 n={n} N={count}\n" + row * count + "roles=" + ",".join(["gaussian"] * count) + "\n")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match=f"the header needs a {count}x{n} point array"):
+            read_pointset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 20 * 10**6
+    assert peak < size + 2**20
 
 
 def test_truncated_binary_rejected(tmp_path):
