@@ -42,11 +42,12 @@ _JSON_RATIO_CAP = 100_000
 # route stores none, and its budget is time: at the limit it took 1-2 s on
 # 2 cores, and about 10 s when every pair ties and it makes a full pass
 MAX_PAIRS = 10**8
-# zero-distance pairs (x = y) of pairwise distortion.  ``skipped`` holds one
-# Python int per pair and the JSON lists them again, about 135 bytes a pair
-# at peak: `certify` on 3162 identical points (4,997,541 pairs) peaked at
-# 671 MiB RSS in about 6 s on 2 cores.  A set over the limit is refused before
-# the pairs are scanned
+# zero-distance pairs (x = y) of pairwise distortion.  `_skipped_pairs`
+# lists them once, as int64 flat indices, before either route scans;
+# ``skipped`` then holds one Python int per pair and the JSON lists them
+# again, about 134 bytes a pair at peak: `certify` on 3162 identical points
+# (4,997,541 pairs) peaked at 640 MiB RSS in 4.1-4.4 s on 2 cores.  A set
+# over the limit is refused before the list is built
 MAX_SKIPPED = 5 * 10**6
 # points per tile of a pairwise row; smaller tiles lose the pool's gain
 # to the interpreter lock, larger ones grow each worker's scratch
@@ -196,11 +197,12 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     the rows i = w, w + W, ... and each row's pairs (i, j), j > i, in tiles
     of 1024 points.  A tile costs one subtraction of the stacked rows
     [x | Ax] into the worker's scratch, two row sums and one division
-    written straight into the ratios at the pairs' flat indices.  Each
+    written straight into the ratios.  One grouping of equal rows lists
+    the pairs with x = y before the pass, so each ratio goes straight to
+    its final slot: its flat index less the skipped pairs before it.  Each
     worker keeps its worst pair, and the workers' pairs merge by the same
     rule: the first NaN, else the largest |ratio - 1|, the lowest flat
-    index on ties.  The skipped pairs' slots are then squeezed out of the
-    ratios in place.  The report is bitwise the same for any worker count.
+    index on ties.  The report is bitwise the same for any worker count.
     Memory is the returned ratios (8 bytes per pair), the N (n + m)
     stacked rows and O(workers * 1024 * (n + m)) scratch.  When n + m is
     under 64 the pass runs inline whatever the core count: on rows that
@@ -255,7 +257,7 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     """
     mode = _checked_mode(A, X, mode)
     if mode == MODE_PAIRWISE:
-        return _pairwise_distortion(A, X.points)
+        return _pairwise_distortion(A, X.points, _skipped_pairs(X.points))
     P, before = _norm_scaled(X.points)
     with _BLAS.one_thread(A.m * A.n * len(P)):
         Y = A.apply(P)
@@ -278,20 +280,22 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
 
 def _distortion_json(A: LinearMap, X: PointSet, mode: str) -> dict:
     # distortion(A, X, mode).to_json(), by the max-only pairwise route when
-    # the JSON drops the ratios, which the count of zero-distance pairs tells
+    # the JSON drops the ratios, which the list of zero-distance pairs tells
     # before either route runs
-    if _checked_mode(A, X, mode) == MODE_PAIRWISE:
-        total, skipped = _pair_counts(X.points)
-        if total - skipped > _JSON_RATIO_CAP:
-            eps_max, violating, skipped_pairs = _pairwise_worst(A, X.points)
-            return _report_json(MODE_PAIRWISE, eps_max, violating, total - skipped, skipped_pairs)
-    return distortion(A, X, mode).to_json()
+    if _checked_mode(A, X, mode) == MODE_NORM:
+        return distortion(A, X, mode).to_json()
+    skipped = _skipped_pairs(X.points)
+    kept = len(X) * (len(X) - 1) // 2 - skipped.size
+    if kept <= _JSON_RATIO_CAP:
+        return _pairwise_distortion(A, X.points, skipped).to_json()
+    return _report_json(MODE_PAIRWISE, *_pairwise_worst(A, X.points), kept, skipped.tolist())
 
 
-def _pair_counts(P: np.ndarray) -> tuple[int, int]:
-    # the pairs of the rows of P and its zero-distance pairs (x = y, with
-    # -0.0 = 0.0 as in x - y), refused with SizeError over MAX_PAIRS or
-    # MAX_SKIPPED before anything per pair is allocated
+def _skipped_pairs(P: np.ndarray) -> np.ndarray:
+    # the one x = y rule of pairwise mode: the sorted flat indices (int64) of
+    # the pairs of rows of P that are equal, with -0.0 = 0.0 as in x - y.
+    # Refused with SizeError over MAX_PAIRS or MAX_SKIPPED before anything
+    # per pair is allocated
     N = len(P)
     total = N * (N - 1) // 2
     if total > MAX_PAIRS:
@@ -301,14 +305,23 @@ def _pair_counts(P: np.ndarray) -> tuple[int, int]:
     # equal rows are equal bytes once + 0.0 makes -0.0 into 0.0 (points are
     # finite), so one void view groups them without a structured sort
     Q = P + 0.0
-    counts = np.unique(Q.view(np.dtype((np.void, Q.itemsize * Q.shape[1]))), return_counts=True)[1]
-    skipped = int(np.sum(counts * (counts - 1) // 2))
-    if skipped > MAX_SKIPPED:
+    rows = Q.view(np.dtype((np.void, Q.itemsize * Q.shape[1])))[:, 0]
+    _, group, counts = np.unique(rows, return_inverse=True, return_counts=True)
+    count = int(np.sum(counts * (counts - 1) // 2))
+    if count > MAX_SKIPPED:
         raise SizeError(
-            f"pairwise distortion of {N} points has {skipped} zero-distance pairs, "
+            f"pairwise distortion of {N} points has {count} zero-distance pairs, "
             f"over the {MAX_SKIPPED} skipped-pair limit"
         )
-    return total, skipped
+    # each row with an equal row pairs with the equal rows after it; rows
+    # taken in increasing order fill ``flat`` already sorted, one row's
+    # pairs at a time
+    flat, k = np.empty(count, dtype=np.int64), 0
+    for i in np.flatnonzero(counts[group] > 1).tolist():
+        later = np.flatnonzero(group[i + 1 :] == group[i])
+        flat[k : k + later.size] = later + (_row_base(N, i) + i + 1)
+        k += later.size
+    return flat
 
 
 def _stacked(A: LinearMap, P: np.ndarray) -> np.ndarray:
@@ -329,39 +342,35 @@ def _row_base(N: int, i: int) -> int:
 
 class _PairScan:
     # one worker's exact pass over pairs (i, j), i < j, of Z = [P | P Aᵀ]:
-    # the one ratio kernel of both pairwise routes, the worst pair seen so
-    # far and the flat indices of the zero-distance pairs
+    # the one ratio kernel of both pairwise routes and the worst pair seen
+    # so far.  A pair with x = y has b = 0 and no constraint: its deviation
+    # is -inf, and its ratio is not written out
 
     def __init__(self, Z: np.ndarray, A: LinearMap, tile: int) -> None:
         self.Z, self.A, self.n = Z, A, A.n
         self.buf = np.empty((tile, Z.shape[1]))
         self.before, self.after, self.dev, self.ratios = np.empty((4, tile))
         self.worst, self.worst_flat = -np.inf, -1
-        self.skipped: list[int] = []
 
     def pairs(self, i: int, js: range, out: np.ndarray | None = None) -> None:
-        # the pairs (i, j) for the columns js; their ratios go to ``out``,
-        # else to scratch
+        # the pairs (i, j) for the columns js; the ratios of those with
+        # x != y go to ``out`` in order, else to scratch
         Z, n, base = self.Z, self.n, _row_base(len(self.Z), i) + js.start
         t = len(js)
         d = self.buf[:t]
         np.subtract(Z[js.start : js.stop], Z[i], out=d)
         b = np.einsum("ij,ij->i", d[:, :n], d[:, :n], out=self.before[:t])
         a = np.einsum("ij,ij->i", d[:, n:], d[:, n:], out=self.after[:t])
-        r = self.ratios[:t] if out is None else out
-        dv = self.dev[:t]
-        if _TINY <= b.min() and b.max() < np.inf and a.max() < np.inf:
-            np.divide(a, b, out=r)
-            np.abs(np.subtract(r, 1.0, out=dv), out=dv)
-        else:
+        normal = _TINY <= b.min() and b.max() < np.inf and a.max() < np.inf
+        if not normal:
             self._rescale(i, js.start, d[:, :n], b, a)
-            # zero-distance pairs (x = y) carry no constraint: their ratio
-            # slots are left unwritten
-            keep = b > 0.0
-            np.divide(a, b, out=r, where=keep)
-            np.abs(np.subtract(r, 1.0, out=dv, where=keep), out=dv, where=keep)
-            dv[~keep] = -np.inf
-            self.skipped.extend((base + np.flatnonzero(~keep)).tolist())
+        r = out if out is not None and len(out) == t else self.ratios[:t]
+        dv = self.dev[:t]
+        np.abs(np.subtract(np.divide(a, b, out=r), 1.0, out=dv), out=dv)
+        if not normal:
+            dv[b == 0.0] = -np.inf
+            if out is not None and len(out) < t:  # the tile holds pairs with x = y
+                np.compress(b != 0.0, r, out=out)
         k = int(np.argmax(dv))  # the first NaN, else the first maximum
         if dv[k] != -np.inf:
             self.offer(float(dv[k]), base + k)
@@ -399,57 +408,61 @@ class _PairScan:
         self.worst, self.worst_flat = dev, flat
 
 
-def _merge(scans: list[_PairScan]) -> tuple[float, int | None, list[int]]:
-    # eps_max, violating_index and the sorted skipped pairs of the workers' scans
+def _merge(scans: list[_PairScan]) -> tuple[float, int | None]:
+    # eps_max and violating_index of the workers' scans
     first = scans[0]
     for scan in scans[1:]:
         if scan.worst_flat >= 0:
             first.offer(scan.worst, scan.worst_flat)
-    skipped = sorted(f for scan in scans for f in scan.skipped)
     if first.worst_flat < 0:
-        return 0.0, None, skipped
-    return float(first.worst), first.worst_flat, skipped
+        return 0.0, None
+    return float(first.worst), first.worst_flat
 
 
-def _scan_all(Z: np.ndarray, A: LinearMap, ratios: np.ndarray | None = None) -> list[_PairScan]:
+def _scan_all(
+    Z: np.ndarray, A: LinearMap, ratios: np.ndarray | None = None, skipped: np.ndarray | tuple = ()
+) -> list[_PairScan]:
     # the exact kernel over every pair, on the pool unless the rows are
-    # narrower than _POOL_WIDTH; each ratio goes to its flat index in
-    # ``ratios`` when that is given
+    # narrower than _POOL_WIDTH; when ``ratios`` is given, each ratio goes
+    # to its flat index less the number of the sorted ``skipped`` before it
     N = len(Z)
     tile = min(_PAIR_TILE, N)
 
     def run(first: int, stride: int) -> _PairScan:
         scan = _PairScan(Z, A, tile)
-        with np.errstate(over="ignore", invalid="ignore"):  # from images that overflow
+        # x = y divides 0, or a rounding difference of the images, by 0; an
+        # image that overflows gives inf and NaN
+        with np.errstate(all="ignore"):
             for i in range(first, N - 1, stride):
                 base = _row_base(N, i)
                 for j0 in range(i + 1, N, tile):
                     j1 = min(j0 + tile, N)
-                    scan.pairs(i, range(j0, j1), None if ratios is None else ratios[base + j0 : base + j1])
+                    s0, s1 = np.searchsorted(skipped, (base + j0, base + j1)).tolist() if len(skipped) else (0, 0)
+                    scan.pairs(i, range(j0, j1), None if ratios is None else ratios[base + j0 - s0 : base + j1 - s1])
         return scan
 
     return _run_strided(1 if Z.shape[1] < _POOL_WIDTH else _pool_size(N - 1), run)
 
 
-def _pairwise_distortion(A: LinearMap, P: np.ndarray) -> DistortionReport:
+def _pairwise_distortion(A: LinearMap, P: np.ndarray, skipped: np.ndarray) -> DistortionReport:
+    # pairwise distortion of the rows of P, whose x = y pairs `_skipped_pairs` listed
     N = len(P)
-    _pair_counts(P)
     Z = _stacked(A, P)
-    ratios = np.empty(N * (N - 1) // 2)
-    eps_max, violating, skipped = _merge(_scan_all(Z, A, ratios))
+    ratios = np.empty(N * (N - 1) // 2 - skipped.size)
+    eps_max, violating = _merge(_scan_all(Z, A, ratios, skipped))
     return DistortionReport(
         mode=MODE_PAIRWISE,
-        ratios=_compact(ratios, skipped),
+        ratios=ratios,
         eps_max=eps_max,
         violating_index=violating,
-        skipped=tuple(skipped),
+        skipped=tuple(skipped.tolist()),
     )
 
 
-def _pairwise_worst(A: LinearMap, P: np.ndarray) -> tuple[float, int | None, list[int]]:
-    # the max-only route of `distortion`'s docstring: eps_max,
-    # violating_index and the skipped pairs, with no ratio stored; the
-    # caller has checked the sizes with `_pair_counts`
+def _pairwise_worst(A: LinearMap, P: np.ndarray) -> tuple[float, int | None]:
+    # the max-only route of `distortion`'s docstring: eps_max and
+    # violating_index, with no ratio stored; the caller has checked the
+    # sizes with `_skipped_pairs`
     N, n = P.shape
     Z = _stacked(A, P)
     T = _SCREEN_TILE
@@ -532,21 +545,6 @@ def _pairwise_worst(A: LinearMap, P: np.ndarray) -> tuple[float, int | None, lis
                 # an exact deviation bounds eps_max from below too; a NaN wins
                 floor = max(floor, scan.worst if scan.worst == scan.worst else np.inf)
     return _merge([scan])
-
-
-def _compact(ratios: np.ndarray, skipped: list[int]) -> np.ndarray:
-    # drops the slots at the sorted indices ``skipped`` in place and returns
-    # the kept prefix; each nonempty run of kept values moves left as one 1-d
-    # copy, which numpy performs without a temporary
-    if not skipped:
-        return ratios
-    runs = np.diff(skipped, append=ratios.size) - 1  # the kept values after each skipped slot
-    pos = skipped[0]
-    for k in np.flatnonzero(runs).tolist():
-        s, t = skipped[k] + 1, int(runs[k])
-        ratios[pos : pos + t] = ratios[s : s + t]
-        pos += t
-    return ratios[:pos]
 
 
 def pair_from_flat(N: int, flat: int) -> tuple[int, int]:

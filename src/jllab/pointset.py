@@ -265,6 +265,7 @@ def _read_binary(blob: bytes, path: Path) -> PointSet:
     if len(blob) < head:
         raise ValueError(f"{path}: truncated binary header")
     version, n, count = struct.unpack_from("<IQQ", blob, len(_BINARY_MAGIC))
+    _check_size(f"{path}: the header", "point array", count, n)
     if version != 1:
         raise ValueError(f"{path}: unsupported binary version {version}")
     need = head + 8 * n * count + count

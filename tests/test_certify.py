@@ -262,10 +262,11 @@ def test_distortion_pairwise_memory_is_the_ratios():
 
 def _assert_worst_matches(A, Y):
     # the max-only route reports distortion()'s eps_max, violating_index,
-    # n_ratios and skipped bit for bit
+    # n_ratios and skipped bit for bit; both take skipped from the grouping
     with np.errstate(all="ignore"):
         rep = distortion(A, Y, "pairwise")
-        eps_max, violating, skipped = _pairwise_worst(A, Y.points)
+        eps_max, violating = _pairwise_worst(A, Y.points)
+    skipped = certify._skipped_pairs(Y.points).tolist()
     N = len(Y)
     assert np.float64(eps_max).tobytes() == np.float64(rep.eps_max).tobytes()
     assert violating == rep.violating_index
@@ -287,9 +288,9 @@ def screened(monkeypatch):
             kept.update((i, j) for j in js)
         return pairs(self, i, js, out)
 
-    def no_fallback(Z, A, ratios=None):
+    def no_fallback(Z, A, ratios=None, skipped=()):
         assert ratios is not None, "the screen fell back to the full pass"
-        return scan_all(Z, A, ratios)
+        return scan_all(Z, A, ratios, skipped)
 
     monkeypatch.setattr(certify._PairScan, "pairs", spy)
     monkeypatch.setattr(certify, "_scan_all", no_fallback)
@@ -405,15 +406,14 @@ def test_pair_scan_first_nan_rule():
             scan.offer(dev, flat)
     assert (scans[0].worst, scans[0].worst_flat) == (math.inf, 2)
     assert scans[1].worst_flat == 7 and math.isnan(scans[1].worst)
-    scans[2].skipped, scans[0].skipped = [8, 3], [4]
-    eps_max, violating, skipped = certify._merge(scans)
-    assert math.isnan(eps_max) and violating == 7 and skipped == [3, 4, 8]
+    eps_max, violating = certify._merge(scans)
+    assert math.isnan(eps_max) and violating == 7
     # without a NaN, infinities tie and the lower flat index wins
     clean = [certify._PairScan(Z, A, 4) for _ in range(2)]
     clean[0].offer(math.inf, 2)
     clean[1].offer(math.inf, 0)
-    assert certify._merge(clean)[:2] == (math.inf, 0)
-    assert certify._merge([certify._PairScan(Z, A, 4)]) == (0.0, None, [])
+    assert certify._merge(clean) == (math.inf, 0)
+    assert certify._merge([certify._PairScan(Z, A, 4)]) == (0.0, None)
 
 
 @pytest.mark.parametrize("tile", [16, 192])
@@ -437,7 +437,7 @@ def test_pairwise_rescued_pairs_keep_their_bits_in_any_batch():
     P[5] = P[0]
     A = LinearMap(rng.standard_normal((2, 4)) * 1e100)
     rep = _assert_worst_matches(A, _gaussian_set(P))
-    # with the skipped pair (0, 5), flat 4, squeezed out, flat indices 5 and
+    # with the skipped pair (0, 5), flat 4, left out, flat indices 5 and
     # 20 hold ratios 4 and 19
     assert rep.skipped == (4,)
     assert rep.ratios[4].tobytes() == rep.ratios[19].tobytes()
@@ -529,19 +529,20 @@ def test_pairwise_worst_memory_is_under_a_byte_per_pair():
     A = gaussian_map(4, 8, 5)
     tracemalloc.start()
     try:
-        eps_max, violating, skipped = _pairwise_worst(A, X.points)
+        eps_max, violating = _pairwise_worst(A, X.points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < N * (N - 1) // 2
     rep = distortion(A, X, "pairwise")
-    assert (eps_max, violating, skipped) == (rep.eps_max, rep.violating_index, [])
+    assert (eps_max, violating) == (rep.eps_max, rep.violating_index)
+    assert certify._skipped_pairs(X.points).size == 0 and rep.skipped == ()
 
 
 def test_pairwise_skipped_pairs_cost_one_int_each():
-    # 500 identical points: every pair is skipped, and each costs one Python
-    # int in the scan's list, the sorted list and the report's list, plus
-    # the library route's 8-byte ratio slot
+    # 500 identical points: every pair is skipped, and each costs one int64
+    # in the grouping's list, then one Python int in the report's tuple and
+    # the JSON's list
     N = 500
     P = np.zeros((N, 2))
     P[:, 0] = 1.0
@@ -577,7 +578,29 @@ def test_pairwise_skipped_pair_budget():
     P = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 0.0], [-0.0, -0.0], [5e-324, 0.0], [1.0, 1.0]])
     rep = distortion(identity_map(2), _gaussian_set(P), "pairwise")
     assert [pair_from_flat(6, f) for f in rep.skipped] == [(0, 1), (2, 3)]
-    assert certify._pair_counts(P) == (15, 2)
+    assert certify._skipped_pairs(P).tolist() == list(rep.skipped) == [0, 9]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_skipped_pairs_are_the_equal_rows_property(data):
+    # the grouping's list is the brute-force list of pairs i < j with equal
+    # rows, with -0.0 = 0.0, and both routes report it as ``skipped``
+    N, n = data.draw(st.integers(2, 30)), data.draw(st.integers(1, 3))
+    values = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 1e300, -1e300])
+    P = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=N, max_size=N)))
+    for a, b in data.draw(st.lists(st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)), max_size=6)):
+        P[a] = P[b]
+    brute = [certify._row_base(N, i) + j for i in range(N) for j in range(i + 1, N) if np.array_equal(P[i], P[j])]
+    assert certify._skipped_pairs(P).tolist() == brute
+    A, X = gaussian_map(2, n, 1), _gaussian_set(P)
+    assert list(distortion(A, X, "pairwise").skipped) == brute
+    cap = certify._JSON_RATIO_CAP
+    certify._JSON_RATIO_CAP = -1  # every set takes the max-only route
+    try:
+        assert certify._distortion_json(A, X, "pairwise")["skipped"] == brute
+    finally:
+        certify._JSON_RATIO_CAP = cap
 
 
 def test_distortion_mode_and_shape_validation():

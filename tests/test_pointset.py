@@ -291,6 +291,35 @@ def test_text_header_over_the_size_rule_is_refused_before_parsing(tmp_path):
     assert peak < size + 2**20
 
 
+def test_binary_header_over_the_size_rule_is_refused_before_the_copy(tmp_path, capsys):
+    # the binary form of the set above (80.1 MB): its body was copied (a
+    # 152.8 MiB tracemalloc peak) before PointSet refused it, with a message
+    # that named no file.  Now the read holds the file's bytes and no more
+    n, count = 10_000, 1001
+    path = tmp_path / "big.jlps"
+    with path.open("wb") as f:
+        f.write(b"JLPS" + np.array([1], "<u4").tobytes() + np.array([n, count], "<u8").tobytes())
+        for _ in range(count):
+            f.write(bytes(8 * n))
+        f.write(bytes(count))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError) as refused:
+            read_pointset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value).startswith(f"{path}: the header needs a {count}x{n} point array")
+    assert size > 80 * 10**6
+    assert peak < size + 2**20
+    mp = tmp_path / "a.jlmap"
+    write_map(mp, LinearMap(np.eye(1)))
+    assert main(["certify", "--map", str(mp), "--set", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"jllab: error: {path}: the header needs") and err.count("\n") == 1
+
+
 def test_truncated_binary_rejected(tmp_path):
     ps = standard_basis(3)
     path = tmp_path / "trunc.bin"
