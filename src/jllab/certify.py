@@ -207,18 +207,25 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     stacked rows and O(workers * 1024 * (n + m)) scratch.  When n + m is
     under 64 the pass runs inline whatever the core count: on rows that
     narrow the pool loses to the interpreter lock.  Norm mode runs on no
-    Python pool; its one product P Aᵀ holds OpenBLAS at one thread when
-    it is under 2^20 multiply-adds (m n N), as `optimize_map` does.
+    Python pool.
+
+    Every BLAS product of either mode, the image P Aᵀ and the screen's
+    GEMMs below, holds OpenBLAS at one thread at any size and then
+    restores the process's count.  After a threaded product returns,
+    OpenBLAS's idle worker spins on another core for about 0.1 s, and at
+    some widths one- and two-thread products differ in their last bits; on
+    one thread the report is the same bytes at any
+    ``OPENBLAS_NUM_THREADS``.  Under another BLAS the thread count is left
+    alone.
 
     The CLI's pairwise ``certify``, when the JSON would drop the ratios
     (more than 100,000 pairs with x != y, counted before either route
     runs), takes a private max-only route instead.  It stores no ratio and
     reports the same ``eps_max``, ``violating_index``, ``n_ratios`` and
     ``skipped`` bit for bit.  Stage 1 screens the pairs of each pair of
-    192-point tiles by GEMMs; BLAS may thread them.  On one
-    side with k coordinates (k = n for x, k = m for Ax), with
-    D = ‖x - y‖², S = ‖x‖² + ‖y‖² and E = c S, c = 12 (k + 4) u,
-    u = 2^-53:
+    192-point tiles by GEMMs.  On one side with k coordinates (k = n for
+    x, k = m for Ax), with D = ‖x - y‖², S = ‖x‖² + ‖y‖² and E = c S,
+    c = 12 (k + 4) u, u = 2^-53:
 
     - the rows [x, (1 + c)‖x‖², 1 + c] and [-2y, 1, ‖y‖²] give hi ≈ D + E,
       and [-2c ‖x‖², -2c] and [1, ‖y‖²] give -2E, so lo = hi - 2E;
@@ -259,7 +266,7 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     if mode == MODE_PAIRWISE:
         return _pairwise_distortion(A, X.points, _skipped_pairs(X.points))
     P, before = _norm_scaled(X.points)
-    with _BLAS.one_thread(A.m * A.n * len(P)):
+    with _BLAS.one_thread():
         Y = A.apply(P)
     after = _rowsq(Y)
     keep = before > 0.0
@@ -330,7 +337,8 @@ def _stacked(A: LinearMap, P: np.ndarray) -> np.ndarray:
     _check_size(f"a {A.m}x{A.n} map", "image", N, A.m)
     Z = np.empty((N, n + A.m))
     Z[:, :n] = P
-    with np.errstate(over="ignore"):  # an image that overflows sends its pairs to `_rescale`
+    # an image that overflows sends its pairs to `_rescale`
+    with np.errstate(over="ignore"), _BLAS.one_thread():
         np.matmul(P, A.entries.T, out=Z[:, n:])
     return Z
 
@@ -459,10 +467,12 @@ def _pairwise_distortion(A: LinearMap, P: np.ndarray, skipped: np.ndarray) -> Di
     )
 
 
+@_BLAS.one_thread()
 def _pairwise_worst(A: LinearMap, P: np.ndarray) -> tuple[float, int | None]:
     # the max-only route of `distortion`'s docstring: eps_max and
-    # violating_index, with no ratio stored; the caller has checked the
-    # sizes with `_skipped_pairs`
+    # violating_index, with no ratio stored, on one BLAS thread throughout
+    # (its screen GEMMs and its `_scan_all` fallback alike); the caller has
+    # checked the sizes with `_skipped_pairs`
     N, n = P.shape
     Z = _stacked(A, P)
     T = _SCREEN_TILE
@@ -557,6 +567,7 @@ def pair_from_flat(N: int, flat: int) -> tuple[int, int]:
     return i, flat - _row_base(N, i)
 
 
+@_BLAS.one_thread()
 def spectral_certificate(A: LinearMap) -> SpectralCertificate:
     """Certificate for A: trace and Frobenius data of A^T A plus eigenvalues.
 
@@ -579,6 +590,12 @@ def spectral_certificate(A: LinearMap) -> SpectralCertificate:
     certificate is kept privately; the trace, ``frob_sq`` and eigenvalues
     are scaled back and may still round to 0.  Every other map keeps its
     bits.
+
+    The Gram product and the eigensolver hold OpenBLAS at one thread at
+    any size, as `distortion` does, and then restore the process's count,
+    so the certificate is the same bytes at any ``OPENBLAS_NUM_THREADS``;
+    at two threads a 512 x 1024 gaussian map's eigenvalues differed from
+    one thread's in their last bits.
     """
     _check_size(f"spectral certificate of a {A.m}x{A.n} map", "Gram matrix", A.n, A.n)
     def sums(E: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -653,7 +670,9 @@ def _max_deviation(A: LinearMap, V: PointSet, cert: SpectralCertificate) -> tupl
     frob = math.sqrt(cert.frob_sq)
     if frob == 0.0:
         raise ValueError("zero map: witness deviation is undefined")
-    dev = np.abs(_rowsq(B.apply(V.points)) - cert.trace) / frob
+    with _BLAS.one_thread():
+        Y = B.apply(V.points)
+    dev = np.abs(_rowsq(Y) - cert.trace) / frob
     j = int(np.argmax(dev))
     return j, float(dev[j])
 

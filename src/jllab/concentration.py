@@ -33,10 +33,14 @@ the output, so the result does not depend on the worker count.  The pool
 holds OpenBLAS at one thread for the whole loop, so each worker multiplies
 its own chunk on its own core, and a product's bits do not depend on the
 process's BLAS thread count, which at some widths they would (see
-`_sample`).  A worker of the map or symmetric-form sampler holds one chunk
-and its image; the norm sample, whose per-row sums need no product, draws
-each chunk in blocks of at most 2^17 values from the chunk's one
-generator, which is the same stream.
+`_sample`).  The sums and spectra behind the thresholds
+(`spectral_certificate`, and the norm and eigensolver of
+`symmetric_form_tail_estimate`) hold one thread too, so a threshold does
+not depend on that count either.  A worker of
+the map or symmetric-form sampler holds one chunk and its image; the norm
+sample, whose per-row sums need no product, draws each chunk in blocks of
+at most 2^17 values from the chunk's one generator, which is the same
+stream.
 
 Each estimator counts one threshold on a recorded sample.  The module
 keeps one sample, the most recent: a norm deviation sample keyed by
@@ -315,7 +319,7 @@ def _sample(
                 draw(out=g)
                 out[:, lo : lo + len(g)] = rows(g, ybuf[: len(g)])
 
-    with _BLAS.one_thread(0):
+    with _BLAS.one_thread():
         _run_strided(len(buffers), fill)
     return out
 
@@ -374,6 +378,7 @@ def chaos_tail_estimate(
     return _form_sample(A, trials, seed).chaos(t, c)
 
 
+@_BLAS.one_thread()
 def symmetric_form_tail_estimate(
     M: np.ndarray, t: float, c: float, trials: int, seed: int | Seed
 ) -> TailEstimate:
@@ -387,6 +392,11 @@ def symmetric_form_tail_estimate(
     scale-invariant, and the threshold, of degree 1 in M, is reported
     times 2^e.  Every other M keeps its bits.  A non-finite entry of M is
     refused as `LinearMap` refuses one.
+
+    The whole estimate holds OpenBLAS at one thread, as the sampler does,
+    so ‖M‖_F and the eigensolver give the same bits at any thread count;
+    on two threads the norm of a 500 x 500 gaussian matrix, a dot product
+    in OpenBLAS, differed in its last bit.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:

@@ -256,9 +256,11 @@ def _run_strided(workers: int, run: Callable[[int, int], _T]) -> list[_T]:
         return list(pool.map(run, range(workers), [workers] * workers))  # re-raises a worker's error
 
 
-# multiply-adds under which a layer's BLAS products run on one thread.  One
-# optimizer iteration on 2 cores (300 iterations, best of 3-5) took, on one
-# thread against two: at n = 64, N = 4160, 0.35 against 0.37 ms at m = 1
+# multiply-adds under which `optimize_map`, its only user, runs its BLAS
+# products on one thread; every other layer holds one thread at any size
+# (`_BlasThreads.one_thread` with no ``work``).  One optimizer iteration
+# on 2 cores (300 iterations, best of 3-5) took, on one thread against
+# two: at n = 64, N = 4160, 0.35 against 0.37 ms at m = 1
 # (m N n = 0.27M), 0.41-0.43 against 0.45 ms at m = 2 (0.53M) and 0.65
 # against 0.50 ms at m = 4 (1.06M); at n = 32, N = 1056 the two stayed
 # within noise of each other (0.07-0.16 ms) up to m = 16 (0.54M), where
@@ -305,9 +307,10 @@ class _BlasThreads:
         self.depth = self.saved = 0
 
     @contextmanager
-    def one_thread(self, work: int) -> Iterator[None]:
+    def one_thread(self, work: int = 0) -> Iterator[None]:
         # one BLAS thread while the scope's products (``work`` multiply-adds
-        # each, at most) are under _ONE_THREAD_WORK; nothing without OpenBLAS
+        # each, at most) are under _ONE_THREAD_WORK, so always by default;
+        # nothing without OpenBLAS
         api = None
         if work < _ONE_THREAD_WORK:
             with self.lock:
@@ -360,12 +363,12 @@ def optimize_map(
 
     Direct images are taken as `distortion` takes them, Y = P Eᵀ (N x m)
     with row sums, so a direct max|r - 1| is ``distortion(E, X).eps_max``
-    bit for bit; the loop holds Y transposed.  There is one for each
-    starting candidate, one every 32 accepted steps (the running Yt and
-    ratios are refreshed from A, which bounds their drift) and one for the
-    returned map: ``final_distortion`` is its distortion, and when that
-    would exceed the best starting candidate's, the run returns that
-    candidate.
+    bit for bit (on one BLAS thread; see below); the loop holds Y
+    transposed.  There is one for each starting candidate, one every 32
+    accepted steps (the running Yt and ratios are refreshed from A, which
+    bounds their drift) and one for the returned map: ``final_distortion``
+    is its distortion, and when that would exceed the best starting
+    candidate's, the run returns that candidate.
 
     A point whose squared norm is 0, subnormal or infinite is first scaled
     by a power of two, which leaves its ratios unchanged; every other point
@@ -382,8 +385,12 @@ def optimize_map(
     them the whole run, `pca_map` and the direct images included, holds
     OpenBLAS at one thread and then restores the process's count: on
     products this small a second thread gains no time and its idle spin
-    doubles the CPU time.  Under another BLAS the thread count is left
-    alone.
+    doubles the CPU time.  Larger runs keep the process's threads, while
+    `distortion` always takes its image on one: at widths where one- and
+    two-thread products differ (none up to n = 64 on the shapes measured,
+    some at n = 700), a direct image of such a run may then differ from
+    `distortion`'s in its last bits.  Under another BLAS the thread count
+    is left alone.
     """
     opts = opts or OptimizerOptions()
     with _BLAS.one_thread(m * len(X) * X.dim):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import jllab.certify as certify
 import jllab.concentration as concentration
+import jllab.embeddings as embeddings
 from jllab.certify import (
     MAX_PAIRS,
     AuditError,
@@ -973,3 +974,74 @@ def test_audit_json_fields():
     ]
     assert [type(v) for v in data.values()] == [float, float, list, int]
     assert [type(v) for v in data["eigenvalues"]] == [float] * 3
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+_ENTRY_POINTS = {
+    "norm": lambda A, X, M: distortion(A, X),
+    "pairwise": lambda A, X, M: distortion(A, X, "pairwise"),
+    "max-only": lambda A, X, M: certify._distortion_json(A, X, "pairwise"),
+    "certificate": lambda A, X, M: spectral_certificate(A),
+    "witness": lambda A, X, M: witness_search(A, X),
+    "audit": lambda A, X, M: audit_embedding(A, X, 0.99),
+    "form": lambda A, X, M: concentration.symmetric_form_tail_estimate(M, 1.0, 1.0, 3000, 1),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_certify_layer_holds_one_blas_thread(monkeypatch, entry):
+    # every product of the entry point (an image, the screen's GEMMs, an
+    # eigensolver) runs while the count is 1, and the count is restored
+    # after the last.  508 points have 128,778 pairs, over the 100,000 under
+    # which `_distortion_json` takes the route that keeps every ratio
+    A, X, M = gaussian_map(4, 8, 1), hard_instance(8, 500, 2), np.diag([2.0, 1.0, -1.0, 0.5])
+    events = []
+    monkeypatch.setattr(embeddings._BLAS, "api", (lambda: 4, events.append))
+    monkeypatch.setattr(embeddings._BLAS, "looked", True)
+    apply, matmul, eigvalsh = LinearMap.apply, np.matmul, np.linalg.eigvalsh
+    monkeypatch.setattr(LinearMap, "apply", lambda self, P: events.append("product") or apply(self, P))
+    monkeypatch.setattr(np, "matmul", lambda *a, **k: events.append("product") or matmul(*a, **k))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: events.append("product") or eigvalsh(G))
+    if entry == "max-only":
+        worst = certify._pairwise_worst
+        monkeypatch.setattr(certify, "_pairwise_worst", lambda *a: (worst(*a), events.append("max-only"))[0])
+    _ENTRY_POINTS[entry](A, X, M)
+    assert events[0] == 1 and "product" in events
+    count = 4
+    for event in events:
+        if event == "product":
+            assert count == 1
+        elif event != "max-only":
+            count = event
+    assert count == 4
+    assert ("max-only" in events) == (entry == "max-only")
+
+
+_THREAD_CASES = {
+    "certificate": "from jllab import gaussian_map, spectral_certificate\n"
+    "out = spectral_certificate(gaussian_map(512, 1024, 1)).eigenvalues.tobytes()\n",
+    "norm-distortion": "from jllab import distortion, gaussian_map, hard_instance\n"
+    "rep = distortion(gaussian_map(300, 700, 2), hard_instance(700, 5000, 3))\n"
+    "out = rep.ratios.tobytes() + rep.eps_max.hex().encode()\n",
+    "tails": "import pathlib, tempfile\nfrom jllab.cli import main\n"
+    "with tempfile.TemporaryDirectory() as d:\n"
+    "    path = pathlib.Path(d) / 't.csv'\n"
+    "    main(['tails', '--n', '1024', '--trials', '2048', '--seed', '1', '--out', str(path)])\n"
+    "    out = path.read_bytes().split(b'\\n', 1)[1]\n",
+}
+
+
+@pytest.mark.parametrize("case", list(_THREAD_CASES))
+def test_certify_layer_does_not_depend_on_the_blas_thread_count(run_capped, case):
+    # one- and two-thread OpenBLAS give different bits for these products;
+    # the certify layer holds one thread, so processes at either count
+    # agree (the tails body, its config line aside, carries the chaos
+    # thresholds of the 512 x 1024 map's certificate)
+    code = _THREAD_CASES[case] + "import hashlib\nprint(hashlib.sha256(out).hexdigest())\n"
+    done = [run_capped(code, blas_threads=k) for k in (1, 2)]
+    assert [d.returncode for d in done] == [0, 0], [d.stderr for d in done]
+    # the last line is the hash; the tails run prints its summary first
+    assert done[0].stdout.splitlines()[-1] == done[1].stdout.splitlines()[-1]

@@ -492,23 +492,20 @@ def _run_record(A, info):
 def test_one_blas_thread_keeps_every_bit(monkeypatch):
     # the frontier benchmark's shape at m = 16 (m N n = 0.54M, under the
     # threshold): forced onto one thread and left on the default threads,
-    # the optimizer and norm distortion give the same bits
+    # the optimizer gives the same bits
     get, _ = _openblas()
     X = hard_instance(32, 1024, 5)
     init = gaussian_map(16, 32, 6)
     seen = []
     optimize = embeddings._optimize
     monkeypatch.setattr(embeddings, "_optimize", lambda *a: (seen.append(get()), optimize(*a))[1])
-    apply = LinearMap.apply
-    monkeypatch.setattr(LinearMap, "apply", lambda self, P: (seen.append(get()), apply(self, P))[1])
     runs = []
     for work in (1 << 62, 0):
         monkeypatch.setattr(embeddings, "_ONE_THREAD_WORK", work)
         seen.clear()
         A, info = optimize_map(X, 16, OptimizerOptions(max_iters=150), init=init, return_info=True)
-        rep = distortion(init, X)
-        runs.append((_run_record(A, info), rep.ratios.tobytes(), rep.eps_max.hex(), rep.violating_index))
-        assert seen == ([1, 1] if work else [get(), get()])
+        runs.append(_run_record(A, info))
+        assert seen == [1 if work else get()]
     assert runs[0] == runs[1]
 
 
@@ -516,7 +513,7 @@ def test_one_blas_thread_restores_the_count():
     get, _ = _openblas()
     blas = embeddings._BLAS
     before = get()
-    with blas.one_thread(0):
+    with blas.one_thread():
         assert get() == 1
     assert get() == before
     with pytest.raises(RuntimeError, match="inside"):
