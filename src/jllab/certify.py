@@ -210,13 +210,9 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     Python pool.
 
     Every BLAS product of either mode, the image P Aᵀ and the screen's
-    GEMMs below, holds OpenBLAS at one thread at any size and then
-    restores the process's count.  After a threaded product returns,
-    OpenBLAS's idle worker spins on another core for about 0.1 s, and at
-    some widths one- and two-thread products differ in their last bits; on
-    one thread the report is the same bytes at any
-    ``OPENBLAS_NUM_THREADS``.  Under another BLAS the thread count is left
-    alone.
+    GEMMs below, runs on one OpenBLAS thread (see
+    `embeddings._BlasThreads`), so the report is the same bytes at any
+    ``OPENBLAS_NUM_THREADS``.
 
     The CLI's pairwise ``certify``, when the JSON would drop the ratios
     (more than 100,000 pairs with x != y, counted before either route
@@ -266,9 +262,7 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     if mode == MODE_PAIRWISE:
         return _pairwise_distortion(A, X.points, _skipped_pairs(X.points))
     P, before = _norm_scaled(X.points)
-    with _BLAS.one_thread():
-        Y = A.apply(P)
-    after = _rowsq(Y)
+    after = _rowsq(A.apply(P))
     keep = before > 0.0
     ratios = after[keep] / before[keep]
     eps_max, violating = 0.0, None
@@ -591,11 +585,9 @@ def spectral_certificate(A: LinearMap) -> SpectralCertificate:
     are scaled back and may still round to 0.  Every other map keeps its
     bits.
 
-    The Gram product and the eigensolver hold OpenBLAS at one thread at
-    any size, as `distortion` does, and then restore the process's count,
-    so the certificate is the same bytes at any ``OPENBLAS_NUM_THREADS``;
-    at two threads a 512 x 1024 gaussian map's eigenvalues differed from
-    one thread's in their last bits.
+    The Gram product and the eigensolver run on one OpenBLAS thread (see
+    `embeddings._BlasThreads`), so the certificate is the same bytes at any
+    ``OPENBLAS_NUM_THREADS``.
     """
     _check_size(f"spectral certificate of a {A.m}x{A.n} map", "Gram matrix", A.n, A.n)
     def sums(E: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -670,9 +662,7 @@ def _max_deviation(A: LinearMap, V: PointSet, cert: SpectralCertificate) -> tupl
     frob = math.sqrt(cert.frob_sq)
     if frob == 0.0:
         raise ValueError("zero map: witness deviation is undefined")
-    with _BLAS.one_thread():
-        Y = B.apply(V.points)
-    dev = np.abs(_rowsq(Y) - cert.trace) / frob
+    dev = np.abs(_rowsq(B.apply(V.points)) - cert.trace) / frob
     j = int(np.argmax(dev))
     return j, float(dev[j])
 

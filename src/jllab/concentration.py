@@ -30,14 +30,11 @@ a larger n or m raises `SizeError` before anything is drawn.
 Every sampler runs its chunks on one bounded thread pool of min(available
 cores, chunks, 8) workers, each with its own buffers and its own slices of
 the output, so the result does not depend on the worker count.  The pool
-holds OpenBLAS at one thread for the whole loop, so each worker multiplies
-its own chunk on its own core, and a product's bits do not depend on the
-process's BLAS thread count, which at some widths they would (see
-`_sample`).  The sums and spectra behind the thresholds
-(`spectral_certificate`, and the norm and eigensolver of
-`symmetric_form_tail_estimate`) hold one thread too, so a threshold does
-not depend on that count either.  A worker of
-the map or symmetric-form sampler holds one chunk and its image; the norm
+holds OpenBLAS at one thread for the whole loop, as every product of the
+package does (see `embeddings._BlasThreads`), so each worker multiplies
+its own chunk on its own core, and neither a sample nor a threshold
+depends on the process's BLAS thread count.  A worker of the map or
+symmetric-form sampler holds one chunk and its image; the norm
 sample, whose per-row sums need no product, draws each chunk in blocks of
 at most 2^17 values from the chunk's one generator, which is the same
 stream.
@@ -200,9 +197,14 @@ def chi_square_sf(n: int, x: float) -> float:
         return 1.0 - _gamma_p_series(a, s)
     # Q is below its prefactor here, so 0.0 where that underflows; the log
     # is NaN at s = inf, which the comparison sends the same way
-    if not -s + a * math.log(s) - math.lgamma(a) >= _LOG_UNDERFLOW:
+    if not _log_prefactor(a, s) >= _LOG_UNDERFLOW:
         return 0.0
     return _gamma_q_contfrac(a, s)
+
+
+def _log_prefactor(a: float, s: float) -> float:
+    # log(s^a e^-s / Gamma(a)), the prefactor of both incomplete gamma routes
+    return -s + a * math.log(s) - math.lgamma(a)
 
 
 def _gamma_p_series(a: float, s: float) -> float:
@@ -216,7 +218,7 @@ def _gamma_p_series(a: float, s: float) -> float:
         term *= s / ap
         total += term
         if abs(term) < abs(total) * 1e-17:
-            return total * math.exp(-s + a * math.log(s) - math.lgamma(a))
+            return total * math.exp(_log_prefactor(a, s))
     raise ArithmeticError(f"incomplete gamma series failed to converge (a={a}, s={s})")
 
 
@@ -241,7 +243,7 @@ def _gamma_q_contfrac(a: float, s: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-17:
-            return math.exp(-s + a * math.log(s) - math.lgamma(a)) * h
+            return math.exp(_log_prefactor(a, s)) * h
     raise ArithmeticError(f"incomplete gamma continued fraction failed to converge (a={a}, s={s})")
 
 
@@ -294,13 +296,11 @@ def _sample(
     # draws serial beside an idle BLAS thread that spins.  On 2 cores the
     # tails CLI's 512 x 1024 map at 8192 trials took 0.16-0.19 s wall and
     # 0.31-0.36 s CPU this way, against 0.26-0.28 s and 0.51-0.56 s inline
-    # on two BLAS threads.  One thread also fixes a product's bits, which
-    # at some widths (a 900 x 1000 map) differ between one and two threads.
-    # Each worker's buffers are taken here, before the pool starts; taken
-    # in the workers they raised the tails workload's peak.  A product keeps
-    # the whole chunk: split into row blocks its bits change at some shapes
-    # (n = 64, m = 4 in blocks of 256 rows).  So only a sample without one
-    # (image = 0) draws in blocks of _NORM_BLOCK values
+    # on two BLAS threads.  Each worker's buffers are taken here, before
+    # the pool starts; taken in the workers they raised the tails workload's
+    # peak.  A product keeps the whole chunk: split into row blocks its bits
+    # change at some shapes (n = 64, m = 4 in blocks of 256 rows).  So only
+    # a sample without one (image = 0) draws in blocks of _NORM_BLOCK values
     _validate_mc(n, trials)
     _check_size(f"a sample of {trials} gaussian vectors in dimension {n}", "chunk", min(CHUNK_TRIALS, trials), n)
     s = as_seed(seed)
@@ -393,10 +393,9 @@ def symmetric_form_tail_estimate(
     times 2^e.  Every other M keeps its bits.  A non-finite entry of M is
     refused as `LinearMap` refuses one.
 
-    The whole estimate holds OpenBLAS at one thread, as the sampler does,
-    so ‖M‖_F and the eigensolver give the same bits at any thread count;
-    on two threads the norm of a 500 x 500 gaussian matrix, a dot product
-    in OpenBLAS, differed in its last bit.
+    The whole estimate runs on one OpenBLAS thread (see
+    `embeddings._BlasThreads`), so ‖M‖_F and the eigensolver give the same
+    bits at any thread count.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:

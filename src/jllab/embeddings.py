@@ -24,7 +24,7 @@ import re
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, TypeVar
@@ -70,10 +70,13 @@ class LinearMap:
         """Image of an (N, n) array of row vectors, shape (N, m).
 
         Raises `SizeError` before it allocates the image when N m is over
-        `MAX_TOTAL_COORDS`.
+        `MAX_TOTAL_COORDS`.  The product runs on one OpenBLAS thread (see
+        `_BlasThreads`), so the image is the same bytes at any
+        ``OPENBLAS_NUM_THREADS``.
         """
         _check_size(f"a {self.m}x{self.n} map", "image", *np.shape(points)[:-1], self.m)
-        return points @ self.entries.T
+        with _BLAS.one_thread():
+            return np.matmul(points, self.entries.T)
 
 
 def _check_finite(mat: np.ndarray) -> None:
@@ -256,15 +259,15 @@ def _run_strided(workers: int, run: Callable[[int, int], _T]) -> list[_T]:
         return list(pool.map(run, range(workers), [workers] * workers))  # re-raises a worker's error
 
 
-# multiply-adds under which `optimize_map`, its only user, runs its BLAS
-# products on one thread; every other layer holds one thread at any size
-# (`_BlasThreads.one_thread` with no ``work``).  One optimizer iteration
-# on 2 cores (300 iterations, best of 3-5) took, on one thread against
-# two: at n = 64, N = 4160, 0.35 against 0.37 ms at m = 1
-# (m N n = 0.27M), 0.41-0.43 against 0.45 ms at m = 2 (0.53M) and 0.65
-# against 0.50 ms at m = 4 (1.06M); at n = 32, N = 1056 the two stayed
-# within noise of each other (0.07-0.16 ms) up to m = 16 (0.54M), where
-# the `frontier` benchmark's sweep spent twice the CPU time on two threads
+# multiply-adds under which `optimize_map`, its only reader, holds one BLAS
+# thread.  One optimizer iteration on 2 cores (300 iterations, best of
+# 3-5) took, on one thread against two: at n = 64, N = 4160, 0.35 against
+# 0.37 ms at m = 1 (m N n = 0.27M), 0.41-0.43 against 0.45 ms at m = 2
+# (0.53M) and 0.65 against 0.50 ms at m = 4 (1.06M); at n = 32, N = 1056
+# the two stayed within noise of each other (0.07-0.16 ms) up to m = 16
+# (0.54M), where the `frontier` benchmark's sweep spent twice the CPU time
+# on two threads.  Over it the loop's products come back to back, so the
+# second thread always has the next one to do
 _ONE_THREAD_WORK = 1 << 20
 
 
@@ -294,11 +297,18 @@ def _find_openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
 
 
 class _BlasThreads:
-    # the one place that decides a layer's BLAS threads, as `_pool_size`
-    # decides its Python threads.  OpenBLAS's thread count is process-wide,
-    # so overlapping scopes share one entry count: the first to enter saves
-    # the count and sets 1, the last to leave restores it.  OpenBLAS is
-    # looked up on the first scope that needs it, never at import
+    # the one BLAS-thread rule, as `_pool_size` is the one Python-thread
+    # rule: every product of the library runs in `one_thread`, but for an
+    # optimizer run at _ONE_THREAD_WORK or over.  After a threaded product
+    # returns, OpenBLAS's idle worker spins on another core for about
+    # 0.1 s, and at some widths one- and two-thread products differ in their
+    # last bits (a 900 x 1000 map's sample, a 512 x 1024 map's eigenvalues,
+    # a 300 x 700 map's image); on one thread every output is the same
+    # bytes at any OPENBLAS_NUM_THREADS.  The count is process-wide, so
+    # overlapping scopes share one entry count: the first to enter saves the
+    # count and sets 1, the last to leave restores it.  OpenBLAS is looked
+    # up on the first scope, never at import; under another BLAS the scope
+    # does nothing
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
@@ -307,21 +317,16 @@ class _BlasThreads:
         self.depth = self.saved = 0
 
     @contextmanager
-    def one_thread(self, work: int = 0) -> Iterator[None]:
-        # one BLAS thread while the scope's products (``work`` multiply-adds
-        # each, at most) are under _ONE_THREAD_WORK, so always by default;
-        # nothing without OpenBLAS
-        api = None
-        if work < _ONE_THREAD_WORK:
-            with self.lock:
-                if not self.looked:
-                    self.api, self.looked = _find_openblas(), True
-                api = self.api
-                if api is not None:
-                    if self.depth == 0:
-                        self.saved = api[0]()
-                        api[1](1)
-                    self.depth += 1
+    def one_thread(self) -> Iterator[None]:
+        with self.lock:
+            if not self.looked:
+                self.api, self.looked = _find_openblas(), True
+            api = self.api
+            if api is not None:
+                if self.depth == 0:
+                    self.saved = api[0]()
+                    api[1](1)
+                self.depth += 1
         try:
             yield
         finally:
@@ -363,7 +368,7 @@ def optimize_map(
 
     Direct images are taken as `distortion` takes them, Y = P Eᵀ (N x m)
     with row sums, so a direct max|r - 1| is ``distortion(E, X).eps_max``
-    bit for bit (on one BLAS thread; see below); the loop holds Y
+    bit for bit (under 2^20 multiply-adds; see below); the loop holds Y
     transposed.  There is one for each starting candidate, one every 32
     accepted steps (the running Yt and ratios are refreshed from A, which
     bounds their drift) and one for the returned map: ``final_distortion``
@@ -383,17 +388,15 @@ def optimize_map(
 
     The run's products are m x N x n multiply-adds at most.  Under 2^20 of
     them the whole run, `pca_map` and the direct images included, holds
-    OpenBLAS at one thread and then restores the process's count: on
-    products this small a second thread gains no time and its idle spin
-    doubles the CPU time.  Larger runs keep the process's threads, while
-    `distortion` always takes its image on one: at widths where one- and
-    two-thread products differ (none up to n = 64 on the shapes measured,
-    some at n = 700), a direct image of such a run may then differ from
-    `distortion`'s in its last bits.  Under another BLAS the thread count
-    is left alone.
+    OpenBLAS at one thread, as every other product of the library does (see
+    `_BlasThreads`).  Larger runs keep the process's threads, so at widths
+    where one- and two-thread products differ (none up to n = 64 on the
+    shapes measured, some at n = 700) their bits, and a direct image's
+    against `distortion`'s, may depend on ``OPENBLAS_NUM_THREADS``.
     """
     opts = opts or OptimizerOptions()
-    with _BLAS.one_thread(m * len(X) * X.dim):
+    small = m * len(X) * X.dim < _ONE_THREAD_WORK
+    with _BLAS.one_thread() if small else nullcontext():
         result, info = _optimize(X, m, opts, init)
     return (result, info) if return_info else result
 

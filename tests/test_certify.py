@@ -995,14 +995,15 @@ _ENTRY_POINTS = {
 def test_certify_layer_holds_one_blas_thread(monkeypatch, entry):
     # every product of the entry point (an image, the screen's GEMMs, an
     # eigensolver) runs while the count is 1, and the count is restored
-    # after the last.  508 points have 128,778 pairs, over the 100,000 under
-    # which `_distortion_json` takes the route that keeps every ratio
+    # after the last.  The probe sits in the product itself, np.matmul, which
+    # `LinearMap.apply` calls inside its own scope.  508 points have 128,778
+    # pairs, over the 100,000 under which `_distortion_json` takes the route
+    # that keeps every ratio
     A, X, M = gaussian_map(4, 8, 1), hard_instance(8, 500, 2), np.diag([2.0, 1.0, -1.0, 0.5])
     events = []
     monkeypatch.setattr(embeddings._BLAS, "api", (lambda: 4, events.append))
     monkeypatch.setattr(embeddings._BLAS, "looked", True)
-    apply, matmul, eigvalsh = LinearMap.apply, np.matmul, np.linalg.eigvalsh
-    monkeypatch.setattr(LinearMap, "apply", lambda self, P: events.append("product") or apply(self, P))
+    matmul, eigvalsh = np.matmul, np.linalg.eigvalsh
     monkeypatch.setattr(np, "matmul", lambda *a, **k: events.append("product") or matmul(*a, **k))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: events.append("product") or eigvalsh(G))
     if entry == "max-only":
@@ -1021,6 +1022,8 @@ def test_certify_layer_holds_one_blas_thread(monkeypatch, entry):
 
 
 _THREAD_CASES = {
+    "apply": "from jllab import gaussian_map, hard_instance\n"
+    "out = gaussian_map(300, 700, 2).apply(hard_instance(700, 5000, 3).points).tobytes()\n",
     "certificate": "from jllab import gaussian_map, spectral_certificate\n"
     "out = spectral_certificate(gaussian_map(512, 1024, 1)).eigenvalues.tobytes()\n",
     "norm-distortion": "from jllab import distortion, gaussian_map, hard_instance\n"
@@ -1037,8 +1040,8 @@ _THREAD_CASES = {
 @pytest.mark.parametrize("case", list(_THREAD_CASES))
 def test_certify_layer_does_not_depend_on_the_blas_thread_count(run_capped, case):
     # one- and two-thread OpenBLAS give different bits for these products;
-    # the certify layer holds one thread, so processes at either count
-    # agree (the tails body, its config line aside, carries the chaos
+    # each holds one thread, `LinearMap.apply` too, so processes at either
+    # count agree (the tails body, its config line aside, carries the chaos
     # thresholds of the 512 x 1024 map's certificate)
     code = _THREAD_CASES[case] + "import hashlib\nprint(hashlib.sha256(out).hexdigest())\n"
     done = [run_capped(code, blas_threads=k) for k in (1, 2)]

@@ -490,22 +490,28 @@ def _run_record(A, info):
 
 
 def test_one_blas_thread_keeps_every_bit(monkeypatch):
-    # the frontier benchmark's shape at m = 16 (m N n = 0.54M, under the
-    # threshold): forced onto one thread and left on the default threads,
-    # the optimizer gives the same bits
+    # the frontier benchmark's shapes: its m = 16 row (m N n = 0.54M) runs
+    # on one thread and its m = 32 row (1.08M) on the process's threads, on
+    # either side of 2^20.  With the threshold just over the m = 16 run's
+    # products it holds one thread, with the threshold at them it keeps the
+    # process's threads, and the optimizer gives the same bits either way
     get, _ = _openblas()
     X = hard_instance(32, 1024, 5)
     init = gaussian_map(16, 32, 6)
     seen = []
     optimize = embeddings._optimize
     monkeypatch.setattr(embeddings, "_optimize", lambda *a: (seen.append(get()), optimize(*a))[1])
+    for m in (16, 32):
+        optimize_map(X, m, OptimizerOptions(max_iters=1))
+    assert seen == [1, get()]
     runs = []
-    for work in (1 << 62, 0):
-        monkeypatch.setattr(embeddings, "_ONE_THREAD_WORK", work)
+    work = 16 * len(X) * X.dim
+    for bound in (work + 1, work):
+        monkeypatch.setattr(embeddings, "_ONE_THREAD_WORK", bound)
         seen.clear()
         A, info = optimize_map(X, 16, OptimizerOptions(max_iters=150), init=init, return_info=True)
         runs.append(_run_record(A, info))
-        assert seen == [1 if work else get()]
+        assert seen == [1 if work < bound else get()]
     assert runs[0] == runs[1]
 
 
@@ -517,12 +523,9 @@ def test_one_blas_thread_restores_the_count():
         assert get() == 1
     assert get() == before
     with pytest.raises(RuntimeError, match="inside"):
-        with blas.one_thread(0):
+        with blas.one_thread():
             raise RuntimeError("inside")
     assert get() == before and blas.depth == 0
-    # products at the threshold keep the process's threads
-    with blas.one_thread(embeddings._ONE_THREAD_WORK):
-        assert get() == before
 
 
 def test_one_blas_thread_without_openblas(monkeypatch):
@@ -531,7 +534,7 @@ def test_one_blas_thread_without_openblas(monkeypatch):
     before = get()
     monkeypatch.setattr(embeddings, "_find_openblas", lambda: None)
     blas = embeddings._BlasThreads()
-    with blas.one_thread(0):
+    with blas.one_thread():
         assert get() == before and blas.depth == 0
     assert blas.looked and blas.api is None and get() == before
 
@@ -566,14 +569,14 @@ def test_one_blas_thread_overlapping_scopes(monkeypatch, api):
     before = get()
     errors = []
 
-    def worker(w):
+    def worker():
         try:
             stop = time.monotonic() + 0.5
             while time.monotonic() < stop:
-                with blas.one_thread(w):
+                with blas.one_thread():
                     if get() != 1:
                         errors.append(get())
-                    with blas.one_thread(0):
+                    with blas.one_thread():
                         if get() != 1:
                             errors.append(get())
         except Exception as exc:  # reported by the main thread
@@ -582,7 +585,7 @@ def test_one_blas_thread_overlapping_scopes(monkeypatch, api):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
+        threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
