@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import _BLAS, _TINY, LinearMap, _norm_scaled, _pool_size, _pow2, _rowsq, _run_strided
-from .pointset import PointSet, SizeError, _check_size, _json_fields, _unit_rows
+from .pointset import PointSet, SizeError, _check_size, _json_fields, _require_nonnegative_int, _unit_rows
 
 MODE_NORM = "norm-preservation"
 MODE_PAIRWISE = "pairwise"
@@ -553,6 +553,7 @@ def _pairwise_worst(A: LinearMap, P: np.ndarray) -> tuple[float, int | None]:
 
 def pair_from_flat(N: int, flat: int) -> tuple[int, int]:
     """Invert the lexicographic pair enumeration used by pairwise mode."""
+    _require_nonnegative_int("N", N)
     total = N * (N - 1) // 2
     if not 0 <= flat < total:
         raise ValueError(f"flat index {flat} out of range for N={N}")

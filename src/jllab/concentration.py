@@ -76,8 +76,8 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .certify import SpectralCertificate, _normal_scale, spectral_certificate
-from .embeddings import _BLAS, LinearMap, _check_finite, _pool_size, _pow2, _rowsq, _run_strided
-from .pointset import MAX_TOTAL_COORDS, SizeError, _check_size, _json_fields
+from .embeddings import _BLAS, LinearMap, _pool_size, _pow2, _rowsq, _run_strided
+from .pointset import MAX_TOTAL_COORDS, SizeError, _check_size, _frozen_matrix, _json_fields
 from .pointset import _require_nonnegative, _require_positive, _require_positive_int
 from .seeds import Seed, as_seed
 
@@ -390,17 +390,16 @@ def symmetric_form_tail_estimate(
     infinite is first scaled by the power of two 2^-e that puts its largest
     entry in [1/2, 1), as `spectral_certificate` scales a map; the event is
     scale-invariant, and the threshold, of degree 1 in M, is reported
-    times 2^e.  Every other M keeps its bits.  A non-finite entry of M is
-    refused as `LinearMap` refuses one.
+    times 2^e.  Every other M keeps its bits.  M is taken as `LinearMap`
+    takes its entries: n <= 3162 before the copy, and every entry finite.
 
     The whole estimate runs on one OpenBLAS thread (see
     `embeddings._BlasThreads`), so ‖M‖_F and the eigensolver give the same
     bits at any thread count.
     """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    M = _frozen_matrix(M, "a symmetric form", "matrix")
+    if M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be square, got shape {M.shape}")
-    _check_finite(M)
     if not np.allclose(M, M.T, rtol=1e-12, atol=0.0):
         raise ValueError("M must be symmetric")
     _check_ts((t,))

@@ -31,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
-from .pointset import PointSet, _check_size, _format_rows, _header, _read_rows, _text_lines
+from .pointset import PointSet, _check_size, _format_rows, _frozen_matrix, _header, _read_rows, _text_lines
 from .pointset import _require_positive, _require_positive_int
 from .seeds import Seed, as_seed
 
@@ -50,12 +50,9 @@ class LinearMap:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_size("a linear map", "matrix", *np.shape(self.entries))
-        mat = np.array(self.entries, dtype=np.float64, order="C")
-        if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
-            raise ValueError(f"entries must be a 2-d matrix, got shape {mat.shape}")
-        _check_finite(mat)
-        mat.flags.writeable = False
+        mat = _frozen_matrix(self.entries, "a linear map", "matrix")
+        if mat.shape[0] < 1 or mat.shape[1] < 1:
+            raise ValueError(f"a linear map needs m, n >= 1, got shape {mat.shape}")
         object.__setattr__(self, "entries", mat)
 
     @property
@@ -79,13 +76,6 @@ class LinearMap:
             return np.matmul(points, self.entries.T)
 
 
-def _check_finite(mat: np.ndarray) -> None:
-    # the one finite-matrix check, shared by maps and symmetric forms
-    if not np.isfinite(mat).all():
-        bad = np.argwhere(~np.isfinite(mat))[0]
-        raise ValueError(f"non-finite entry at ({bad[0]}, {bad[1]})")
-
-
 def identity_map(n: int) -> LinearMap:
     _require_positive_int("dimension", n)
     _check_size(f"an identity map of dimension {n}", "matrix", n, n)
@@ -103,29 +93,6 @@ def gaussian_map(m: int, n: int, seed: int | Seed) -> LinearMap:
     _check_size(f"a gaussian map from R^{n} to R^{m}", "matrix", m, n)
     gen = as_seed(seed).child(0).generator()
     return LinearMap(gen.standard_normal((m, n)) / math.sqrt(m))
-
-
-def pca_map(X: PointSet, m: int) -> LinearMap:
-    """Top-m right singular directions of the (uncentered) point matrix.
-
-    Rows are orthonormal, so the map is a projection onto the dominant
-    m-dimensional subspace of the points.  A degenerate all-zero set is
-    flagged with a warning and falls back to coordinate directions.
-    """
-    if not 1 <= m <= X.dim:
-        raise ValueError(f"need 1 <= m <= {X.dim}, got m={m}")
-    P = X.points
-    if len(X) == 0 or not P.any():
-        warnings.warn("degenerate point set (all zero); using leading coordinate directions")
-        _check_size(f"a pca map from R^{X.dim} to R^{m}", "matrix", m, X.dim)
-        return LinearMap(np.eye(m, X.dim))
-    # the thin SVD has min(N, n) right singular rows; only a set with
-    # fewer than m points needs the full n x n factor
-    full = len(X) < m
-    if full:
-        _check_size(f"a pca map of {len(X)} points in dimension {X.dim}", "SVD factor", X.dim, X.dim)
-    _, _, vt = np.linalg.svd(P, full_matrices=full)
-    return LinearMap(vt[:m])
 
 
 @dataclass(frozen=True)
@@ -340,6 +307,31 @@ class _BlasThreads:
 _BLAS = _BlasThreads()
 
 
+@_BLAS.one_thread()
+def pca_map(X: PointSet, m: int) -> LinearMap:
+    """Top-m right singular directions of the (uncentered) point matrix.
+
+    Rows are orthonormal, so the map is a projection onto the dominant
+    m-dimensional subspace of the points.  A degenerate all-zero set is
+    flagged with a warning and falls back to coordinate directions.  The
+    SVD holds one OpenBLAS thread (see `_BlasThreads`).
+    """
+    if not 1 <= m <= X.dim:
+        raise ValueError(f"need 1 <= m <= {X.dim}, got m={m}")
+    P = X.points
+    if len(X) == 0 or not P.any():
+        warnings.warn("degenerate point set (all zero); using leading coordinate directions")
+        _check_size(f"a pca map from R^{X.dim} to R^{m}", "matrix", m, X.dim)
+        return LinearMap(np.eye(m, X.dim))
+    # the thin SVD has min(N, n) right singular rows; only a set with
+    # fewer than m points needs the full n x n factor
+    full = len(X) < m
+    if full:
+        _check_size(f"a pca map of {len(X)} points in dimension {X.dim}", "SVD factor", X.dim, X.dim)
+    _, _, vt = np.linalg.svd(P, full_matrices=full)
+    return LinearMap(vt[:m])
+
+
 def optimize_map(
     X: PointSet,
     m: int,
@@ -387,8 +379,8 @@ def optimize_map(
     out first (the only reason with ``converged`` False).
 
     The run's products are m x N x n multiply-adds at most.  Under 2^20 of
-    them the whole run, `pca_map` and the direct images included, holds
-    OpenBLAS at one thread, as every other product of the library does (see
+    them the whole run holds OpenBLAS at one thread, as every other product
+    of the library (`pca_map` included) does at any size (see
     `_BlasThreads`).  Larger runs keep the process's threads, so at widths
     where one- and two-thread products differ (none up to n = 64 on the
     shapes measured, some at n = 700) their bits, and a direct image's

@@ -12,14 +12,16 @@ Gaussian sampling method (fixed, part of the determinism contract): point
 generation order and thread layout.  Golden values in the test suite pin
 the streams.
 
-Every array the package sizes from its inputs (a point set, a map, a Gram
-matrix, an image, a sample chunk) is held to `MAX_TOTAL_COORDS` float64
-values by one rule, `_check_size`, before it is allocated; over it the
-caller gets `SizeError`.  Beside it sit the four argument domains the
-library and the CLI share, each written once and each naming the
-parameter (or flag) it refuses in its `ValueError`: an integer at least
-1, an integer at least 0, a finite float above 0, a finite float at
-least 0.
+Every array the package sizes from its inputs (a point set, a map, a
+Gram matrix, an image, a sample chunk) is held to `MAX_TOTAL_COORDS`
+float64 values by one rule, `_check_size`, before it is allocated; over
+it the caller gets `SizeError`.  One value rule, `_frozen_matrix`, takes
+every input matrix (points, map entries, a symmetric form): it bounds it
+so before the copy, and keeps a read-only C-ordered float64 copy, 2-d
+and finite.  Beside them sit the four argument domains the library and
+the CLI share, each written once and each naming the parameter (or flag)
+it refuses in its `ValueError`: an integer at least 1, an integer at
+least 0, a finite float above 0, a finite float at least 0.
 
 Two file formats are supported.  Text files carry a header line
 ``jlps v1 n=<n> N=<N>``, one comma-separated row per point with 17
@@ -80,6 +82,19 @@ def _check_size(what: str, array: str, *shape: int) -> None:
         raise SizeError(f"{what} needs a {dims} {array}, over the {MAX_TOTAL_COORDS} coordinate limit")
 
 
+def _frozen_matrix(values, what: str, array: str) -> np.ndarray:
+    # the one value rule for an input matrix (see the module docstring)
+    _check_size(what, array, *np.shape(values))
+    mat = np.array(values, dtype=np.float64, order="C")
+    if mat.ndim != 2:
+        raise ValueError(f"{what} needs a 2-d {array}, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        bad = np.argwhere(~np.isfinite(mat))[0]
+        raise ValueError(f"non-finite entry at ({bad[0]}, {bad[1]})")
+    mat.flags.writeable = False
+    return mat
+
+
 # the four argument domains; each names the parameter or flag it refuses,
 # and a NaN, which fails every comparison, is refused by each
 def _require_positive_int(name: str, value: int) -> None:
@@ -104,7 +119,7 @@ def _require_nonnegative(name: str, value: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Immutable set of N points in R^n with per-point role tags."""
+    """Immutable set of N points in R^n with per-point role tags; ``points`` is a read-only float64 copy."""
 
     dim: int
     points: np.ndarray
@@ -112,8 +127,8 @@ class PointSet:
 
     def __post_init__(self) -> None:
         _require_positive_int("dimension", self.dim)
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
+        pts = _frozen_matrix(self.points, f"a point set in dimension {self.dim}", "point array")
+        if pts.shape[1] != self.dim:
             raise ValueError(f"points must have shape (N, {self.dim}), got {pts.shape}")
         object.__setattr__(self, "points", pts)
         roles = tuple(self.roles)
@@ -123,16 +138,10 @@ class PointSet:
         unknown = sorted(set(roles) - set(_ROLES))
         if unknown:
             raise ValueError(f"unknown roles {unknown}; expected one of {_ROLES}")
-        _check_size(f"a set of {pts.shape[0]} points in dimension {self.dim}", "point array", *pts.shape)
-        if not np.isfinite(pts).all():
-            bad = np.argwhere(~np.isfinite(pts))[0]
-            raise ValueError(f"non-finite coordinate at point {bad[0]}, axis {bad[1]}")
-        basis_rows = [i for i, r in enumerate(roles) if r == ROLE_BASIS]
-        if basis_rows:
-            ok = _unit_rows(pts[basis_rows])
-            if not ok.all():
-                i = basis_rows[int(np.argmin(ok))]
-                raise ValueError(f"point {i} is tagged basis but is not an exact unit vector")
+        basis = [i for i, r in enumerate(roles) if r == ROLE_BASIS]
+        bad = np.flatnonzero(~_unit_rows(pts[basis]))
+        if bad.size:
+            raise ValueError(f"point {basis[bad[0]]} is tagged basis but is not an exact unit vector")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -175,8 +184,7 @@ def hard_instance(n: int, k: int, seed: int | Seed) -> PointSet:
     _require_positive_int("dimension", n)
     _require_nonnegative_int("point count", k)
     _check_size(f"a set of {n + k} points in dimension {n}", "point array", n + k, n)
-    gauss = gaussian_vectors(n, k, seed)
-    pts = np.vstack([np.eye(n), gauss.points])
+    pts = np.vstack([np.eye(n), gaussian_vectors(n, k, seed).points])
     return PointSet(n, pts, (ROLE_BASIS,) * n + (ROLE_GAUSSIAN,) * k)
 
 
@@ -277,7 +285,7 @@ def _read_binary(blob: bytes, path: Path) -> PointSet:
         roles = tuple(_ROLES[c] for c in codes)
     except IndexError:
         raise ValueError(f"{path}: invalid role byte") from None
-    return PointSet(int(n), pts.reshape(int(count), int(n)).copy(), roles)
+    return PointSet(int(n), pts.reshape(int(count), int(n)), roles)
 
 
 def _text_lines(blob: bytes, path: Path) -> list[str]:

@@ -146,6 +146,8 @@ def test_pair_from_flat_inverts_the_pair_order():
             assert i * (2 * N - i - 1) // 2 + j - i - 1 == flat
     with pytest.raises(ValueError):
         pair_from_flat(3, 3)
+    with pytest.raises(ValueError, match="N must be nonnegative, got -2"):
+        pair_from_flat(-2, 0)
 
 
 def _pairwise_oracle(A, P):
@@ -1026,9 +1028,14 @@ _THREAD_CASES = {
     "out = gaussian_map(300, 700, 2).apply(hard_instance(700, 5000, 3).points).tobytes()\n",
     "certificate": "from jllab import gaussian_map, spectral_certificate\n"
     "out = spectral_certificate(gaussian_map(512, 1024, 1)).eigenvalues.tobytes()\n",
+    "map-sample": "from jllab import gaussian_map, map_samples\n"
+    "img, nrm = map_samples(gaussian_map(900, 1000, 1), 3000, 2)\n"
+    "out = img.tobytes() + nrm.tobytes()\n",
     "norm-distortion": "from jllab import distortion, gaussian_map, hard_instance\n"
     "rep = distortion(gaussian_map(300, 700, 2), hard_instance(700, 5000, 3))\n"
     "out = rep.ratios.tobytes() + rep.eps_max.hex().encode()\n",
+    "pca": "from jllab import hard_instance, pca_map\n"
+    "out = pca_map(hard_instance(256, 2000, 3), 128).entries.tobytes()\n",
     "tails": "import pathlib, tempfile\nfrom jllab.cli import main\n"
     "with tempfile.TemporaryDirectory() as d:\n"
     "    path = pathlib.Path(d) / 't.csv'\n"
@@ -1039,10 +1046,11 @@ _THREAD_CASES = {
 
 @pytest.mark.parametrize("case", list(_THREAD_CASES))
 def test_certify_layer_does_not_depend_on_the_blas_thread_count(run_capped, case):
-    # one- and two-thread OpenBLAS give different bits for these products;
-    # each holds one thread, `LinearMap.apply` too, so processes at either
-    # count agree (the tails body, its config line aside, carries the chaos
-    # thresholds of the 512 x 1024 map's certificate)
+    # one- and two-thread OpenBLAS give different bits for these products
+    # (the 900 x 1000 map's sample on some hosts); each holds one thread,
+    # `LinearMap.apply`, the samplers and `pca_map`'s SVD too, so processes
+    # at either count agree (the tails body, its config line aside, carries
+    # the chaos thresholds of the 512 x 1024 map's certificate)
     code = _THREAD_CASES[case] + "import hashlib\nprint(hashlib.sha256(out).hexdigest())\n"
     done = [run_capped(code, blas_threads=k) for k in (1, 2)]
     assert [d.returncode for d in done] == [0, 0], [d.stderr for d in done]

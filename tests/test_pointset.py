@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jllab.certify import distortion, witness_search
+from jllab.certify import audit_embedding, distortion, witness_search
 from jllab.cli import main
 from jllab.concentration import map_samples, norm_deviation_sample
-from jllab.embeddings import LinearMap, read_map, write_map
+from jllab.embeddings import LinearMap, identity_map, read_map, write_map
 from jllab.pointset import (
     MAX_TOTAL_COORDS,
     PointSet,
@@ -157,6 +157,29 @@ def test_size_rule_refuses_reproducers_under_a_memory_cap(run_capped, call, arra
     assert f"needs a {array}, over the 10000000 coordinate limit" in done.stdout
 
 
+# input matrices the value rule bounds before it copies them: read-only
+# views that were copied (1.18 GiB of points) or given n x n temporaries
+# (1.07 GiB each) before the size rule ran, the form although its own
+# 1024 x 12000 chunk is over the rule too.  Nothing may be allocated
+INPUT_REPRODUCERS = {
+    "point-set": ("PointSet(3162, np.broadcast_to(0.0, (50000, 3162)), ('gaussian',) * 50000)",
+                  "50000x3162 point array"),
+    "symmetric-form": ("symmetric_form_tail_estimate(np.broadcast_to(1.0, (12000, 12000)), 1, 1, 1000, 1)",
+                       "12000x12000 matrix"),
+}
+
+
+@pytest.mark.parametrize("call, array", INPUT_REPRODUCERS.values(), ids=INPUT_REPRODUCERS.keys())
+def test_size_rule_refuses_input_matrices_before_copying_them(run_capped, call, array):
+    code = f"import tracemalloc\nimport numpy as np\nfrom jllab import *\ntracemalloc.start()\ntry:\n    {call}\n"
+    code += "except SizeError as exc:\n    print(exc)\nprint(tracemalloc.get_traced_memory()[1])\n"
+    done = run_capped(code)
+    assert done.returncode == 0, done.stderr
+    refusal, peak = done.stdout.splitlines()
+    assert f"needs a {array}, over the 10000000 coordinate limit" in refusal
+    assert int(peak) < 16 << 20
+
+
 def test_size_rule_cli_exits_one_under_a_memory_cap(run_capped, tmp_path):
     # the map has exactly 10^7 entries; its 1000 x 10^7 chunk image (74.5 GiB)
     # ended in an uncaught _ArrayMemoryError before the size rule
@@ -182,6 +205,18 @@ def test_validation_rejects_bad_inputs():
         standard_basis(0)
     with pytest.raises(ValueError):
         gaussian_vectors(3, -1, 0)
+
+
+def test_point_set_is_a_read_only_copy():
+    # a basis point changed through the caller's array would fail the audit
+    a = np.eye(3)
+    X = PointSet(3, a, ("basis",) * 3)
+    a[0, 0] = 2.0
+    assert np.array_equal(X.points, np.eye(3))
+    audit_embedding(identity_map(3), X, 0.5)
+    with pytest.raises(ValueError):
+        X.points[1, 1] = 7.0
+    assert np.array_equal(X.points, np.eye(3))
 
 
 def test_basis_tag_requires_exact_unit_vector():
