@@ -378,6 +378,21 @@ def chaos_tail_estimate(
     return _form_sample(A, trials, seed).chaos(t, c)
 
 
+# entries of M in one strip of the symmetry check
+_STRIP_VALUES = 1 << 17
+
+
+def _symmetric(M: np.ndarray) -> bool:
+    # |M - M^T| <= 1e-12 |M^T| entrywise (np.allclose's rule at atol 0),
+    # one strip of rows at a time, so the check holds no n x n temporary
+    rows = max(1, _STRIP_VALUES // len(M))
+    for i in range(0, len(M), rows):
+        a, b = M[i : i + rows], M[:, i : i + rows].T
+        if not (np.abs(a - b) <= 1e-12 * np.abs(b)).all():
+            return False
+    return True
+
+
 @_BLAS.one_thread()
 def symmetric_form_tail_estimate(
     M: np.ndarray, t: float, c: float, trials: int, seed: int | Seed
@@ -400,7 +415,7 @@ def symmetric_form_tail_estimate(
     M = _frozen_matrix(M, "a symmetric form", "matrix")
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be square, got shape {M.shape}")
-    if not np.allclose(M, M.T, rtol=1e-12, atol=0.0):
+    if not _symmetric(M):
         raise ValueError("M must be symmetric")
     _check_ts((t,))
     _require_positive("c", c)

@@ -23,7 +23,6 @@ import os
 import re
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -222,6 +221,8 @@ def _run_strided(workers: int, run: Callable[[int, int], _T]) -> list[_T]:
     # ``workers`` is 1 (see `_pool_size`); results in worker order
     if workers <= 1:
         return [run(0, 1)]
+    from concurrent.futures import ThreadPoolExecutor  # here, so `import jllab` skips it
+
     with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(run, range(workers), [workers] * workers))  # re-raises a worker's error
 

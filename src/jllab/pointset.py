@@ -9,7 +9,12 @@ enforced at construction.
 Gaussian sampling method (fixed, part of the determinism contract): point
 ``j`` draws its coordinates from ``seed.child(j)`` with numpy's ziggurat
 ``standard_normal`` on an SFC64 stream, so the result is independent of
-generation order and thread layout.  Golden values in the test suite pin
+generation order and thread layout.  The builders do not build one
+generator per point: `seeds._fill_child_normals` derives the children's
+SFC64 states in blocks with array arithmetic and draws each row from one
+reused generator, the same bits as ``seed.child(j).generator()``.
+`hard_instance` fills one array, the basis rows and then the gaussian
+rows, which `PointSet` copies once.  Golden values in the test suite pin
 the streams.
 
 Every array the package sizes from its inputs (a point set, a map, a
@@ -54,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .seeds import Seed, as_seed
+from .seeds import Seed, _fill_child_normals, as_seed
 
 ROLE_BASIS = "basis"
 ROLE_GAUSSIAN = "gaussian"
@@ -167,10 +172,8 @@ def gaussian_vectors(n: int, k: int, seed: int | Seed) -> PointSet:
     _require_positive_int("dimension", n)
     _require_nonnegative_int("point count", k)
     _check_size(f"a set of {k} points in dimension {n}", "point array", k, n)
-    s = as_seed(seed)
     pts = np.empty((k, n))
-    for j in range(k):
-        pts[j] = s.child(j).generator().standard_normal(n)
+    _fill_child_normals(as_seed(seed), pts)
     return PointSet(n, pts, (ROLE_GAUSSIAN,) * k)
 
 
@@ -184,7 +187,9 @@ def hard_instance(n: int, k: int, seed: int | Seed) -> PointSet:
     _require_positive_int("dimension", n)
     _require_nonnegative_int("point count", k)
     _check_size(f"a set of {n + k} points in dimension {n}", "point array", n + k, n)
-    pts = np.vstack([np.eye(n), gaussian_vectors(n, k, seed).points])
+    pts = np.empty((n + k, n))
+    pts[:n] = np.eye(n)
+    _fill_child_normals(as_seed(seed), pts[n:])
     return PointSet(n, pts, (ROLE_BASIS,) * n + (ROLE_GAUSSIAN,) * k)
 
 

@@ -341,6 +341,32 @@ def test_symmetric_form_indefinite_matrix():
         symmetric_form_tail_estimate(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, 1.0, 2000, 0)
 
 
+def test_symmetric_form_checks_every_strip():
+    # the symmetry check reads M one strip of rows at a time: an asymmetry
+    # whose two entries both lie past the first strip is refused, and one
+    # within the relative tolerance 1e-12 passes
+    n = 400
+    assert concentration._STRIP_VALUES // n < n - 2
+    M = np.eye(n)
+    M[n - 1, n - 2] = 1e-3
+    with pytest.raises(ValueError, match="symmetric"):
+        symmetric_form_tail_estimate(M, 1.0, 1.0, 1000, 0)
+    M[n - 2, n - 1] = 1e-3 * (1 + 5e-13)
+    assert symmetric_form_tail_estimate(M, 1.0, 1.0, 1000, 0).trials == 1000
+
+
+def test_symmetric_form_check_holds_no_n_by_n_temporary(run_capped):
+    # the traced peak is M's frozen copy plus the chunk's normals and image;
+    # np.allclose(M, M.T) put n x n temporaries on top (53.7 MiB here
+    # against a 44.6 MiB bound)
+    n = 1500
+    code = f"import tracemalloc\nimport numpy as np\nfrom jllab import *\nM = np.eye({n})\ntracemalloc.start()\n"
+    code += "symmetric_form_tail_estimate(M, 1, 1, 1000, 1)\nprint(tracemalloc.get_traced_memory()[1])\n"
+    done = run_capped(code)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 8 * (n * n + 2 * CHUNK_TRIALS * n) + (4 << 20)
+
+
 @pytest.mark.parametrize(
     "diag", [[1e-200, 0.0], [1e-170, 1e-170], [1e200, -1e200]], ids=["zero-frob", "subnormal-frob", "inf-frob"]
 )

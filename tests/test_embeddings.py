@@ -57,6 +57,15 @@ def test_linear_map_is_a_read_only_copy():
     assert A.entries[0, 0] == 1.0
 
 
+def test_import_does_not_load_the_thread_pool(run_capped):
+    # `_run_strided` imports its pool when it first runs one, so `import
+    # jllab`, paid by every CLI call, loads neither concurrent.futures nor
+    # the logging it imports
+    done = run_capped("import sys\nimport jllab\nprint('concurrent.futures' in sys.modules)\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 def test_identity_map():
     A = identity_map(4)
     assert np.array_equal(A.entries, np.eye(4))
