@@ -45,19 +45,19 @@ MAX_PAIRS = 10**8
 # zero-distance pairs (x = y) of pairwise distortion.  `_skipped_pairs`
 # lists them once, as int64 flat indices, before either route scans;
 # ``skipped`` then holds one Python int per pair and the JSON lists them
-# again, about 134 bytes a pair at peak: `certify` on 3162 identical points
-# (4,997,541 pairs) peaked at 640 MiB RSS in 4.1-4.4 s on 2 cores.  A set
-# over the limit is refused before the list is built
+# again, about 78 bytes a pair at peak: `certify` on 3162 identical points
+# (4,997,541 pairs) peaked at 371 MiB RSS in 3.2 s on 2 cores.  A set over
+# the limit is refused before the list is built
 MAX_SKIPPED = 5 * 10**6
 # points per tile of a pairwise row; smaller tiles lose the pool's gain
 # to the interpreter lock, larger ones grow each worker's scratch
 _PAIR_TILE = 1024
-# stacked row width n + m under which the exact pairwise pass runs inline.
-# Pairwise distortion of 3000 gaussian points (n = m) on 2 cores took, on
-# one worker against two, 0.29-0.44 s against 0.51-0.57 s at width 24,
-# 0.62-0.70 against 0.61-0.69 s at 48, 0.59-0.63 against 0.50-0.66 s at 64
-# and 1.60 against 0.87 s at 160.  Where the pool gains no wall time it
-# still keeps two cores busy
+# width n + m of a point and its image under which the exact pairwise
+# pass runs inline.  Pairwise distortion of 3000 gaussian points (n = m)
+# on 2 cores took, on one worker against two, 0.29-0.44 s against
+# 0.51-0.57 s at width 24, 0.62-0.70 against 0.61-0.69 s at 48, 0.59-0.63
+# against 0.50-0.66 s at 64 and 1.60 against 0.87 s at 160.  Where the
+# pool gains no wall time it still keeps two cores busy
 _POOL_WIDTH = 64
 # points per side of a Gram tile of the max-only pairwise screen
 _SCREEN_TILE = 192
@@ -93,21 +93,21 @@ class DistortionReport:
 
     def to_json(self) -> dict:
         return _report_json(
-            self.mode, self.eps_max, self.violating_index, self.ratios.size, self.skipped, self.ratios
+            self.mode, self.eps_max, self.violating_index, self.ratios.size, list(self.skipped), self.ratios
         )
 
 
 def _report_json(mode, eps_max, violating, n_ratios, skipped, ratios=None) -> dict:
     # the JSON of a distortion report, for `DistortionReport.to_json` and the
     # max-only pairwise route alike: the ratios while there are at most
-    # _JSON_RATIO_CAP of them, else null
+    # _JSON_RATIO_CAP of them, else null; ``skipped`` is the list it holds
     return {
         "mode": mode,
         "eps_max": eps_max,
         "violating_index": violating,
         "n_ratios": int(n_ratios),
         "ratios": [float(v) for v in ratios] if n_ratios <= _JSON_RATIO_CAP else None,
-        "skipped": list(skipped),
+        "skipped": skipped,
     }
 
 
@@ -195,19 +195,19 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     Pairwise mode runs on a bounded thread pool of min(available cores,
     N - 1, 8) workers, inline when that is at most 1.  Worker w of W takes
     the rows i = w, w + W, ... and each row's pairs (i, j), j > i, in tiles
-    of 1024 points.  A tile costs one subtraction of the stacked rows
-    [x | Ax] into the worker's scratch, two row sums and one division
-    written straight into the ratios.  One grouping of equal rows lists
-    the pairs with x = y before the pass, so each ratio goes straight to
-    its final slot: its flat index less the skipped pairs before it.  Each
-    worker keeps its worst pair, and the workers' pairs merge by the same
-    rule: the first NaN, else the largest |ratio - 1|, the lowest flat
-    index on ties.  The report is bitwise the same for any worker count.
-    Memory is the returned ratios (8 bytes per pair), the N (n + m)
-    stacked rows and O(workers * 1024 * (n + m)) scratch.  When n + m is
-    under 64 the pass runs inline whatever the core count: on rows that
-    narrow the pool loses to the interpreter lock.  Norm mode runs on no
-    Python pool.
+    of 1024 points.  A tile costs two subtractions into the worker's
+    scratch, one of the points x and one of their images Ax (taken once,
+    by `LinearMap.apply`), two row sums and one division written straight
+    into the ratios.  One grouping of equal rows lists the pairs with
+    x = y before the pass, so each ratio goes straight to its final slot:
+    its flat index less the skipped pairs before it.  Each worker keeps
+    its worst pair, and the workers' pairs merge by the same rule: the
+    first NaN, else the largest |ratio - 1|, the lowest flat index on
+    ties.  The report is bitwise the same for any worker count.  Memory is
+    the returned ratios (8 bytes per pair), the N m image and
+    O(workers * 1024 * (n + m)) scratch.  When n + m is under 64 the pass
+    runs inline whatever the core count: on rows that narrow the pool
+    loses to the interpreter lock.  Norm mode runs on no Python pool.
 
     Every BLAS product of either mode, the image P Aᵀ and the screen's
     GEMMs below, runs on one OpenBLAS thread (see
@@ -252,11 +252,11 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     from its first kept pair to its last with the exact kernel above (a
     pair inside the span that the screen ruled out cannot be the worst),
     and picks the worst pair by the same rule, so BLAS rounding and the
-    thread count never reach the report.  Memory is the stacked rows, their
-    GEMM copies (N (n + m + 4) values) and 4 * 192² scratch values.  Once the kept pairs outnumber
-    both 192² and one in eight of the pairs screened (ties, as under the
-    identity map, where every pair is kept), the route runs the pooled
-    pass above instead, with its ratios in per-worker scratch.
+    thread count never reach the report.  Memory is the N m image, both
+    sides' GEMM copies (N (n + m + 4) values) and 4 * 192² scratch values.
+    Once the kept pairs outnumber both 192² and one in eight of the pairs
+    screened (ties, as under the identity map, where every pair is kept),
+    the route runs the pooled pass above, with its ratios in scratch.
     """
     mode = _checked_mode(A, X, mode)
     if mode == MODE_PAIRWISE:
@@ -325,47 +325,37 @@ def _skipped_pairs(P: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _stacked(A: LinearMap, P: np.ndarray) -> np.ndarray:
-    # Z = [P | P Aᵀ], so one subtraction serves both sides of a pair
-    N, n = P.shape
-    _check_size(f"a {A.m}x{A.n} map", "image", N, A.m)
-    Z = np.empty((N, n + A.m))
-    Z[:, :n] = P
-    # an image that overflows sends its pairs to `_rescale`
-    with np.errstate(over="ignore"), _BLAS.one_thread():
-        np.matmul(P, A.entries.T, out=Z[:, n:])
-    return Z
-
-
 def _row_base(N: int, i: int) -> int:
     # the flat index of pair (i, j) is _row_base(N, i) + j
     return i * (2 * N - i - 1) // 2 - i - 1
 
 
 class _PairScan:
-    # one worker's exact pass over pairs (i, j), i < j, of Z = [P | P Aᵀ]:
-    # the one ratio kernel of both pairwise routes and the worst pair seen
-    # so far.  A pair with x = y has b = 0 and no constraint: its deviation
-    # is -inf, and its ratio is not written out
+    # one worker's exact pass over pairs (i, j), i < j, of the rows of P and
+    # of their image Y = P Aᵀ: the one ratio kernel of both pairwise routes
+    # and the worst pair seen so far.  Each side's differences have their
+    # own scratch (in the halves of one buffer a tile took 40-45 % longer).
+    # A pair with x = y has b = 0 and no constraint: its deviation is -inf,
+    # and its ratio is not written out
 
-    def __init__(self, Z: np.ndarray, A: LinearMap, tile: int) -> None:
-        self.Z, self.A, self.n = Z, A, A.n
-        self.buf = np.empty((tile, Z.shape[1]))
+    def __init__(self, P: np.ndarray, Y: np.ndarray, A: LinearMap, tile: int) -> None:
+        self.P, self.Y, self.A = P, Y, A
+        self.dx, self.dy = np.empty((tile, P.shape[1])), np.empty((tile, Y.shape[1]))
         self.before, self.after, self.dev, self.ratios = np.empty((4, tile))
         self.worst, self.worst_flat = -np.inf, -1
 
     def pairs(self, i: int, js: range, out: np.ndarray | None = None) -> None:
         # the pairs (i, j) for the columns js; the ratios of those with
         # x != y go to ``out`` in order, else to scratch
-        Z, n, base = self.Z, self.n, _row_base(len(self.Z), i) + js.start
-        t = len(js)
-        d = self.buf[:t]
-        np.subtract(Z[js.start : js.stop], Z[i], out=d)
-        b = np.einsum("ij,ij->i", d[:, :n], d[:, :n], out=self.before[:t])
-        a = np.einsum("ij,ij->i", d[:, n:], d[:, n:], out=self.after[:t])
+        t, base = len(js), _row_base(len(self.P), i) + js.start
+        dx, dy = self.dx[:t], self.dy[:t]
+        np.subtract(self.P[js.start : js.stop], self.P[i], out=dx)
+        np.subtract(self.Y[js.start : js.stop], self.Y[i], out=dy)
+        b = np.einsum("ij,ij->i", dx, dx, out=self.before[:t])
+        a = np.einsum("ij,ij->i", dy, dy, out=self.after[:t])
         normal = _TINY <= b.min() and b.max() < np.inf and a.max() < np.inf
         if not normal:
-            self._rescale(i, js.start, d[:, :n], b, a)
+            self._rescale(i, js.start, dx, b, a)
         r = out if out is not None and len(out) == t else self.ratios[:t]
         dv = self.dev[:t]
         np.abs(np.subtract(np.divide(a, b, out=r), 1.0, out=dv), out=dv)
@@ -387,7 +377,7 @@ class _PairScan:
         # could flush a difference such as (0, 1e-160) between points near
         # 1e300 to 0)
         k = np.flatnonzero(dx.any(axis=1) & ~((_TINY <= b) & (b < np.inf) & (a < np.inf)))
-        x, y = self.Z[j0 + k, : self.n], self.Z[i, : self.n]
+        x, y = self.P[j0 + k], self.P[i]
         d = x - y
         over, e = _pow2(np.where(np.isfinite(d).all(axis=1), 1.0, np.inf), x, np.broadcast_to(y, x.shape))
         d[over] = np.ldexp(x[over], -e[:, None]) - np.ldexp(y, -e[:, None])
@@ -422,16 +412,16 @@ def _merge(scans: list[_PairScan]) -> tuple[float, int | None]:
 
 
 def _scan_all(
-    Z: np.ndarray, A: LinearMap, ratios: np.ndarray | None = None, skipped: np.ndarray | tuple = ()
+    P: np.ndarray, Y: np.ndarray, A: LinearMap, ratios: np.ndarray | None = None, skipped: np.ndarray | tuple = ()
 ) -> list[_PairScan]:
-    # the exact kernel over every pair, on the pool unless the rows are
-    # narrower than _POOL_WIDTH; when ``ratios`` is given, each ratio goes
-    # to its flat index less the number of the sorted ``skipped`` before it
-    N = len(Z)
+    # the exact kernel over every pair of rows of P (image Y), on the pool
+    # unless n + m is under _POOL_WIDTH; when ``ratios`` is given, each ratio
+    # goes to its flat index less the number of the sorted ``skipped`` before it
+    N = len(P)
     tile = min(_PAIR_TILE, N)
 
     def run(first: int, stride: int) -> _PairScan:
-        scan = _PairScan(Z, A, tile)
+        scan = _PairScan(P, Y, A, tile)
         # x = y divides 0, or a rounding difference of the images, by 0; an
         # image that overflows gives inf and NaN
         with np.errstate(all="ignore"):
@@ -443,15 +433,16 @@ def _scan_all(
                     scan.pairs(i, range(j0, j1), None if ratios is None else ratios[base + j0 - s0 : base + j1 - s1])
         return scan
 
-    return _run_strided(1 if Z.shape[1] < _POOL_WIDTH else _pool_size(N - 1), run)
+    return _run_strided(1 if P.shape[1] + Y.shape[1] < _POOL_WIDTH else _pool_size(N - 1), run)
 
 
 def _pairwise_distortion(A: LinearMap, P: np.ndarray, skipped: np.ndarray) -> DistortionReport:
     # pairwise distortion of the rows of P, whose x = y pairs `_skipped_pairs` listed
     N = len(P)
-    Z = _stacked(A, P)
+    with np.errstate(over="ignore"):  # an image that overflows sends its pairs to `_rescale`
+        Y = A.apply(P)
     ratios = np.empty(N * (N - 1) // 2 - skipped.size)
-    eps_max, violating = _merge(_scan_all(Z, A, ratios, skipped))
+    eps_max, violating = _merge(_scan_all(P, Y, A, ratios, skipped))
     return DistortionReport(
         mode=MODE_PAIRWISE,
         ratios=ratios,
@@ -467,12 +458,13 @@ def _pairwise_worst(A: LinearMap, P: np.ndarray) -> tuple[float, int | None]:
     # violating_index, with no ratio stored, on one BLAS thread throughout
     # (its screen GEMMs and its `_scan_all` fallback alike); the caller has
     # checked the sizes with `_skipped_pairs`
-    N, n = P.shape
-    Z = _stacked(A, P)
+    N = len(P)
+    with np.errstate(over="ignore"):  # an image that overflows sends its pairs to `_rescale`
+        Y = A.apply(P)
     T = _SCREEN_TILE
     upper = np.triu(np.ones((T, T), dtype=bool), 1)  # j > i in a diagonal block
     sides = []
-    for M in (Z[:, :n], Z[:, n:]):
+    for M in (P, Y):
         sq = _rowsq(M)
         # the rows [-2y, 1, ‖y‖²] of the screen's GEMMs (see `distortion`)
         right = np.empty((N, M.shape[1] + 2))
@@ -483,7 +475,7 @@ def _pairwise_worst(A: LinearMap, P: np.ndarray) -> tuple[float, int | None]:
         small, big = sq < _SCREEN_RANGE[0], ~(sq <= _SCREEN_RANGE[1])
         tiles = [(small[t : t + T].any(), big[t : t + T].any()) for t in range(0, N, T)]
         sides.append((M, sq, right, 12 * (M.shape[1] + 4) * _U, small, big, tiles))
-    scan = _PairScan(Z, A, T)
+    scan = _PairScan(P, Y, A, T)
     work, flags = np.empty((4, T * T)), np.empty(T * T, dtype=bool)
     floor = -np.inf  # a lower bound on eps_max
     screened = kept = 0
@@ -539,7 +531,7 @@ def _pairwise_worst(A: LinearMap, P: np.ndarray) -> tuple[float, int | None]:
                 if kept > max(screened // 8, T * T):
                     # many ties, as under the identity map: the pooled full
                     # pass is faster than a recompute of nearly every pair
-                    return _merge(_scan_all(Z, A))
+                    return _merge(_scan_all(P, Y, A))
                 if hits:
                     # each row's span from its first kept column to its last;
                     # a pair inside it that the screen ruled out cannot be the worst

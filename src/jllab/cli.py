@@ -26,6 +26,7 @@ for that reason).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -102,9 +103,14 @@ def _cell(v) -> str:
 
 def _json(payload: dict, **layout) -> str:
     # RFC 8259 JSON has no NaN or infinity, so such a value is a numerical
-    # failure (exit 3) before anything is written
+    # failure (exit 3) before anything is written.  `json.dump` streams
+    # indented JSON into one buffer; `json.dumps` would hold one string per item
     try:
-        return json.dumps(payload, sort_keys=True, allow_nan=False, **layout)
+        if layout.get("indent") is None:
+            return json.dumps(payload, sort_keys=True, allow_nan=False, **layout)
+        text = io.StringIO()
+        json.dump(payload, text, sort_keys=True, allow_nan=False, **layout)
+        return text.getvalue()
     except ValueError as exc:
         raise ArithmeticError(f"non-finite value in the JSON output ({exc})") from None
 

@@ -93,7 +93,8 @@ def _frozen_matrix(values, what: str, array: str) -> np.ndarray:
     mat = np.array(values, dtype=np.float64, order="C")
     if mat.ndim != 2:
         raise ValueError(f"{what} needs a 2-d {array}, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
+    # NaN and ±inf reach the extremes, so no N x n mask is built unless one is there
+    if not (math.isfinite(mat.min(initial=0.0)) and math.isfinite(mat.max(initial=0.0))):
         bad = np.argwhere(~np.isfinite(mat))[0]
         raise ValueError(f"non-finite entry at ({bad[0]}, {bad[1]})")
     mat.flags.writeable = False

@@ -291,9 +291,9 @@ def screened(monkeypatch):
             kept.update((i, j) for j in js)
         return pairs(self, i, js, out)
 
-    def no_fallback(Z, A, ratios=None, skipped=()):
+    def no_fallback(P, Y, A, ratios=None, skipped=()):
         assert ratios is not None, "the screen fell back to the full pass"
-        return scan_all(Z, A, ratios, skipped)
+        return scan_all(P, Y, A, ratios, skipped)
 
     monkeypatch.setattr(certify._PairScan, "pairs", spy)
     monkeypatch.setattr(certify, "_scan_all", no_fallback)
@@ -397,12 +397,43 @@ def test_pairwise_worst_overflowing_images(monkeypatch, screened, tile):
     assert rep.eps_max == np.abs(rep.ratios - 1.0).max()
 
 
+_PAIRWISE_ROUTES = {
+    "ratios": (lambda A, X: distortion(A, X, "pairwise"), gaussian_map(4, 8, 1)),
+    "max-only": (lambda A, X: certify._distortion_json(A, X, "pairwise"), gaussian_map(4, 8, 1)),
+    "max-only-fallback": (lambda A, X: certify._distortion_json(A, X, "pairwise"), identity_map(8)),
+}
+
+
+@pytest.mark.parametrize("route", list(_PAIRWISE_ROUTES))
+def test_pairwise_routes_take_one_image_from_apply(monkeypatch, route):
+    # every pairwise route takes the image P Aᵀ once, from `LinearMap.apply`
+    # (the one size check, BLAS-thread scope and product of an image), on
+    # the set's own points.  508 points have 128,778 pairs, over the
+    # 100,000 under which `_distortion_json` keeps every ratio; under the
+    # identity map every pair ties and the screen falls back to the full pass
+    measure, A = _PAIRWISE_ROUTES[route]
+    X = hard_instance(8, 500, 2)
+    images, scans = [], []
+    apply, scan_all = LinearMap.apply, certify._scan_all
+
+    def spy_scan(P, Y, A, ratios=None, skipped=()):
+        scans.append(ratios is None)
+        return scan_all(P, Y, A, ratios, skipped)
+
+    monkeypatch.setattr(LinearMap, "apply", lambda self, points: images.append(points) or apply(self, points))
+    monkeypatch.setattr(certify, "_scan_all", spy_scan)
+    measure(A, X)
+    assert len(images) == 1 and images[0] is X.points
+    # the full pass without ratios runs only as the max-only route's fallback
+    assert scans == {"ratios": [False], "max-only": [], "max-only-fallback": [True]}[route]
+
+
 def test_pair_scan_first_nan_rule():
     # one argmax over every pair in flat order, whatever order the pairs are
     # offered in and however they are split among workers: the first NaN,
     # else the largest deviation, the lowest flat index on ties
-    Z, A = np.zeros((4, 2)), identity_map(1)
-    scans = [certify._PairScan(Z, A, 4) for _ in range(3)]
+    P, A = np.zeros((4, 1)), identity_map(1)
+    scans = [certify._PairScan(P, P, A, 4) for _ in range(3)]
     offers = [[(1.0, 5), (math.inf, 2)], [(0.5, 1), (math.nan, 9), (math.nan, 7)], [(math.inf, 0)]]
     for scan, offered in zip(scans, offers):
         for dev, flat in offered:
@@ -412,11 +443,11 @@ def test_pair_scan_first_nan_rule():
     eps_max, violating = certify._merge(scans)
     assert math.isnan(eps_max) and violating == 7
     # without a NaN, infinities tie and the lower flat index wins
-    clean = [certify._PairScan(Z, A, 4) for _ in range(2)]
+    clean = [certify._PairScan(P, P, A, 4) for _ in range(2)]
     clean[0].offer(math.inf, 2)
     clean[1].offer(math.inf, 0)
     assert certify._merge(clean) == (math.inf, 0)
-    assert certify._merge([certify._PairScan(Z, A, 4)]) == (0.0, None)
+    assert certify._merge([certify._PairScan(P, P, A, 4)]) == (0.0, None)
 
 
 @pytest.mark.parametrize("tile", [16, 192])
@@ -525,8 +556,8 @@ def test_pairwise_skips_exactly_the_equal_pairs():
 
 
 def test_pairwise_worst_memory_is_under_a_byte_per_pair():
-    # the library route's 8 bytes per pair are gone: the stacked rows, the
-    # screen's Gram tiles and the kernel's scratch stay under 1 byte per pair
+    # the library route's 8 bytes per pair are gone: the image, the screen's
+    # Gram tiles and the kernel's scratch stay under 1 byte per pair
     N = 2000
     X = gaussian_vectors(8, N, 3)
     A = gaussian_map(4, 8, 5)
@@ -1034,6 +1065,18 @@ _THREAD_CASES = {
     "norm-distortion": "from jllab import distortion, gaussian_map, hard_instance\n"
     "rep = distortion(gaussian_map(300, 700, 2), hard_instance(700, 5000, 3))\n"
     "out = rep.ratios.tobytes() + rep.eps_max.hex().encode()\n",
+    "pairwise": "from jllab import distortion, gaussian_map, gaussian_vectors\n"
+    "rep = distortion(gaussian_map(40, 400, 2), gaussian_vectors(400, 700, 3), 'pairwise')\n"
+    "out = rep.ratios.tobytes() + rep.eps_max.hex().encode() + str(rep.violating_index).encode()\n",
+    "max-only": "import json, pathlib, tempfile\n"
+    "from jllab import gaussian_map, gaussian_vectors, write_map, write_pointset\n"
+    "from jllab.cli import main\n"
+    "with tempfile.TemporaryDirectory() as d:\n"
+    "    s, m, c = (str(pathlib.Path(d) / f) for f in ('s.jlps', 'm.jlmap', 'c.json'))\n"
+    "    write_pointset(s, gaussian_vectors(500, 700, 3))\n"
+    "    write_map(m, gaussian_map(50, 500, 2))\n"
+    "    main(['certify', '--map', m, '--set', s, '--mode', 'pairwise', '--out', c])\n"
+    "    out = json.dumps(json.loads(pathlib.Path(c).read_text())['distortion']).encode()\n",
     "pca": "from jllab import hard_instance, pca_map\n"
     "out = pca_map(hard_instance(256, 2000, 3), 128).entries.tobytes()\n",
     "tails": "import pathlib, tempfile\nfrom jllab.cli import main\n"
@@ -1050,7 +1093,10 @@ def test_certify_layer_does_not_depend_on_the_blas_thread_count(run_capped, case
     # (the 900 x 1000 map's sample on some hosts); each holds one thread,
     # `LinearMap.apply`, the samplers and `pca_map`'s SVD too, so processes
     # at either count agree (the tails body, its config line aside, carries
-    # the chaos thresholds of the 512 x 1024 map's certificate)
+    # the chaos thresholds of the 512 x 1024 map's certificate).  The two
+    # pairwise routes (the ratios on the pool, n + m >= 64, and the CLI's
+    # max-only route over the JSON's 100,000 ratios) take images whose bits
+    # differ on two threads at these widths
     code = _THREAD_CASES[case] + "import hashlib\nprint(hashlib.sha256(out).hexdigest())\n"
     done = [run_capped(code, blas_threads=k) for k in (1, 2)]
     assert [d.returncode for d in done] == [0, 0], [d.stderr for d in done]

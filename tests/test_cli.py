@@ -685,6 +685,47 @@ def test_overflowing_norm_gives_finite_output(tmp_path, capsys, argv):
         assert float(rows[-1][2]) <= 1e-6
 
 
+def test_indented_json_is_the_bytes_of_json_dumps(tmp_path):
+    # the indented layout is streamed into one buffer, with json.dumps's
+    # bytes; a NaN still stops it before a file is written
+    P = np.zeros((6, 2))
+    P[:3] = gaussian_vectors(2, 3, 1).points
+    report = distortion(gaussian_map(2, 2, 2), PointSet(2, P, ("gaussian",) * 6), "pairwise").to_json()
+    assert report["skipped"] == [12, 13, 14] and len(report["ratios"]) == 12
+    payload = {"config": {"mode": "pairwise"}, "distortion": report}
+    out = tmp_path / "cert.json"
+    jllab.cli._emit_json(payload, str(out))
+    assert out.read_bytes() == (json.dumps(payload, sort_keys=True, allow_nan=False, indent=2) + "\n").encode()
+    report["ratios"][5] = math.nan
+    with pytest.raises(ArithmeticError, match="non-finite value in the JSON output"):
+        jllab.cli._emit_json(payload, str(tmp_path / "nan.json"))
+    assert not (tmp_path / "nan.json").exists()
+
+
+def test_certify_json_of_many_skipped_pairs_holds_one_text(run_capped, tmp_path):
+    # 1500 identical points: 1,124,250 skipped pairs, one int each in the
+    # JSON's list.  json.dumps with indent=2 held one string per item until
+    # it joined them, and the run's peak RSS grew by 101 bytes a pair;
+    # streamed into one buffer it grows by about 53
+    N = 1500
+    s, m, c = (str(tmp_path / f) for f in ("s.jlps", "m.jlmap", "c.json"))
+    job = (
+        "import resource\nimport numpy as np\n"
+        "from jllab import PointSet, identity_map, write_map, write_pointset\nfrom jllab.cli import main\n"
+        f"P = np.zeros(({N}, 2))\nP[:, 0] = 1.0\n"
+        f"write_pointset({s!r}, PointSet(2, P, ('gaussian',) * {N}))\nwrite_map({m!r}, identity_map(2))\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"code = main(['certify', '--map', {m!r}, '--set', {s!r}, '--mode', 'pairwise', '--out', {c!r}])\n"
+        "print(code, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) * 1024)\n"
+    )
+    done = run_capped(job)
+    assert done.returncode == 0, done.stderr
+    code, grown = map(int, done.stdout.split()[-2:])
+    pairs = N * (N - 1) // 2
+    assert code == 0 and len(json.loads(Path(c).read_text())["distortion"]["skipped"]) == pairs
+    assert grown < 76 * pairs
+
+
 def test_certify_overflowing_map_exits_three(tmp_path, capsys):
     # a map entry of 1e200 makes the trace of AᵀA inf; the certificate
     # names it instead of reaching int(ceil(inf * inf / inf))

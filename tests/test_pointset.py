@@ -180,6 +180,34 @@ def test_size_rule_refuses_input_matrices_before_copying_them(run_capped, call, 
     assert int(peak) < 16 << 20
 
 
+@pytest.mark.parametrize("build", ["point-set", "map"])
+def test_value_rule_holds_the_copy_and_no_mask(build):
+    # finiteness is read off the copy's extremes; an N x n mask (0.95 MiB
+    # here) is built only to name a bad entry
+    if build == "point-set":
+        values, roles = np.zeros((10**6, 1)), ("gaussian",) * 10**6
+        make = lambda: PointSet(1, values, roles)
+    else:
+        values = np.ones((1000, 1000))
+        make = lambda: LinearMap(values)
+    tracemalloc.start()
+    try:
+        make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes + (1 << 19)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_value_rule_names_the_first_non_finite_entry(bad):
+    M = np.ones((4, 3))
+    M[2, 1], M[3, 0] = bad, np.nan
+    for make in (LinearMap, lambda v: PointSet(3, v, ("gaussian",) * 4)):
+        with pytest.raises(ValueError, match=r"^non-finite entry at \(2, 1\)$"):
+            make(M)
+
+
 def test_size_rule_cli_exits_one_under_a_memory_cap(run_capped, tmp_path):
     # the map has exactly 10^7 entries; its 1000 x 10^7 chunk image (74.5 GiB)
     # ended in an uncaught _ArrayMemoryError before the size rule
