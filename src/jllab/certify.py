@@ -54,10 +54,10 @@ MAX_SKIPPED = 5 * 10**6
 _PAIR_TILE = 1024
 # width n + m of a point and its image under which the exact pairwise
 # pass runs inline.  Pairwise distortion of 3000 gaussian points (n = m)
-# on 2 cores took, on one worker against two, 0.29-0.44 s against
-# 0.51-0.57 s at width 24, 0.62-0.70 against 0.61-0.69 s at 48, 0.59-0.63
-# against 0.50-0.66 s at 64 and 1.60 against 0.87 s at 160.  Where the
-# pool gains no wall time it still keeps two cores busy
+# on 2 cores took, on one worker against two, 0.25-0.26 s against
+# 0.25-0.35 s at width 24, 0.33-0.35 against 0.32-0.36 s at 48, 0.41-0.42
+# against 0.33-0.37 s at 64 and 0.97-1.01 against 0.58-0.64 s at 160.
+# Where the pool gains no wall time it still keeps two cores busy
 _POOL_WIDTH = 64
 # points per side of a Gram tile of the max-only pairwise screen
 _SCREEN_TILE = 192
@@ -341,7 +341,8 @@ class _PairScan:
     def __init__(self, P: np.ndarray, Y: np.ndarray, A: LinearMap, tile: int) -> None:
         self.P, self.Y, self.A = P, Y, A
         self.dx, self.dy = np.empty((tile, P.shape[1])), np.empty((tile, Y.shape[1]))
-        self.before, self.after, self.dev, self.ratios = np.empty((4, tile))
+        self.sums = np.empty((2, tile))  # b and a, so that one max tests both
+        self.dev, self.ratios = np.empty((2, tile))
         self.worst, self.worst_flat = -np.inf, -1
 
     def pairs(self, i: int, js: range, out: np.ndarray | None = None) -> None:
@@ -351,9 +352,10 @@ class _PairScan:
         dx, dy = self.dx[:t], self.dy[:t]
         np.subtract(self.P[js.start : js.stop], self.P[i], out=dx)
         np.subtract(self.Y[js.start : js.stop], self.Y[i], out=dy)
-        b = np.einsum("ij,ij->i", dx, dx, out=self.before[:t])
-        a = np.einsum("ij,ij->i", dy, dy, out=self.after[:t])
-        normal = _TINY <= b.min() and b.max() < np.inf and a.max() < np.inf
+        sums = self.sums[:, :t]
+        b = np.einsum("ij,ij->i", dx, dx, out=sums[0])
+        a = np.einsum("ij,ij->i", dy, dy, out=sums[1])
+        normal = _TINY <= b.min() and sums.max() < np.inf  # a NaN fails too
         if not normal:
             self._rescale(i, js.start, dx, b, a)
         r = out if out is not None and len(out) == t else self.ratios[:t]
@@ -363,9 +365,9 @@ class _PairScan:
             dv[b == 0.0] = -np.inf
             if out is not None and len(out) < t:  # the tile holds pairs with x = y
                 np.compress(b != 0.0, r, out=out)
-        k = int(np.argmax(dv))  # the first NaN, else the first maximum
-        if dv[k] != -np.inf:
-            self.offer(float(dv[k]), base + k)
+        k = int(dv.argmax())  # the first NaN, else the first maximum
+        if (worst := float(dv[k])) != -np.inf:
+            self.offer(worst, base + k)
 
     def _rescale(self, i: int, j0: int, dx: np.ndarray, b: np.ndarray, a: np.ndarray) -> None:
         # norm mode's rule for the pairs (i, j0 + k) with x != y whose squared

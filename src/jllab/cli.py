@@ -103,12 +103,10 @@ def _cell(v) -> str:
 
 def _json(payload: dict, **layout) -> str:
     # RFC 8259 JSON has no NaN or infinity, so such a value is a numerical
-    # failure (exit 3) before anything is written.  `json.dump` streams
-    # indented JSON into one buffer; `json.dumps` would hold one string per item
+    # failure (exit 3) before anything is written.  `json.dump` streams the
+    # text into one buffer; indented `json.dumps` would hold one string per item
+    text = io.StringIO()
     try:
-        if layout.get("indent") is None:
-            return json.dumps(payload, sort_keys=True, allow_nan=False, **layout)
-        text = io.StringIO()
         json.dump(payload, text, sort_keys=True, allow_nan=False, **layout)
         return text.getvalue()
     except ValueError as exc:
