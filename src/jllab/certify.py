@@ -61,10 +61,11 @@ _PAIR_TILE = 1024
 _POOL_WIDTH = 64
 # points per side of a Gram tile of the max-only pairwise screen
 _SCREEN_TILE = 192
-# squared norms the screen's relative error bound covers (see `distortion`)
-_SCREEN_RANGE = (2.0**-960, 2.0**959)
-_U = 2.0**-53  # unit roundoff of float64
-_SLACK = 8 * _U  # relative room for the rounding of the deviation bounds
+# the max-only screen's working precisions (see `distortion`): each
+# dtype's unit roundoff u and the squared norms its bounds cover
+_SCREENS = {np.float32: (2.0**-24, 2.0**-50, 2.0**50), np.float64: (2.0**-53, 2.0**-960, 2.0**959)}
+# the widest side k of a float32 screen: c = 12 (k + 4) 2^-24 <= 2^-8
+_SCREEN32_WIDTH = 5457
 
 
 class AuditError(ValueError):
@@ -219,50 +220,70 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
     runs), takes a private max-only route instead.  It stores no ratio and
     reports the same ``eps_max``, ``violating_index``, ``n_ratios`` and
     ``skipped`` bit for bit.  Stage 1 screens the pairs of each pair of
-    192-point tiles by GEMMs.  On one side with k coordinates (k = n for
-    x, k = m for Ax), with D = ‖x - y‖², S = ‖x‖² + ‖y‖² and E = c S,
-    c = 12 (k + 4) u, u = 2^-53:
+    192-point tiles by GEMMs, in one working precision for the whole set:
+    float32, with u = 2^-24, when every squared norm of the points and of
+    their images is 0 or lies in [2^-50, 2^50] and c below is at most
+    2^-8 on both sides (n, m <= 5457); float64, with u = 2^-53, otherwise.
+    On one side with k coordinates (k = n for x, k = m for Ax), with
+    D = ‖x - y‖², S = ‖x‖² + ‖y‖², E = c S and c = 12 (k + 4) u:
 
-    - the rows [x, (1 + c)‖x‖², 1 + c] and [-2y, 1, ‖y‖²] give hi ≈ D + E,
-      and [-2c ‖x‖², -2c] and [1, ‖y‖²] give -2E, so lo = hi - 2E;
+    - the rows [x, (1 + c)‖x‖², 1 + c] and [-2y, 1, ‖y‖²] give hi ≈ D + E
+      by one GEMM, and one outer sum of the points' -2c‖x‖² gives -2E,
+      added into lo = hi - 2E.  The squared norms and the columns made from
+      them are taken in float64, then rounded to the working precision;
     - Higham's bound |fl(Σ) - Σ| ≤ γ_j Σ|terms|, γ_j = ju / (1 - ju), holds
       for any summation order, FMA included (Accuracy and Stability of
-      Numerical Algorithms, §3.1).  It puts hi and lo within (3k + 7) u S
-      of D ± E, and the exact kernel's D^ (one subtraction per coordinate,
-      then the row sum) within γ_(k+3) D ≤ (2k + 6) u S of D, to first order
-      in ku (ku < 2e-9 under MAX_TOTAL_COORDS);
-    - so lo ≤ D^ ≤ hi, with (7k + 35) u S to spare, which covers the
+      Numerical Algorithms, §3.1), and here Σ|terms| ≤ (2 + c) S.  In
+      float32 the rounding of x and y moves the -2x·y term by at most
+      (2u + u²) S, the rounding of the norm columns and of 1 + c moves the
+      rest by at most 2.01 u (1 + c) S, and a coordinate or product that
+      underflows moves by at most 2^-126, under 2^-60 S in all since
+      S ≥ 2^-50 (or S = 0, where every value is exactly 0).  The outer sum
+      and the addition into lo add at most 2.02 u S.  So, to first order
+      in ku (ku < 2^-11 in float32, < 2e-9 in float64 under
+      MAX_TOTAL_COORDS), hi and lo lie within (3k + 9) u S and
+      (3k + 11) u S of D + E and D - E in either precision, and the exact
+      kernel's D^ (float64: one subtraction per coordinate, then the row
+      sum) within γ_(k+3) D ≤ (2k + 6) u S of D;
+    - so lo ≤ D^ ≤ hi, with (7k + 31) u S to spare, which covers the
       rounding of the divisions q_lo = fl(a_lo / b_hi) and
-      q_hi = fl(a_hi / max(b_lo, 0)) (a on Ax, b on x).  These bracket the
-      kernel's quotient r = fl(a^ / b^), and its deviation
-      fl(|fl(r - 1)|) lies in
+      q_hi = fl(a_hi / max(b_lo, 0)) (a on Ax, b on x), for which 2.1 u S
+      suffices.  These bracket the kernel's quotient r = fl(a^ / b^), and
+      its deviation fl(|fl(r - 1)|) lies in
 
           [(1 - 8u) max(q_lo - 1, 1 - q_hi), (1 + 8u) max(q_hi - 1, 1 - q_lo)],
 
-      the 8u covering the rounding of the bounds' own subtractions.
+      the 8u covering the rounding of the bounds' own subtractions and, in
+      float32, of the threshold they are compared with.  In float32 the
+      range keeps every value finite: b_hi ≥ 31 u S_b > 2^-70 on a pair
+      with x != y, so |q_lo| < 2^123, while an overflowing q_hi is an upper
+      bound still.
 
     A pair is kept when its upper bound reaches the largest lower bound or
     exact deviation seen so far, or when it cannot be bounded: b_lo ≤ 0
     (its distance may be 0, and q_hi is then infinite), or squared norms
-    that may put S outside the guarded range [2^-960, 2^960] (both under
-    2^-960, or one over 2^959 or not finite).  Above that range the
-    kernel's differences may overflow while both norms are finite; below
-    it, products underflow and carry only absolute error.  Stage 2
-    recomputes, row by row in flat-index order, each row's span of the tile
-    from its first kept pair to its last with the exact kernel above (a
-    pair inside the span that the screen ruled out cannot be the worst),
-    and picks the worst pair by the same rule, so BLAS rounding and the
-    thread count never reach the report.  Memory is the N m image, both
-    sides' GEMM copies (N (n + m + 4) values) and 4 * 192² scratch values.
-    Once the kept pairs outnumber both 192² and one in eight of the pairs
-    screened (ties, as under the identity map, where every pair is kept),
-    the route runs the pooled pass above, with its ratios in scratch.
+    that may put S outside the guarded range (both under its lower end, or
+    one over its upper end or not finite).  The float32 rule leaves only
+    pairs of two zero points to this guard.  In float64 the range is
+    [2^-960, 2^959]: above it the kernel's differences may overflow while
+    both norms are finite; below it, products underflow and carry only
+    absolute error.  Stage 2 recomputes, row by row in flat-index order,
+    each row's span of the tile from its first kept pair to its last with
+    the exact kernel above (a pair inside the span that the screen ruled
+    out cannot be the worst), and picks the worst pair by the same rule, so
+    BLAS rounding, the working precision and the thread count never reach
+    the report.  Memory is the N m image, both sides' GEMM copies
+    (N (n + m + 4) values, at 4 bytes each in float32 and 8 in float64), a
+    few values per point and 4 * 192² scratch values.  Once the kept pairs
+    outnumber both 192² and one in eight of the pairs screened (ties, as
+    under the identity map, where every pair is kept), the route runs the
+    pooled pass above, with its ratios in scratch.
     """
     mode = _checked_mode(A, X, mode)
     if mode == MODE_PAIRWISE:
         return _pairwise_distortion(A, X.points, _skipped_pairs(X.points))
     P, before = _norm_scaled(X.points)
-    after = _rowsq(A.apply(P))
+    after = _rowsq(_image(A, P))
     keep = before > 0.0
     ratios = after[keep] / before[keep]
     eps_max, violating = 0.0, None
@@ -277,6 +298,15 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
         violating_index=violating,
         skipped=tuple(int(k) for k in np.flatnonzero(~keep)),
     )
+
+
+def _image(A: LinearMap, P: np.ndarray) -> np.ndarray:
+    # P Aᵀ from `LinearMap.apply` for every distortion route.  An image that
+    # overflows (to inf, or to NaN where infinities cancel) is no warning:
+    # norm mode gives its point the infinite or NaN ratio `distortion`
+    # describes, and pairwise mode sends its pairs to `_PairScan._rescale`
+    with np.errstate(over="ignore", invalid="ignore"):
+        return A.apply(P)
 
 
 def _distortion_json(A: LinearMap, X: PointSet, mode: str) -> dict:
@@ -441,8 +471,7 @@ def _scan_all(
 def _pairwise_distortion(A: LinearMap, P: np.ndarray, skipped: np.ndarray) -> DistortionReport:
     # pairwise distortion of the rows of P, whose x = y pairs `_skipped_pairs` listed
     N = len(P)
-    with np.errstate(over="ignore"):  # an image that overflows sends its pairs to `_rescale`
-        Y = A.apply(P)
+    Y = _image(A, P)
     ratios = np.empty(N * (N - 1) // 2 - skipped.size)
     eps_max, violating = _merge(_scan_all(P, Y, A, ratios, skipped))
     return DistortionReport(
@@ -454,6 +483,15 @@ def _pairwise_distortion(A: LinearMap, P: np.ndarray, skipped: np.ndarray) -> Di
     )
 
 
+def _screen_dtype(widths: tuple[int, int], sqs: list[np.ndarray]) -> type:
+    # the max-only screen's working precision (see `distortion`): float32
+    # when its bound covers every pair, float64 otherwise
+    _, small, big = _SCREENS[np.float32]
+    if max(widths) <= _SCREEN32_WIDTH and all(np.all(((sq == 0.0) | (small <= sq)) & (sq <= big)) for sq in sqs):
+        return np.float32
+    return np.float64
+
+
 @_BLAS.one_thread()
 def _pairwise_worst(A: LinearMap, P: np.ndarray) -> tuple[float, int | None]:
     # the max-only route of `distortion`'s docstring: eps_max and
@@ -461,46 +499,57 @@ def _pairwise_worst(A: LinearMap, P: np.ndarray) -> tuple[float, int | None]:
     # (its screen GEMMs and its `_scan_all` fallback alike); the caller has
     # checked the sizes with `_skipped_pairs`
     N = len(P)
-    with np.errstate(over="ignore"):  # an image that overflows sends its pairs to `_rescale`
-        Y = A.apply(P)
+    Y = _image(A, P)
+    sqs = [_rowsq(P), _rowsq(Y)]
+    dtype = _screen_dtype((P.shape[1], Y.shape[1]), sqs)
+    u, small_sq, big_sq = _SCREENS[dtype]
+    slack = 1.0 - 8 * u  # room for the rounding of the deviation bounds
     T = _SCREEN_TILE
     upper = np.triu(np.ones((T, T), dtype=bool), 1)  # j > i in a diagonal block
     sides = []
-    for M in (P, Y):
-        sq = _rowsq(M)
-        # the rows [-2y, 1, ‖y‖²] of the screen's GEMMs (see `distortion`)
-        right = np.empty((N, M.shape[1] + 2))
-        np.multiply(M, -2.0, out=right[:, :-2])
-        right[:, -2], right[:, -1] = 1.0, sq
+    for M, sq in zip((P, Y), sqs):
+        k = M.shape[1]
+        c = 12 * (k + 4) * u
+        # the rows [-2y, 1, ‖y‖²] of the screen's GEMM, the left rows'
+        # (1 + c)‖x‖² and each point's share -2c‖x‖² of -2E (see `distortion`).
+        # In float64 a coordinate or squared norm near the largest double
+        # overflows here; its squared norm is then over the range, and its
+        # pairs are guarded.  The float32 rule admits no value that overflows
+        right = np.empty((N, k + 2), dtype=dtype)
+        with np.errstate(over="ignore"):
+            np.multiply(M, -2.0, out=right[:, :k], casting="same_kind")
+            right[:, k], right[:, k + 1] = 1.0, sq
+            norm_col = ((1.0 + c) * sq).astype(dtype)
+        share = (-2.0 * c * sq).astype(dtype)
         # a pair is guarded when both squared norms are under the range, or
         # one is over it or not finite; per tile, whether any point is
-        small, big = sq < _SCREEN_RANGE[0], ~(sq <= _SCREEN_RANGE[1])
+        small, big = sq < small_sq, ~(sq <= big_sq)
         tiles = [(small[t : t + T].any(), big[t : t + T].any()) for t in range(0, N, T)]
-        sides.append((M, sq, right, 12 * (M.shape[1] + 4) * _U, small, big, tiles))
+        sides.append((M, right, norm_col, 1.0 + c, share, small, big, tiles))
     scan = _PairScan(P, Y, A, T)
-    work, flags = np.empty((4, T * T)), np.empty(T * T, dtype=bool)
+    work, flags = np.empty((4, T * T), dtype=dtype), np.empty(T * T, dtype=bool)
     floor = -np.inf  # a lower bound on eps_max
     screened = kept = 0
     with np.errstate(all="ignore"):
         for i0 in range(0, N, T):
             I = slice(i0, min(i0 + T, N))
-            ones = np.ones(I.stop - i0)
-            lefts = [
-                (np.column_stack([M[I], (1.0 + c) * sq[I], (1.0 + c) * ones]),
-                 np.column_stack([-2.0 * c * sq[I], -2.0 * c * ones]))
-                for M, sq, _, c, *_ in sides
-            ]
+            lefts = []
+            for M, _, norm_col, one_c, *_ in sides:
+                # the rows [x, (1 + c)‖x‖², 1 + c]
+                left = np.empty((I.stop - i0, M.shape[1] + 2), dtype=dtype)
+                left[:, :-2], left[:, -2], left[:, -1] = M[I], norm_col[I], one_c
+                lefts.append(left)
             for j0 in range(i0, N, T):
                 J = slice(j0, min(j0 + T, N))
                 shape = (I.stop - i0, J.stop - j0)
                 blo, bhi, alo, ahi = (w[: shape[0] * shape[1]].reshape(shape) for w in work)
                 guarded = None
-                for (_, _, right, _, small, big, tiles), (left, left_e), lo, hi in zip(
+                for (_, right, _, _, share, small, big, tiles), left, lo, hi in zip(
                     sides, lefts, (blo, alo), (bhi, ahi)
                 ):
-                    # lo <= D^ <= hi, from hi ≈ D + E and -2E, one GEMM each
+                    # lo <= D^ <= hi: hi ≈ D + E by one GEMM, lo = hi - 2E
                     np.matmul(left, right[J].T, out=hi)
-                    np.matmul(left_e, right[J, -2:].T, out=lo)
+                    np.add(share[I, None], share[None, J], out=lo)
                     lo += hi
                     (small_i, big_i), (small_j, big_j) = tiles[i0 // T], tiles[j0 // T]
                     if (small_i and small_j) or big_i or big_j:
@@ -511,17 +560,17 @@ def _pairwise_worst(A: LinearMap, P: np.ndarray) -> tuple[float, int | None]:
                 np.maximum(blo, 0.0, out=blo)
                 qhi, qlo = np.divide(ahi, blo, out=ahi), np.divide(alo, bhi, out=alo)
                 # the block's largest lower bound on the deviation, over its
-                # unguarded pairs
+                # unguarded pairs, taken in float64
                 trusted = True if guarded is None else ~guarded
                 block_lo = max(
-                    np.fmax.reduce(qlo, axis=None, initial=-np.inf, where=trusted) - 1.0,
-                    1.0 - np.fmin.reduce(qhi, axis=None, initial=np.inf, where=trusted),
+                    float(np.fmax.reduce(qlo, axis=None, initial=-np.inf, where=trusted)) - 1.0,
+                    1.0 - float(np.fmin.reduce(qhi, axis=None, initial=np.inf, where=trusted)),
                 )
-                floor = max(floor, block_lo * (1.0 - _SLACK))
+                floor = max(floor, block_lo * slack)
                 # each pair's upper bound, before the slack
                 dev = np.subtract(qhi, 1.0, out=ahi)
                 np.maximum(dev, np.subtract(1.0, qlo, out=alo), out=dev)
-                keep = np.less(dev, floor * (1.0 - _SLACK), out=flags[: dev.size].reshape(shape))
+                keep = np.less(dev, floor * slack, out=flags[: dev.size].reshape(shape))
                 np.logical_not(keep, out=keep)
                 if guarded is not None:
                     keep |= guarded

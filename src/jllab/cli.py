@@ -68,6 +68,7 @@ from .pointset import (
     PointSet,
     SizeError,
     _json_fields,
+    _read_dim,
     _require_nonnegative,
     _require_nonnegative_int,
     _require_positive,
@@ -147,14 +148,16 @@ def _parse_grid(text: str, conv, flag: str) -> list:
         raise ValueError(f"{flag} must be a comma-separated list, got {text!r}") from None
 
 
-def _set_and_dim(args: argparse.Namespace) -> tuple[PointSet | None, int]:
+def _set_and_dim(args: argparse.Namespace, points: bool = True) -> tuple[PointSet | None, int]:
     # the set named by --set and its dimension, which --n may repeat but not
-    # contradict; without --set, no set and the dimension --n
+    # contradict; without --set, no set and the dimension --n.  Without
+    # ``points`` only the set's header is read, and no set is returned
     if args.set:
-        X = read_pointset(args.set)
-        if args.n is not None and args.n != X.dim:
-            raise ValueError(f"--n {args.n} disagrees with the set dimension {X.dim}")
-        return X, X.dim
+        X = read_pointset(args.set) if points else None
+        n = _read_dim(args.set) if X is None else X.dim
+        if args.n is not None and args.n != n:
+            raise ValueError(f"--n {args.n} disagrees with the set dimension {n}")
+        return X, n
     if args.n is None:
         raise ValueError("provide --set or --n")
     _require_positive_int("--n", args.n)
@@ -228,8 +231,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     seed = Seed(args.seed)
-    X, n = _set_and_dim(args)
     method = args.method
+    # the identity and gaussian maps need only the dimension
+    X, n = _set_and_dim(args, points=method in ("pca", "optimize"))
     info = None
     if method == "identity":
         if args.m is not None and args.m != n:

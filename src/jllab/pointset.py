@@ -32,7 +32,11 @@ Two file formats are supported.  Text files carry a header line
 ``jlps v1 n=<n> N=<N>``, one comma-separated row per point with 17
 significant digits, and a trailing ``roles=...`` line.  Binary files start
 with the magic bytes ``JLPS`` followed by a little-endian version, the
-dimensions, raw float64 coordinates, and one role byte per point.
+dimensions, raw float64 coordinates, and one role byte per point.  One
+header rule, `_set_header`, parses and checks both formats' headers (the
+size rule and, for binary, the version and the file's length); `_read_dim`
+applies it to a file's first bytes alone, for a caller that needs only
+the dimension.
 
 The text point-set format and the ``jlmap`` text format of `embeddings`
 share one row grammar, written by `_format_rows` and read by `_read_rows`.
@@ -52,6 +56,7 @@ a malformed value.  Both readers refuse a byte outside ASCII with its line.
 from __future__ import annotations
 
 import math
+import os
 import re
 import struct
 from dataclasses import dataclass, fields
@@ -73,6 +78,7 @@ _TEXT_HEADER = re.compile(r"^jlps v1 n=(\d+) N=(\d+)$")
 # the ASCII characters at which str.splitlines ends a line
 _LINE_BREAK = re.compile(rb"[\n\r\x0b\x0c\x1c-\x1e]")
 _BINARY_MAGIC = b"JLPS"
+_BINARY_HEAD = len(_BINARY_MAGIC) + struct.calcsize("<IQQ")  # magic, version, n, N
 
 
 class SizeError(ValueError):
@@ -269,29 +275,51 @@ def read_pointset(path: str | Path) -> PointSet:
     """Read a point set written by `write_pointset` (format auto-detected)."""
     path = Path(path)
     blob = path.read_bytes()
-    if blob.startswith(_BINARY_MAGIC):
-        return _read_binary(blob, path)
-    return _read_text(blob, path)
+    binary, n, count = _set_header(blob, len(blob), path)
+    return (_read_binary if binary else _read_text)(blob, path, n, count)
 
 
-def _read_binary(blob: bytes, path: Path) -> PointSet:
-    head = len(_BINARY_MAGIC) + struct.calcsize("<IQQ")
-    if len(blob) < head:
-        raise ValueError(f"{path}: truncated binary header")
-    version, n, count = struct.unpack_from("<IQQ", blob, len(_BINARY_MAGIC))
+def _read_dim(path: str | Path) -> int:
+    # the dimension of the point set at ``path`` from its header alone: the
+    # binary format's 24 bytes, or the text format's first line, however long.
+    # The header's checks all run, and no row is read
+    path = Path(path)
+    with path.open("rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = more = bytearray(f.read(_BINARY_HEAD))
+        while not head.startswith(_BINARY_MAGIC) and not _LINE_BREAK.search(more) and (more := f.read(1 << 16)):
+            head += more
+    return _set_header(head, size, path)[1]
+
+
+def _set_header(head: bytes, size: int, path: Path) -> tuple[bool, int, int]:
+    # (binary, n, N) of a point-set file from its first bytes, which hold at
+    # least the binary header or the whole first line, and its length in
+    # bytes: every check that needs no row, the size rule included
+    if head.startswith(_BINARY_MAGIC):
+        if size < _BINARY_HEAD:
+            raise ValueError(f"{path}: truncated binary header")
+        version, n, count = struct.unpack_from("<IQQ", head, len(_BINARY_MAGIC))
+        _check_size(f"{path}: the header", "point array", count, n)
+        if version != 1:
+            raise ValueError(f"{path}: unsupported binary version {version}")
+        need = _BINARY_HEAD + 8 * n * count + count
+        if size != need:
+            raise ValueError(f"{path}: expected {need} bytes, found {size}")
+        return True, int(n), int(count)
+    n, count = _header(head, _TEXT_HEADER, "jlps v1 n=<n> N=<N>", path)
     _check_size(f"{path}: the header", "point array", count, n)
-    if version != 1:
-        raise ValueError(f"{path}: unsupported binary version {version}")
-    need = head + 8 * n * count + count
-    if len(blob) != need:
-        raise ValueError(f"{path}: expected {need} bytes, found {len(blob)}")
-    pts = np.frombuffer(blob, dtype="<f8", count=n * count, offset=head)
-    codes = blob[head + 8 * n * count :]
+    return False, n, count
+
+
+def _read_binary(blob: bytes, path: Path, n: int, count: int) -> PointSet:
+    pts = np.frombuffer(blob, dtype="<f8", count=n * count, offset=_BINARY_HEAD)
+    codes = blob[_BINARY_HEAD + 8 * n * count :]
     try:
         roles = tuple(_ROLES[c] for c in codes)
     except IndexError:
         raise ValueError(f"{path}: invalid role byte") from None
-    return PointSet(int(n), pts.reshape(int(count), int(n)), roles)
+    return PointSet(n, pts.reshape(count, n), roles)
 
 
 def _text_lines(blob: bytes, path: Path) -> list[str]:
@@ -317,9 +345,7 @@ def _header(blob: bytes, pattern: re.Pattern[str], form: str, path: Path) -> tup
     return int(match.group(1)), int(match.group(2))
 
 
-def _read_text(blob: bytes, path: Path) -> PointSet:
-    n, count = _header(blob, _TEXT_HEADER, "jlps v1 n=<n> N=<N>", path)
-    _check_size(f"{path}: the header", "point array", count, n)
+def _read_text(blob: bytes, path: Path, n: int, count: int) -> PointSet:
     lines = _text_lines(blob, path)
     if len(lines) != count + 2:
         raise ValueError(f"{path}: expected {count + 2} lines for N={count}, found {len(lines)}")

@@ -265,10 +265,10 @@ def test_distortion_pairwise_memory_is_the_ratios():
 
 def _assert_worst_matches(A, Y):
     # the max-only route reports distortion()'s eps_max, violating_index,
-    # n_ratios and skipped bit for bit; both take skipped from the grouping
-    with np.errstate(all="ignore"):
-        rep = distortion(A, Y, "pairwise")
-        eps_max, violating = _pairwise_worst(A, Y.points)
+    # n_ratios and skipped bit for bit; both take skipped from the grouping.
+    # Neither may warn: the pyproject filter makes a package warning a failure
+    rep = distortion(A, Y, "pairwise")
+    eps_max, violating = _pairwise_worst(A, Y.points)
     skipped = certify._skipped_pairs(Y.points).tolist()
     N = len(Y)
     assert np.float64(eps_max).tobytes() == np.float64(rep.eps_max).tobytes()
@@ -497,6 +497,96 @@ def test_pairwise_worst_matches_distortion_property(data):
         certify._SCREEN_TILE = tile
 
 
+def _spy_precision(seen):
+    # wraps the screen's precision rule; returns the original to restore
+    rule = certify._screen_dtype
+    certify._screen_dtype = lambda *a: seen.append(rule(*a)) or seen[-1]
+    return rule
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_pairwise_worst_float32_screen_property(data):
+    # sets scaled by 2^e on both sides of the float32 screen's range
+    # [2^-50, 2^50] of squared norms, under maps scaled by 2^f, with repeated
+    # points and the origin: the screen runs in the precision the rule names
+    # for the squared norms, and the max-only route equals the ratio route
+    N, n, m = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    rng = Seed(data.draw(st.integers(0, 2**32 - 1))).generator()
+    P = rng.standard_normal((N, n)) * 2.0 ** data.draw(st.integers(-40, 40))
+    for a, b in data.draw(st.lists(st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)), max_size=4)):
+        P[a] = P[b]
+    if data.draw(st.booleans()):
+        P[data.draw(st.integers(0, N - 1))] = 0.0
+    A = LinearMap(rng.standard_normal((m, n)) * 2.0 ** data.draw(st.integers(-12, 12)))
+    tile, seen = certify._SCREEN_TILE, []
+    certify._SCREEN_TILE = data.draw(st.sampled_from([2, 5, 16, 192]))
+    rule = _spy_precision(seen)
+    try:
+        _assert_worst_matches(A, _gaussian_set(P))
+    finally:
+        certify._SCREEN_TILE, certify._screen_dtype = tile, rule
+    sqs = np.concatenate([np.einsum("ij,ij->i", M, M) for M in (P, A.apply(P))])
+    inside = np.all(((sqs == 0.0) | (sqs >= 2.0**-50)) & (sqs <= 2.0**50))
+    assert seen == [np.float32 if inside else np.float64]
+
+
+def test_screen_precision_rule():
+    # float32 when every squared norm of the points and of their images is 0
+    # or in [2^-50, 2^50] and c = 12 (k + 4) 2^-24 is at most 2^-8 on both
+    # sides (k <= 5457); float64 otherwise
+    rule = certify._screen_dtype
+    inside = np.array([0.0, 2.0**-50, 1.0, 2.0**50])
+    assert rule((32, 128), [inside, inside]) is np.float32
+    assert rule((5457, 1), [inside, inside]) is np.float32
+    assert rule((1, 5458), [inside, inside]) is np.float64
+    for v in (np.nextafter(2.0**-50, 0.0), 5e-324, np.nextafter(2.0**50, np.inf), np.inf, np.nan):
+        assert rule((32, 128), [inside, np.append(inside, v)]) is np.float64
+        assert rule((32, 128), [np.append(inside, v), inside]) is np.float64
+
+
+def test_pairwise_worst_near_tie_is_the_float64_argmax(screened):
+    # two pairs along e1 under diag(1.5, 1, 1), (0, 1) and (2, 3), deviate by
+    # 1.25 / (1 + δ²) with δ² = 2e-9 and 1e-9: 1e-9 apart, far below the
+    # float32 screen's resolution, so both reach the exact kernel, which
+    # names the later pair (2, 3).  The other points lie in the plane x = 0
+    rng = Seed(29).generator()
+    P = np.zeros((300, 3))
+    P[4:, 1:] = rng.uniform(5.0, 10.0, (296, 2))
+    P[:4] = [[0.0, 0.0, 0.0], [1.0, math.sqrt(2e-9), 0.0], [0.0, 0.0, 100.0], [1.0, math.sqrt(1e-9), 100.0]]
+    seen = []
+    rule = _spy_precision(seen)
+    try:
+        rep = _assert_worst_matches(LinearMap(np.diag([1.5, 1.0, 1.0])), _gaussian_set(P))
+    finally:
+        certify._screen_dtype = rule
+    assert seen == [np.float32]
+    assert {(0, 1), (2, 3)} <= screened
+    worst = certify._row_base(300, 2) + 3  # the flat index of (2, 3); no pair is skipped
+    assert rep.violating_index == worst
+    assert 0.0 < rep.ratios[worst] - rep.ratios[0] < 2e-9
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pairwise_worst_on_the_benchmark_shape_matches_pdist(seed):
+    # an independent route: scipy's pdist of the set and of its image gives
+    # the same worst pair as the float32 screen and its exact kernel
+    from scipy.spatial.distance import pdist
+
+    X, A = hard_instance(32, 3000, seed), gaussian_map(128, 32, seed)
+    seen = []
+    rule = _spy_precision(seen)
+    try:
+        eps_max, violating = _pairwise_worst(A, X.points)
+    finally:
+        certify._screen_dtype = rule
+    assert seen == [np.float32]
+    dev = np.abs(pdist(X.points @ A.entries.T, "sqeuclidean") / pdist(X.points, "sqeuclidean") - 1.0)
+    worst = int(np.argmax(dev))
+    assert violating == worst
+    assert eps_max == pytest.approx(float(dev[worst]), rel=1e-12)
+
+
 def _exact_ratio(rows, x, y):
     # ‖A(x - y)‖² / ‖x - y‖² in exact rational arithmetic
     d = [Fraction(u) - Fraction(v) for u, v in zip(x, y)]
@@ -536,9 +626,9 @@ def test_pairwise_ratios_survive_underflow_and_overflow(points, rows, eps_max, v
     assert rep.ratios.tolist() == exact
     assert (rep.eps_max, rep.violating_index, rep.skipped) == (eps_max, violating, ())
     i, j = np.triu_indices(len(P), 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # norm mode warns where an image overflows
-        norm = [distortion(A, _gaussian_set(P[[b]] - P[[a]])).ratios[0] for a, b in zip(i, j)]
-        assert rep.ratios.tolist() == norm
+    norm = [distortion(A, _gaussian_set(P[[b]] - P[[a]])).ratios[0] for a, b in zip(i, j)]
+    assert rep.ratios.tolist() == norm
+    with np.errstate(over="ignore", invalid="ignore"):  # this unguarded image overflows where A's does
         Q = P @ A.entries.T
         before = np.einsum("ij,ij->i", P[j] - P[i], P[j] - P[i])
         after = np.einsum("ij,ij->i", Q[j] - Q[i], Q[j] - Q[i])
@@ -1075,7 +1165,11 @@ _THREAD_CASES = {
     "    s, m, c = (str(pathlib.Path(d) / f) for f in ('s.jlps', 'm.jlmap', 'c.json'))\n"
     "    write_pointset(s, gaussian_vectors(500, 700, 3))\n"
     "    write_map(m, gaussian_map(50, 500, 2))\n"
+    "    import jllab.certify as C\n"
+    "    rule, seen = C._screen_dtype, []\n"
+    "    C._screen_dtype = lambda *a: seen.append(rule(*a)) or seen[-1]\n"
     "    main(['certify', '--map', m, '--set', s, '--mode', 'pairwise', '--out', c])\n"
+    "    assert [d.__name__ for d in seen] == ['float32'], seen\n"
     "    out = json.dumps(json.loads(pathlib.Path(c).read_text())['distortion']).encode()\n",
     "pca": "from jllab import hard_instance, pca_map\n"
     "out = pca_map(hard_instance(256, 2000, 3), 128).entries.tobytes()\n",

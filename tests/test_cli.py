@@ -109,6 +109,43 @@ def test_malformed_pointset_exits_one(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("method", ["identity", "gaussian"])
+@pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+def test_embed_reads_only_the_header_of_the_set(tmp_path, capsys, monkeypatch, method, binary):
+    # the identity and gaussian maps need only the dimension: --set writes
+    # the bytes --n writes, and no row of the set is decoded
+    ps = tmp_path / "set.jlps"
+    write_pointset(ps, gaussian_vectors(5, 40, 1), binary=binary)
+    flags = ["embed", "--method", method, "--seed", "2"] + (["--m", "3"] if method == "gaussian" else [])
+    assert run(flags + ["--n", "5", "--out", str(tmp_path / "n.jlmap")], capsys)[0] == 0
+    decoded = []
+    for name in ("_read_rows", "_read_text", "_read_binary"):
+        monkeypatch.setattr(jllab.pointset, name, lambda *a, name=name: decoded.append(name))
+    code, _, err = run(flags + ["--set", str(ps), "--out", str(tmp_path / "set.jlmap")], capsys)
+    assert (code, err, decoded) == (0, "", [])
+    assert (tmp_path / "set.jlmap").read_bytes() == (tmp_path / "n.jlmap").read_bytes()
+
+
+def test_embed_identity_and_gaussian_need_only_a_valid_header(tmp_path, capsys):
+    # a malformed body passes these two methods, which never read it; pca
+    # reads every point and refuses it, and a header's own checks still run
+    bad, out = tmp_path / "bad.jlps", tmp_path / "a.jlmap"
+    bad.write_text("jlps v1 n=3 N=2\n1.0,oops\n")
+    for flags in (["--method", "identity"], ["--method", "gaussian", "--m", "2"]):
+        code, _, err = run(["embed", *flags, "--set", str(bad), "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        assert read_map(out).n == 3
+    code, _, err = run(["embed", "--method", "pca", "--m", "2", "--set", str(bad), "--out", str(out)], capsys)
+    assert code == 1 and "expected 4 lines for N=2" in err
+    write_pointset(bad, gaussian_vectors(3, 2, 1), binary=True)
+    bad.write_bytes(bad.read_bytes()[:-1])
+    code, _, err = run(["embed", "--method", "identity", "--set", str(bad), "--out", str(out)], capsys)
+    assert code == 1 and "expected 74 bytes, found 73" in err
+    bad.write_text("jlps v1 n=4000 N=4000\n")
+    code, _, err = run(["embed", "--method", "identity", "--set", str(bad), "--out", str(out)], capsys)
+    assert code == 1 and "over the 10000000 coordinate limit" in err
+
+
 @pytest.mark.parametrize(
     "kind, extra, message",
     [
@@ -683,6 +720,24 @@ def test_overflowing_norm_gives_finite_output(tmp_path, capsys, argv):
         assert [r[0] for r in rows] == ["1", "2"]
         assert all(math.isfinite(float(v)) for r in rows for v in r[1:3])
         assert float(rows[-1][2]) <= 1e-6
+
+
+def test_certify_pairwise_near_the_largest_double_is_silent(tmp_path, capsys):
+    # 50 of 600 points scaled to about 1e299 under a map with a 1e10 entry:
+    # the screen's -2y rows overflow in float64 (those pairs are guarded and
+    # measured exactly), and no numpy warning reaches stderr
+    P = gaussian_vectors(4, 600, 7).points.copy()
+    P[::12] *= 1e299
+    X, A = PointSet(4, P, ("gaussian",) * 600), LinearMap(np.diag([1e10, 1.0, 1.0, 1.0]))
+    ps, mp, cert = tmp_path / "s.jlps", tmp_path / "a.jlmap", tmp_path / "cert.json"
+    write_pointset(ps, X)
+    write_map(mp, A)
+    code, _, err = run(["certify", "--map", str(mp), "--set", str(ps), "--mode", "pairwise", "--out", str(cert)], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(cert.read_text())["distortion"]
+    rep = distortion(A, X, "pairwise")
+    assert report["ratios"] is None
+    assert (report["eps_max"], report["violating_index"]) == (rep.eps_max, rep.violating_index)
 
 
 def test_indented_json_is_the_bytes_of_json_dumps(tmp_path):
