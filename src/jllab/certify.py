@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import _BLAS, _TINY, LinearMap, _norm_scaled, _pool_size, _pow2, _rowsq, _run_strided
+from ._runtime import _BLAS, _pool_size, _run_strided
+from .embeddings import _TINY, LinearMap, _norm_scaled, _pow2, _rowsq
 from .pointset import PointSet, SizeError, _check_size, _json_fields, _require_nonnegative_int, _unit_rows
 
 MODE_NORM = "norm-preservation"
@@ -212,7 +213,7 @@ def distortion(A: LinearMap, X: PointSet, mode: str = MODE_NORM) -> DistortionRe
 
     Every BLAS product of either mode, the image P Aᵀ and the screen's
     GEMMs below, runs on one OpenBLAS thread (see
-    `embeddings._BlasThreads`), so the report is the same bytes at any
+    `_runtime._BlasThreads`), so the report is the same bytes at any
     ``OPENBLAS_NUM_THREADS``.
 
     The CLI's pairwise ``certify``, when the JSON would drop the ratios
@@ -630,7 +631,7 @@ def spectral_certificate(A: LinearMap) -> SpectralCertificate:
     bits.
 
     The Gram product and the eigensolver run on one OpenBLAS thread (see
-    `embeddings._BlasThreads`), so the certificate is the same bytes at any
+    `_runtime._BlasThreads`), so the certificate is the same bytes at any
     ``OPENBLAS_NUM_THREADS``.
     """
     _check_size(f"spectral certificate of a {A.m}x{A.n} map", "Gram matrix", A.n, A.n)

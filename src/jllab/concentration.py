@@ -27,11 +27,11 @@ to a per-estimator function that reduces it to a few values per trial.
 A chunk of min(1024, trials) x n normals, and `map_samples`' chunk image
 of min(1024, trials) x m, are each held to `MAX_TOTAL_COORDS` values, so
 a larger n or m raises `SizeError` before anything is drawn.
-Every sampler runs its chunks on one bounded thread pool of min(available
-cores, chunks, 8) workers, each with its own buffers and its own slices of
-the output, so the result does not depend on the worker count.  The pool
-holds OpenBLAS at one thread for the whole loop, as every product of the
-package does (see `embeddings._BlasThreads`), so each worker multiplies
+Every sampler runs its chunks as one pooled run (`_runtime._run_strided`)
+of min(available cores, chunks, 8) workers, each with its own buffers and
+its own slices of the output, so the result does not depend on the worker
+count.  The run holds OpenBLAS at one thread throughout, as every product
+of the package does (see `_runtime._BlasThreads`), so each worker multiplies
 its own chunk on its own core, and neither a sample nor a threshold
 depends on the process's BLAS thread count.  A worker of the map or
 symmetric-form sampler holds one chunk and its image; the norm
@@ -76,7 +76,8 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .certify import SpectralCertificate, _normal_scale, spectral_certificate
-from .embeddings import _BLAS, LinearMap, _pool_size, _pow2, _rowsq, _run_strided
+from ._runtime import _BLAS, _pool_size, _run_strided
+from .embeddings import LinearMap, _pow2, _rowsq
 from .pointset import MAX_TOTAL_COORDS, SizeError, _check_size, _frozen_matrix, _json_fields
 from .pointset import _require_nonnegative, _require_positive, _require_positive_int
 from .seeds import Seed, as_seed
@@ -319,8 +320,7 @@ def _sample(
                 draw(out=g)
                 out[:, lo : lo + len(g)] = rows(g, ybuf[: len(g)])
 
-    with _BLAS.one_thread():
-        _run_strided(len(buffers), fill)
+    _run_strided(len(buffers), fill)
     return out
 
 
@@ -409,7 +409,7 @@ def symmetric_form_tail_estimate(
     takes its entries: n <= 3162 before the copy, and every entry finite.
 
     The whole estimate runs on one OpenBLAS thread (see
-    `embeddings._BlasThreads`), so ‖M‖_F and the eigensolver give the same
+    `_runtime._BlasThreads`), so ‖M‖_F and the eigensolver give the same
     bits at any thread count.
     """
     M = _frozen_matrix(M, "a symmetric form", "matrix")

@@ -17,24 +17,20 @@ one comma-separated row per output coordinate, 17 significant digits.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
 import re
-import threading
 import warnings
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, TypeVar
+from typing import NamedTuple
 
 import numpy as np
 
-from .pointset import PointSet, _check_size, _format_rows, _frozen_matrix, _header, _read_rows, _text_lines
+from ._runtime import _BLAS
+from .pointset import PointSet, _check_size, _frozen_matrix, _header, _read_rows, _text_lines, _write_rows
 from .pointset import _require_positive, _require_positive_int
 from .seeds import Seed, as_seed
-
-_T = TypeVar("_T")
 
 _MAP_HEADER = re.compile(r"^jlmap v1 m=(\d+) n=(\d+)$")
 
@@ -67,7 +63,7 @@ class LinearMap:
 
         Raises `SizeError` before it allocates the image when N m is over
         `MAX_TOTAL_COORDS`.  The product runs on one OpenBLAS thread (see
-        `_BlasThreads`), so the image is the same bytes at any
+        `_runtime._BlasThreads`), so the image is the same bytes at any
         ``OPENBLAS_NUM_THREADS``.
         """
         _check_size(f"a {self.m}x{self.n} map", "image", *np.shape(points)[:-1], self.m)
@@ -171,12 +167,14 @@ class _Smoothing(NamedTuple):
     residual: np.ndarray  # r - 1
 
 
-def _smooth(r: np.ndarray, tau: float) -> _Smoothing:
+def _smooth(r: np.ndarray, tau: float, bound: float | None = None) -> _Smoothing | None:
     # the one log-sum-exp pass over an evaluated map's norm ratios; the
     # optimizer's objective, distortion and gradient weights all read it
     residual = r - 1.0
     d = np.abs(residual)
     top = float(d.max())
+    if bound is not None and top >= bound:  # the objective is at least top
+        return None
     weights = np.exp((d - top) / tau)
     total = float(weights.sum())
     return _Smoothing(top + tau * math.log(total), top, weights, total, residual)
@@ -205,28 +203,6 @@ def _ray(Yt: np.ndarray, G: np.ndarray, Pt: np.ndarray, isqn: np.ndarray) -> tup
     return Z, np.einsum("ij,ij->j", Yt, Z) * (2.0 * isqn), np.einsum("ij,ij->j", Z, Z) * isqn
 
 
-def _pool_size(tasks: int) -> int:
-    # the worker count of a pool over ``tasks`` tasks: min(available cores,
-    # tasks, 8), at least 1
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return max(min(cores, tasks, 8), 1)
-
-
-def _run_strided(workers: int, run: Callable[[int, int], _T]) -> list[_T]:
-    # the thread pool shared by certify and concentration: worker w runs
-    # run(w, workers), which takes its tasks w, w + workers, ...; inline when
-    # ``workers`` is 1 (see `_pool_size`); results in worker order
-    if workers <= 1:
-        return [run(0, 1)]
-    from concurrent.futures import ThreadPoolExecutor  # here, so `import jllab` skips it
-
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(run, range(workers), [workers] * workers))  # re-raises a worker's error
-
-
 # multiply-adds under which `optimize_map`, its only reader, holds one BLAS
 # thread.  One optimizer iteration on 2 cores (300 iterations, best of
 # 3-5) took, on one thread against two: at n = 64, N = 4160, 0.35 against
@@ -239,75 +215,6 @@ def _run_strided(workers: int, run: Callable[[int, int], _T]) -> list[_T]:
 _ONE_THREAD_WORK = 1 << 20
 
 
-def _find_openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    # numpy's OpenBLAS thread-count getter and setter, or None under another
-    # BLAS.  The symbols are looked up through numpy's core extension, whose
-    # handle also resolves the libraries it links, so the OpenBLAS found is
-    # numpy's even when another package (scipy) has loaded its own
-    try:
-        from numpy._core import _multiarray_umath as core
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as core
-    try:
-        lib = ctypes.CDLL(core.__file__)
-    except OSError:
-        return None
-    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                 "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
-        try:
-            get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
-
-
-class _BlasThreads:
-    # the one BLAS-thread rule, as `_pool_size` is the one Python-thread
-    # rule: every product of the library runs in `one_thread`, but for an
-    # optimizer run at _ONE_THREAD_WORK or over.  After a threaded product
-    # returns, OpenBLAS's idle worker spins on another core for about
-    # 0.1 s, and at some widths one- and two-thread products differ in their
-    # last bits (a 900 x 1000 map's sample, a 512 x 1024 map's eigenvalues,
-    # a 300 x 700 map's image); on one thread every output is the same
-    # bytes at any OPENBLAS_NUM_THREADS.  The count is process-wide, so
-    # overlapping scopes share one entry count: the first to enter saves the
-    # count and sets 1, the last to leave restores it.  OpenBLAS is looked
-    # up on the first scope, never at import; under another BLAS the scope
-    # does nothing
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.api: tuple[Callable[[], int], Callable[[int], None]] | None = None
-        self.looked = False
-        self.depth = self.saved = 0
-
-    @contextmanager
-    def one_thread(self) -> Iterator[None]:
-        with self.lock:
-            if not self.looked:
-                self.api, self.looked = _find_openblas(), True
-            api = self.api
-            if api is not None:
-                if self.depth == 0:
-                    self.saved = api[0]()
-                    api[1](1)
-                self.depth += 1
-        try:
-            yield
-        finally:
-            if api is not None:
-                with self.lock:
-                    self.depth -= 1
-                    if self.depth == 0:
-                        api[1](self.saved)
-
-
-_BLAS = _BlasThreads()
-
-
 @_BLAS.one_thread()
 def pca_map(X: PointSet, m: int) -> LinearMap:
     """Top-m right singular directions of the (uncentered) point matrix.
@@ -315,7 +222,7 @@ def pca_map(X: PointSet, m: int) -> LinearMap:
     Rows are orthonormal, so the map is a projection onto the dominant
     m-dimensional subspace of the points.  A degenerate all-zero set is
     flagged with a warning and falls back to coordinate directions.  The
-    SVD holds one OpenBLAS thread (see `_BlasThreads`).
+    SVD holds one OpenBLAS thread (see `_runtime._BlasThreads`).
     """
     if not 1 <= m <= X.dim:
         raise ValueError(f"need 1 <= m <= {X.dim}, got m={m}")
@@ -355,9 +262,9 @@ def optimize_map(
     call), gives every trial's ratios in O(N) as r + s (s c - b), with
     b = 2⟨Ax, Gx⟩/‖x‖² and c = ‖Gx‖²/‖x‖² as column sums.  Each trial then
     costs one smoothing pass, which gives the objective, the distortion
-    max|r - 1| and the log-sum-exp weights; an accepted step keeps them
-    for its gradient 2 (Yt ∘ coef) P and updates A -= sG, Yt -= sZ in
-    place.
+    max|r - 1| and the log-sum-exp weights (none once the distortion
+    reaches the objective to beat); an accepted step keeps them for its
+    gradient 2 (Yt ∘ coef) P and updates A -= sG, Yt -= sZ in place.
 
     Direct images are taken as `distortion` takes them, Y = P Eᵀ (N x m)
     with row sums, so a direct max|r - 1| is ``distortion(E, X).eps_max``
@@ -382,10 +289,10 @@ def optimize_map(
     The run's products are m x N x n multiply-adds at most.  Under 2^20 of
     them the whole run holds OpenBLAS at one thread, as every other product
     of the library (`pca_map` included) does at any size (see
-    `_BlasThreads`).  Larger runs keep the process's threads, so at widths
-    where one- and two-thread products differ (none up to n = 64 on the
-    shapes measured, some at n = 700) their bits, and a direct image's
-    against `distortion`'s, may depend on ``OPENBLAS_NUM_THREADS``.
+    `_runtime._BlasThreads`).  Larger runs keep the process's threads, so
+    at widths where one- and two-thread products differ (none up to n = 64
+    on the shapes measured, some at n = 700) their bits, and a direct
+    image's against `distortion`'s, may depend on ``OPENBLAS_NUM_THREADS``.
     """
     opts = opts or OptimizerOptions()
     small = m * len(X) * X.dim < _ONE_THREAD_WORK
@@ -449,8 +356,8 @@ def _optimize(
         prev_f = history[-1]
         while step > _STEP_FLOOR:
             rc = r + step * (step * c - b)
-            sc = _smooth(rc, tau)
-            if sc.objective < history[-1]:
+            sc = _smooth(rc, tau, history[-1])
+            if sc is not None and sc.objective < history[-1]:
                 G *= step
                 A -= G
                 Z *= step
@@ -503,8 +410,8 @@ def _optimize(
 
 def write_map(path: str | Path, A: LinearMap) -> None:
     """Write a map to ``path`` in the jlmap text format."""
-    lines = [f"jlmap v1 m={A.m} n={A.n}", *_format_rows(A.entries)]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    with Path(path).open("wb") as f:
+        _write_rows(f, f"jlmap v1 m={A.m} n={A.n}", A.entries)
 
 
 def read_map(path: str | Path) -> LinearMap:

@@ -39,7 +39,7 @@ applies it to a file's first bytes alone, for a caller that needs only
 the dimension.
 
 The text point-set format and the ``jlmap`` text format of `embeddings`
-share one row grammar, written by `_format_rows` and read by `_read_rows`.
+share one row grammar, written by `_write_rows` and read by `_read_rows`.
 Both readers take the header's two sizes from the file's first line alone
 and hold their product to `MAX_TOTAL_COORDS` before the rest is decoded.
 They then check the sizes against the rows themselves (the line count,
@@ -79,6 +79,7 @@ _TEXT_HEADER = re.compile(r"^jlps v1 n=(\d+) N=(\d+)$")
 _LINE_BREAK = re.compile(rb"[\n\r\x0b\x0c\x1c-\x1e]")
 _BINARY_MAGIC = b"JLPS"
 _BINARY_HEAD = len(_BINARY_MAGIC) + struct.calcsize("<IQQ")  # magic, version, n, N
+_WRITE_BLOCK = 1 << 16  # values (or roles) a text writer formats at a time
 
 
 class SizeError(ValueError):
@@ -215,17 +216,20 @@ def _json_fields(obj) -> dict:
     return out
 
 
-def _format_rows(M: np.ndarray) -> list[str]:
-    # one comma-separated line per row of M, 17 significant digits a value
-    # (the same text as format(v, ".17g")); shared by the point-set and map
-    # writers
-    template = ",".join(["%.17g"] * M.shape[1])
-    return [template % tuple(row.tolist()) for row in M]
+def _write_rows(f, header: str, M: np.ndarray) -> None:
+    # the header line, then one line per row of M, its values as
+    # format(v, ".17g") joined by commas, to the open file f a block of about
+    # _WRITE_BLOCK values at a time; shared by both text writers
+    template = ",".join(["%.17g"] * M.shape[1]) + "\n"
+    f.write((header + "\n").encode("ascii"))
+    step = max(1, _WRITE_BLOCK // M.shape[1])
+    for lo in range(0, len(M), step):
+        f.write("".join([template % tuple(row.tolist()) for row in M[lo : lo + step]]).encode("ascii"))
 
 
 def _read_rows(lines: list[str], first: int, count: int, width: int, path: Path) -> np.ndarray:
     # lines[first : first + count] as a (count, width) array, the inverse of
-    # _format_rows; errors name the 1-based line.  Every row must show the
+    # _write_rows; errors name the 1-based line.  Every row must show the
     # header's width before the array is allocated: a row of width values
     # holds width - 1 commas, so the array is at most 8 bytes per byte read.
     rows = lines[first : first + count]
@@ -259,16 +263,16 @@ def _read_rows(lines: list[str], first: int, count: int, width: int, path: Path)
 
 def write_pointset(path: str | Path, ps: PointSet, binary: bool = False) -> None:
     """Write a point set to ``path`` in the text (default) or binary format."""
-    path = Path(path)
-    if binary:
-        blob = _BINARY_MAGIC + struct.pack("<IQQ", 1, ps.dim, len(ps))
-        blob += ps.points.astype("<f8").tobytes(order="C")
-        blob += bytes(_ROLE_CODE[r] for r in ps.roles)
-        path.write_bytes(blob)
-        return
-    lines = [f"jlps v1 n={ps.dim} N={len(ps)}", *_format_rows(ps.points)]
-    lines.append("roles=" + ",".join(ps.roles))
-    path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    with Path(path).open("wb") as f:
+        if binary:
+            f.write(_BINARY_MAGIC + struct.pack("<IQQ", 1, ps.dim, len(ps)))
+            f.write(np.ascontiguousarray(ps.points, "<f8"))  # the points' own buffer on a little-endian host
+            f.write(bytes(_ROLE_CODE[r] for r in ps.roles))
+            return
+        _write_rows(f, f"jlps v1 n={ps.dim} N={len(ps)}", ps.points)
+        for lo in range(0, max(len(ps), 1), _WRITE_BLOCK):  # "roles=" even for N = 0
+            f.write((("," if lo else "roles=") + ",".join(ps.roles[lo : lo + _WRITE_BLOCK])).encode("ascii"))
+        f.write(b"\n")
 
 
 def read_pointset(path: str | Path) -> PointSet:

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jllab._runtime as _runtime
 import jllab.certify as certify
 import jllab.concentration as concentration
-import jllab.embeddings as embeddings
 from jllab.certify import (
     MAX_PAIRS,
     AuditError,
@@ -1124,8 +1124,8 @@ def test_certify_layer_holds_one_blas_thread(monkeypatch, entry):
     # that keeps every ratio
     A, X, M = gaussian_map(4, 8, 1), hard_instance(8, 500, 2), np.diag([2.0, 1.0, -1.0, 0.5])
     events = []
-    monkeypatch.setattr(embeddings._BLAS, "api", (lambda: 4, events.append))
-    monkeypatch.setattr(embeddings._BLAS, "looked", True)
+    monkeypatch.setattr(_runtime._BLAS, "api", (lambda: 4, events.append))
+    monkeypatch.setattr(_runtime._BLAS, "looked", True)
     matmul, eigvalsh = np.matmul, np.linalg.eigvalsh
     monkeypatch.setattr(np, "matmul", lambda *a, **k: events.append("product") or matmul(*a, **k))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: events.append("product") or eigvalsh(G))

@@ -12,8 +12,8 @@ import weakref
 import numpy as np
 import pytest
 
+import jllab._runtime as _runtime
 import jllab.concentration as concentration
-import jllab.embeddings as embeddings
 from jllab.concentration import (
     CHUNK_TRIALS,
     CalibrationConstants,
@@ -30,7 +30,8 @@ from jllab.concentration import (
     norm_tail_oracle,
     symmetric_form_tail_estimate,
 )
-from jllab.embeddings import LinearMap, OptimizerOptions, _pool_size, gaussian_map, identity_map
+from jllab._runtime import _pool_size
+from jllab.embeddings import LinearMap, OptimizerOptions, gaussian_map, identity_map
 from jllab.net import covering_radius_for
 from jllab.pointset import SizeError
 from jllab.seeds import Seed
@@ -223,8 +224,8 @@ def test_samplers_hold_one_blas_thread_across_their_chunks(monkeypatch, sampler)
         "form": lambda: symmetric_form_tail_estimate(M, 1.0, 1.0, 3000, 1),
     }
     events = []
-    monkeypatch.setattr(embeddings._BLAS, "api", (lambda: 4, events.append))
-    monkeypatch.setattr(embeddings._BLAS, "looked", True)
+    monkeypatch.setattr(_runtime._BLAS, "api", (lambda: 4, events.append))
+    monkeypatch.setattr(_runtime._BLAS, "looked", True)
     generator = Seed.generator
     monkeypatch.setattr(Seed, "generator", lambda self: events.append("chunk") or generator(self))
     calls[sampler]()

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jllab import embeddings
+from jllab import _runtime, embeddings
 from jllab.certify import distortion
 from jllab.cli import main
 from jllab.embeddings import (
@@ -241,9 +241,9 @@ def test_optimizer_ray_drift_is_bounded_by_refreshes(monkeypatch):
         events.append(("direct", None))
         return rowsq(M)
 
-    def smoothed(r, tau):
+    def smoothed(r, tau, *bound):
         events.append(("smooth", r))
-        return smooth(r, tau)
+        return smooth(r, tau, *bound)
 
     monkeypatch.setattr(embeddings, "_rowsq", direct)
     monkeypatch.setattr(embeddings, "_smooth", smoothed)
@@ -268,9 +268,9 @@ def test_optimizer_one_smoothing_per_evaluation(monkeypatch):
     calls = []
     smooth = embeddings._smooth
 
-    def counted(r, tau):
+    def counted(r, tau, *bound):
         calls.append(tau)
-        return smooth(r, tau)
+        return smooth(r, tau, *bound)
 
     monkeypatch.setattr(embeddings, "_smooth", counted)
     X = hard_instance(3, 5, 1)
@@ -280,6 +280,30 @@ def test_optimizer_one_smoothing_per_evaluation(monkeypatch):
     assert info.accepted >= 1 and info.backtracks >= 1
     assert len(info.objective_history) - 1 > info.accepted  # some tau changes
     assert len(calls) == 2 + info.backtracks + len(info.objective_history) - 1
+
+
+def test_smoothing_rejects_before_its_exp_only_what_the_full_pass_rejects():
+    # a bound at or under the distortion gives None, and there the full
+    # pass's objective is at least the bound, so a trial compared against
+    # it is rejected either way; a bound over the distortion, or a NaN
+    # distortion, gives the full pass's bits
+    rng = np.random.default_rng(5)
+    for tau in (1.0, 0.1, 1e-3, 1e-12):
+        r = 1.0 + rng.standard_normal(50)
+        full = embeddings._smooth(r, tau)
+        for bound in (full.top / 2, full.top, np.nextafter(full.top, np.inf), full.objective, np.inf, np.nan):
+            got = embeddings._smooth(r, tau, bound)
+            if full.top >= bound:
+                assert got is None and full.objective >= bound
+            else:
+                assert got.objective == full.objective and np.array_equal(got.weights, full.weights)
+        r[7] = np.nan
+        assert math.isnan(embeddings._smooth(r, tau, 0.0).top)
+    # with no bound even an infinite distortion (an overflowing candidate's)
+    # takes the full pass, as `optimize_map` needs to rank its candidates;
+    # that pass's inf - inf warns
+    with np.errstate(invalid="ignore"):
+        assert embeddings._smooth(np.array([np.inf, 1.0]), 0.1).top == np.inf
 
 
 def _reference_optimize(X, m, opts, init):
@@ -485,7 +509,7 @@ def test_optimize_is_deterministic():
 
 def _openblas():
     # numpy's OpenBLAS thread-count getter and setter; skips without them
-    api = embeddings._find_openblas()
+    api = _runtime._find_openblas()
     if api is None:
         pytest.skip("numpy does not run on OpenBLAS here")
     return api
@@ -526,7 +550,7 @@ def test_one_blas_thread_keeps_every_bit(monkeypatch):
 
 def test_one_blas_thread_restores_the_count():
     get, _ = _openblas()
-    blas = embeddings._BLAS
+    blas = _runtime._BLAS
     before = get()
     with blas.one_thread():
         assert get() == 1
@@ -541,8 +565,8 @@ def test_one_blas_thread_without_openblas(monkeypatch):
     # under another BLAS the scope does nothing
     get, _ = _openblas()
     before = get()
-    monkeypatch.setattr(embeddings, "_find_openblas", lambda: None)
-    blas = embeddings._BlasThreads()
+    monkeypatch.setattr(_runtime, "_find_openblas", lambda: None)
+    blas = _runtime._BlasThreads()
     with blas.one_thread():
         assert get() == before and blas.depth == 0
     assert blas.looked and blas.api is None and get() == before
@@ -569,12 +593,12 @@ def test_one_blas_thread_overlapping_scopes(monkeypatch, api):
     # scope is open the count is 1, and the last to leave restores it
     if api == "openblas":
         get, _ = _openblas()
-        blas = embeddings._BLAS
+        blas = _runtime._BLAS
     else:
         fake = _YieldingCount()
         get = fake.get
-        monkeypatch.setattr(embeddings, "_find_openblas", lambda: (fake.get, fake.set))
-        blas = embeddings._BlasThreads()
+        monkeypatch.setattr(_runtime, "_find_openblas", lambda: (fake.get, fake.set))
+        blas = _runtime._BlasThreads()
     before = get()
     errors = []
 
@@ -612,7 +636,7 @@ def test_import_does_not_look_up_blas():
     root = Path(__file__).resolve().parents[1]
     path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    code = "import jllab, jllab.embeddings as e; print(e._BLAS.looked, e._BLAS.api)"
+    code = "import jllab, jllab._runtime as r; print(r._BLAS.looked, r._BLAS.api)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "None"]

@@ -1,5 +1,6 @@
 """Point set construction, validation, and serialization."""
 
+import struct
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -17,7 +18,6 @@ from jllab.pointset import (
     MAX_TOTAL_COORDS,
     PointSet,
     SizeError,
-    _format_rows,
     _read_rows,
     gaussian_vectors,
     hard_instance,
@@ -274,7 +274,6 @@ def test_text_writers_format_each_value_as_17g(tmp_path):
     values = [-0.0, 5e-324, 1e308, 0.1, 3.0, -2.0, 1e16, 2.0**53, -1.0 / 3.0]
     M = np.array([values, values[::-1]])
     expected = [",".join(format(v, ".17g") for v in row) for row in M]
-    assert _format_rows(M) == expected
     path = tmp_path / "set.jlps"
     write_pointset(path, PointSet(len(values), M, ("gaussian",) * 2))
     text = "\n".join([f"jlps v1 n={len(values)} N=2", *expected, "roles=gaussian,gaussian"])
@@ -293,6 +292,57 @@ def test_binary_roundtrip_is_exact(tmp_path):
     back = read_pointset(path)
     assert back.roles == ps.roles
     assert np.array_equal(back.points, ps.points)
+
+
+def _whole_file(header: str, M: np.ndarray, footer: list[str]) -> bytes:
+    # the text formats as one string, the writers' route before they wrote
+    # by blocks
+    rows = [",".join("%.17g" % v for v in row) for row in M.tolist()]
+    return ("\n".join([header, *rows, *footer]) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_writers_by_blocks_give_the_whole_file_bytes(tmp_path, n, offset):
+    # N = 0, 1 and one row either side of a block (2^16 values) in every
+    # writer; the roles go by blocks of 2^16 too
+    block = (1 << 16) // n
+    count = 1 if offset is None else block + offset
+    for N in (0, count):
+        P = gaussian_vectors(n, N, 3).points.copy()
+        P[1::2] = 0.0
+        roles = tuple("origin" if i % 2 else "gaussian" for i in range(N))
+        ps = PointSet(n, P, roles)
+        path = tmp_path / "set"
+        write_pointset(path, ps)
+        text = _whole_file(f"jlps v1 n={n} N={N}", P, ["roles=" + ",".join(roles)])
+        assert path.read_bytes() == text
+        write_pointset(path, ps, binary=True)
+        codes = bytes({"gaussian": 1, "origin": 2}[r] for r in roles)
+        assert path.read_bytes() == b"JLPS" + struct.pack("<IQQ", 1, n, N) + P.astype("<f8").tobytes() + codes
+        if N:
+            write_map(path, LinearMap(P))
+            assert path.read_bytes() == _whole_file(f"jlmap v1 m={N} n={n}", P, [])
+
+
+def test_text_writer_holds_one_block(run_capped, tmp_path):
+    # writing 2e6 values (a 48 MB text set) raises the peak by less than
+    # 8 MiB; the whole-file route raised it by over 100 MiB.  The points are
+    # one row repeated, so that `PointSet` copies them without a second
+    # array, and every value still takes 17 digits
+    done = run_capped(
+        "import resource\n"
+        "import numpy as np\n"
+        "from jllab import PointSet, gaussian_vectors, write_pointset\n"
+        "row = gaussian_vectors(20, 1, 1).points[0]\n"
+        "ps = PointSet(20, np.broadcast_to(row, (100000, 20)), ('gaussian',) * 100000)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"write_pointset({str(tmp_path / 'big.jlps')!r}, ps)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "big.jlps").stat().st_size > 40_000_000
+    assert int(done.stdout) < 8 << 10  # KiB
 
 
 def test_text_and_binary_agree(tmp_path):
