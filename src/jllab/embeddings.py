@@ -13,6 +13,8 @@ m x n before it reads a row, and `LinearMap.apply` for an N x m image.
 
 Maps serialize to a text format with header ``jlmap v1 m=<m> n=<n>`` and
 one comma-separated row per output coordinate, 17 significant digits.
+`read_map` streams the rows into the map's own array, as the point-set
+readers do (see `pointset`).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._runtime import _BLAS
-from .pointset import PointSet, _check_size, _frozen_matrix, _header, _read_rows, _text_lines, _write_rows
+from .pointset import PointSet, _Owned, _check_size, _frozen_matrix, _head, _header, _read_body, _write_rows
 from .pointset import _require_positive, _require_positive_int
 from .seeds import Seed, as_seed
 
@@ -175,7 +177,10 @@ def _smooth(r: np.ndarray, tau: float, bound: float | None = None) -> _Smoothing
     top = float(d.max())
     if bound is not None and top >= bound:  # the objective is at least top
         return None
-    weights = np.exp((d - top) / tau)
+    if top == math.inf:  # an overflowing map's limit, without inf - inf
+        weights = (d == top).astype(np.float64)
+    else:
+        weights = np.exp((d - top) / tau)
     total = float(weights.sum())
     return _Smoothing(top + tau * math.log(total), top, weights, total, residual)
 
@@ -417,10 +422,8 @@ def write_map(path: str | Path, A: LinearMap) -> None:
 def read_map(path: str | Path) -> LinearMap:
     """Read a map written by `write_map`."""
     path = Path(path)
-    blob = path.read_bytes()
-    m, n = _header(blob, _MAP_HEADER, "jlmap v1 m=<m> n=<n>", path)
-    _check_size(f"{path}: the header", "map", m, n)
-    lines = _text_lines(blob, path)
-    if len(lines) != m + 1:
-        raise ValueError(f"{path}: expected {m + 1} lines for m={m}, found {len(lines)}")
-    return LinearMap(_read_rows(lines, 1, m, n, path))
+    with path.open("rb") as f:
+        head = _head(f, binary=False)
+        m, n = _header(head, _MAP_HEADER, "jlmap v1 m=<m> n=<n>", path)
+        _check_size(f"{path}: the header", "map", m, n)
+        return LinearMap(_Owned(_read_body(f, head, path, "m", m, n, footer=False)[0]))

@@ -300,10 +300,19 @@ def test_smoothing_rejects_before_its_exp_only_what_the_full_pass_rejects():
         r[7] = np.nan
         assert math.isnan(embeddings._smooth(r, tau, 0.0).top)
     # with no bound even an infinite distortion (an overflowing candidate's)
-    # takes the full pass, as `optimize_map` needs to rank its candidates;
-    # that pass's inf - inf warns
-    with np.errstate(invalid="ignore"):
-        assert embeddings._smooth(np.array([np.inf, 1.0]), 0.1).top == np.inf
+    # takes the full pass, as `optimize_map` needs to rank its candidates
+    assert embeddings._smooth(np.array([np.inf, 1.0]), 0.1).top == np.inf
+
+
+def test_optimizer_ranks_an_overflowing_candidate_last():
+    # the init candidate's images overflow, so its distortion is infinite;
+    # the run is the one without it, bit for bit, and warns nothing
+    X = hard_instance(8, 40, 1)
+    init = LinearMap(gaussian_map(3, 8, 1).entries * 1e200)
+    got, info = optimize_map(X, 3, init=init, return_info=True)
+    want, want_info = optimize_map(X, 3, return_info=True)
+    assert got.entries.tobytes() == want.entries.tobytes()
+    assert info == want_info
 
 
 def _reference_optimize(X, m, opts, init):

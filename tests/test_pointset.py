@@ -4,16 +4,18 @@ import struct
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jllab.certify import audit_embedding, distortion, witness_search
 from jllab.cli import main
 from jllab.concentration import map_samples, norm_deviation_sample
 from jllab.embeddings import LinearMap, identity_map, read_map, write_map
+from jllab import pointset
 from jllab.pointset import (
     MAX_TOTAL_COORDS,
     PointSet,
@@ -78,6 +80,20 @@ def test_hard_instance_layout():
     assert ps.roles[:4] == ("basis",) * 4
     assert ps.roles[4:] == ("gaussian",) * 6
     assert np.array_equal(ps.points[4:], gaussian_vectors(4, 6, 3).points)
+
+
+@pytest.mark.parametrize("build", [lambda: gaussian_vectors(1000, 10000, 0), lambda: hard_instance(1000, 9000, 0)],
+                         ids=["gaussian", "hard"])
+def test_builders_hold_the_set_once(build):
+    # a builder hands its own array to PointSet, which checks the basis rows
+    # by strips: the peak is the set, its roles and a little more
+    tracemalloc.start()
+    try:
+        ps = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ps.points.nbytes + 8 * len(ps) + (2 << 20)
 
 
 def test_size_guard():
@@ -325,24 +341,53 @@ def test_writers_by_blocks_give_the_whole_file_bytes(tmp_path, n, offset):
             assert path.read_bytes() == _whole_file(f"jlmap v1 m={N} n={n}", P, [])
 
 
+def _maxrss_rise(run_capped, setup: str, call: str) -> int:
+    # how far ``call`` raises the maxrss of a capped child, after ``setup``,
+    # in bytes.  A high-water mark: setup must hold less than the call
+    done = run_capped(
+        f"import resource\n{setup}\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"{call}\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout) << 10  # KiB
+
+
 def test_text_writer_holds_one_block(run_capped, tmp_path):
     # writing 2e6 values (a 48 MB text set) raises the peak by less than
     # 8 MiB; the whole-file route raised it by over 100 MiB.  The points are
     # one row repeated, so that `PointSet` copies them without a second
     # array, and every value still takes 17 digits
-    done = run_capped(
-        "import resource\n"
+    path = tmp_path / "big.jlps"
+    rise = _maxrss_rise(
+        run_capped,
         "import numpy as np\n"
         "from jllab import PointSet, gaussian_vectors, write_pointset\n"
         "row = gaussian_vectors(20, 1, 1).points[0]\n"
-        "ps = PointSet(20, np.broadcast_to(row, (100000, 20)), ('gaussian',) * 100000)\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        f"write_pointset({str(tmp_path / 'big.jlps')!r}, ps)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        "ps = PointSet(20, np.broadcast_to(row, (100000, 20)), ('gaussian',) * 100000)",
+        f"write_pointset({str(path)!r}, ps)",
     )
-    assert done.returncode == 0, done.stderr
-    assert (tmp_path / "big.jlps").stat().st_size > 40_000_000
-    assert int(done.stdout) < 8 << 10  # KiB
+    assert path.stat().st_size > 40_000_000
+    assert rise < 8 << 20
+
+
+@pytest.mark.parametrize(
+    "n, binary, slack",
+    [(20, False, 8 << 20), (1, False, 8 << 20), (1, True, 1 << 20)],
+    ids=["text", "narrow-text", "narrow-binary"],
+)
+def test_reads_hold_the_array_the_roles_and_one_block(run_capped, tmp_path, n, binary, slack):
+    # 2e6 values: a 48 MB text set, a 58 MB narrow one and its 18 MB binary
+    # form.  The whole-file text reader raised the peak by 5 to 7 times the
+    # file; a read now holds the array, the roles (one pointer a point, for
+    # a set of one column) and about one block
+    N = 2_000_000 // n
+    path = tmp_path / "big.jlps"
+    row = gaussian_vectors(n, 1, 1).points[0]
+    write_pointset(path, PointSet(n, np.broadcast_to(row, (N, n)), ("gaussian",) * N), binary=binary)
+    rise = _maxrss_rise(run_capped, "from jllab import read_pointset", f"ps = read_pointset({str(path)!r})")
+    assert rise < 8 * 2_000_000 + (8 * N if n == 1 else 0) + slack
 
 
 def test_text_and_binary_agree(tmp_path):
@@ -386,8 +431,8 @@ def test_parse_errors_carry_line_numbers(tmp_path, capsys):
 def test_text_header_over_the_size_rule_is_refused_before_parsing(tmp_path):
     # 1001 rows of 10^4 zeros (20 MB) under a header whose n N is one row
     # over MAX_TOTAL_COORDS; the whole file was parsed (a 126 MiB tracemalloc
-    # peak) before PointSet refused it.  Now the read holds the file's bytes
-    # and no more
+    # peak) before PointSet refused it.  Now the read holds the header's
+    # bytes and no more
     n, count = 10_000, 1001
     path = tmp_path / "big.jlps"
     row = ",".join(["0"] * n) + "\n"
@@ -401,13 +446,13 @@ def test_text_header_over_the_size_rule_is_refused_before_parsing(tmp_path):
     finally:
         tracemalloc.stop()
     assert size > 20 * 10**6
-    assert peak < size + 2**20
+    assert peak < 2**21
 
 
 def test_binary_header_over_the_size_rule_is_refused_before_the_copy(tmp_path, capsys):
     # the binary form of the set above (80.1 MB): its body was copied (a
     # 152.8 MiB tracemalloc peak) before PointSet refused it, with a message
-    # that named no file.  Now the read holds the file's bytes and no more
+    # that named no file.  Now the read holds the header's bytes and no more
     n, count = 10_000, 1001
     path = tmp_path / "big.jlps"
     with path.open("wb") as f:
@@ -425,7 +470,7 @@ def test_binary_header_over_the_size_rule_is_refused_before_the_copy(tmp_path, c
         tracemalloc.stop()
     assert str(refused.value).startswith(f"{path}: the header needs a {count}x{n} point array")
     assert size > 80 * 10**6
-    assert peak < size + 2**20
+    assert peak < 2**21
     mp = tmp_path / "a.jlmap"
     write_map(mp, LinearMap(np.eye(1)))
     assert main(["certify", "--map", str(mp), "--set", str(path)]) == 1
@@ -459,7 +504,7 @@ _ROWS = st.integers(1, 4).flatmap(
 def test_bulk_parse_matches_float_per_value(rows, fmt):
     # the one bulk conversion gives the bits float() gives, value by value
     lines = ["header"] + [",".join(fmt % v for v in row) for row in rows]
-    got = _read_rows(lines, 1, len(rows), len(rows[0]), Path("p.jlps"))
+    got = _read_rows(lines[1:], 2, len(rows[0]), Path("p.jlps"))
     want = np.array([[float(f) for f in line.split(",")] for line in lines[1:]])
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -516,3 +561,101 @@ def test_non_ascii_byte_names_the_line(tmp_path, capsys, blob, line):
     argv = ["certify", "--map", str(path)] if is_map else ["embed", "--method", "pca", "--set", str(path), "--m", "1"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"jllab: error: {path}: line {line}: non-ASCII byte\n"
+
+
+# every error the text readers give, each with the whole-file reader's
+# message; {path} is the file
+_ERRORS = {
+    "malformed": (b"jlps v1 n=2 N=3\n1,2\n3,x\n5,6\nroles=gaussian,gaussian,gaussian\n", "line 3: malformed value"),
+    "blank-row": (b"jlps v1 n=1 N=3\n1\n\n2\nroles=gaussian,gaussian,gaussian\n", "line 3: malformed value"),
+    "all-blank": (b"jlps v1 n=1 N=2\n\n\nroles=gaussian,gaussian\n", "line 2: malformed value"),
+    "unit-separator": (b"jlps v1 n=2 N=2\n1,2\n\x1f3,4\nroles=gaussian,gaussian\n", "line 3: malformed value"),
+    "width": (b"jlps v1 n=2 N=2\n1,0\n1\nroles=basis,basis\n", "line 3: expected 2 values, found 1"),
+    # a row of another width before a malformed value, whatever their order
+    "width-after-value": (b"jlps v1 n=2 N=3\n1,x\n3,4\n5\nroles=gaussian,gaussian,gaussian\n",
+                          "line 4: expected 2 values, found 1"),
+    "non-ascii": (b"jlps v1 n=2 N=2\n1,0\n0,\xc3\nroles=basis,basis\n", "line 3: non-ASCII byte"),
+    "non-ascii-crlf": (b"jlps v1 n=2 N=2\r\n1,0\r\n0,\xc3\nroles=basis,basis\n", "line 3: non-ASCII byte"),
+    "non-ascii-cr": (b"jlps v1 n=2 N=2\r\r1,0\n0,1\nroles=basis,basis\n\xc3", "line 6: non-ASCII byte"),
+    # a byte outside ASCII before every other error, wherever it is
+    "non-ascii-last": (b"jlps v1 n=2 N=2\n1,x\n0\nroles=basis\n\xc3", "line 5: non-ASCII byte"),
+    "non-ascii-header": (b"\xc3jlps v1 n=2 N=1\n1,0\nroles=basis\n", "line 1: non-ASCII byte"),
+    "too-few": (b"jlps v1 n=2 N=3\n1,2\nroles=gaussian,gaussian,gaussian\n", "expected 5 lines for N=3, found 3"),
+    "too-many": (b"jlps v1 n=1 N=1\n1\nroles=gaussian\nextra\n", "expected 3 lines for N=1, found 4"),
+    "crlf-too-many": (b"jlps v1 n=1 N=1\r\n1\r\nroles=gaussian\r\n\r\n", "expected 3 lines for N=1, found 4"),
+    "no-footer": (b"jlps v1 n=1 N=1\n1\n", "expected 3 lines for N=1, found 2"),
+    "bad-footer": (b"jlps v1 n=1 N=1\n1\nrole=gaussian\n", "line 3: expected 'roles=' footer"),
+    "short-footer": (b"jlps v1 n=1 N=1\n1\nroles", "line 3: expected 'roles=' footer"),
+    "role-count": (b"jlps v1 n=1 N=2\n1\n2\nroles=gaussian\n", "line 4: expected 2 roles, found 1"),
+    "map-blank-row": (b"jlmap v1 m=3 n=1\n1\n\n2\n", "line 3: malformed value"),
+    "map-width": (b"jlmap v1 m=2 n=2\r\n1,0\r\n1,0,0\r\n", "line 3: expected 2 values, found 3"),
+    "map-too-few": (b"jlmap v1 m=2 n=2\n1,0\n", "expected 3 lines for m=2, found 2"),
+    "map-last-line": (b"jlmap v1 m=1 n=2\n1,0\n\xc3", "line 3: non-ASCII byte"),
+}
+
+
+def _read(path: Path):
+    return (read_map if path.read_bytes().startswith(b"jlmap") else read_pointset)(path)
+
+
+@pytest.mark.parametrize("blob, message", _ERRORS.values(), ids=_ERRORS.keys())
+def test_block_boundaries_keep_every_message(tmp_path, blob, message):
+    # a reader decodes a block at a time; at every block size from 1 to 64
+    # bytes, and at the default, which holds these files whole, every error
+    # names the line the whole-file reader named
+    path = tmp_path / "bad"
+    path.write_bytes(blob)
+    for block in [*range(1, 65), pointset._READ_BLOCK]:
+        with mock.patch.object(pointset, "_READ_BLOCK", block), pytest.raises(ValueError) as info:
+            _read(path)
+        assert str(info.value) == f"{path}: {message}", block
+
+
+def test_block_boundaries_keep_unknown_roles(tmp_path):
+    path = tmp_path / "bad"
+    path.write_bytes(b"jlps v1 n=1 N=3\r\n1\r\n2\r\n3\r\nroles=gaussian,bogus,also-bogus\r\n")
+    for block in range(1, 65):
+        with mock.patch.object(pointset, "_READ_BLOCK", block), pytest.raises(ValueError) as info:
+            read_pointset(path)
+        assert str(info.value) == "unknown roles ['also-bogus', 'bogus']; expected one of ('basis', 'gaussian', 'origin')"
+
+
+_SETS = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.tuples(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+            st.sampled_from(["gaussian", "origin"]),
+        ),
+        max_size=8,
+    ).map(lambda rows: (n, rows))
+)
+
+
+@settings(deadline=None, max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_SETS, st.sampled_from([b"\n", b"\r\n", b"\r"]), st.booleans())
+def test_block_boundaries_keep_every_bit(tmp_path, case, newline, final):
+    # a set and a map written, their line breaks made newline (a "\r\n" is
+    # then split by some block sizes) and maybe the last one dropped, read
+    # back the same bits and roles at every block size from 1 to 64 bytes
+    n, rows = case
+    P = np.array([r for r, _ in rows]).reshape(len(rows), n)
+    ps = PointSet(n, P, tuple(role for _, role in rows))
+    files = {}
+    for kind in ("text", "binary", "map")[: 3 if rows else 2]:
+        path = tmp_path / kind
+        if kind == "map":
+            write_map(path, LinearMap(P))
+        else:
+            write_pointset(path, ps, binary=kind == "binary")
+        if kind != "binary":
+            text = path.read_bytes().replace(b"\n", newline)
+            path.write_bytes(text if final else text[: -len(newline)])
+        files[kind] = path
+    for block in range(1, 65):
+        with mock.patch.object(pointset, "_READ_BLOCK", block):
+            for kind, path in files.items():
+                back = read_map(path).entries if kind == "map" else read_pointset(path)
+                if kind != "map":
+                    assert back.roles == ps.roles
+                    back = back.points
+                assert back.tobytes() == P.tobytes(), (kind, block)
